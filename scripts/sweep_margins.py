@@ -2,40 +2,17 @@
 """Run every certification sweep at desk scale and save the evidence.
 
 Writes one JSON report and one per-point margin CSV per claim into out/
-(override with --out-dir).  The margin CSVs are what to plot to see how far
-from sharp each inequality runs.
+(override with --out-dir), each claim at the defaults of
+``sysbound verify <claim>``.  The margin CSVs are byte-identical to
+``sysbound verify <claim> --margins-csv``; they are what to plot to see how
+far from sharp each inequality runs.
 """
 
 import argparse
-import csv
 import time
 from pathlib import Path
 
-from sysbound import bounds, certify
-
-HEADERS = {
-    "techlem2": ["vc", "worst_ell", "margin"],
-    "crossing": ["v", "crossing_volume", "margin"],
-    "length-lemma": ["trace_re", "trace_im", "margin"],
-    "cubic": ["vc", "x", "margin"],
-}
-
-
-def run(name, fn, out_dir, jobs):
-    rows = []
-    start = time.perf_counter()
-    report = fn(rows)
-    elapsed = time.perf_counter() - start
-    (out_dir / f"{name}.json").write_text(report.to_json() + "\n")
-    with open(out_dir / f"{name}-margins.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(HEADERS[name])
-        writer.writerows(rows)
-    print(
-        f"{name:14s} {report.status:4s}  worst margin {report.worst_margin:.6g} "
-        f"({report.points_checked} points, {elapsed:.1f}s)"
-    )
-    return report.passed
+from sysbound import certify
 
 
 def main():
@@ -48,42 +25,18 @@ def main():
     out_dir.mkdir(parents=True, exist_ok=True)
 
     ok = True
-    ok &= run(
-        "techlem2",
-        lambda rows: certify.certify_cusp_trace_bound(
-            certify.GridSpec(bounds.MIN_CUSP_VOLUME_AT_WAIST_2PI, 1e6, 200, "log"),
-            10000,
-            margin_rows=rows,
-            jobs=args.jobs,
-        ),
-        out_dir,
-        args.jobs,
-    )
-    ok &= run(
-        "crossing",
-        lambda rows: certify.certify_crossing(
-            certify.GridSpec(0.1, 1e6, 100, "log"), margin_rows=rows, jobs=args.jobs
-        ),
-        out_dir,
-        args.jobs,
-    )
-    ok &= run(
-        "length-lemma",
-        lambda rows: certify.certify_length_lemma(
-            100000, 100.0, args.seed, margin_rows=rows
-        ),
-        out_dir,
-        args.jobs,
-    )
-    ok &= run(
-        "cubic",
-        lambda rows: certify.certify_cubic_claims(
-            certify.GridSpec(bounds.CUSP_VOLUME_THRESHOLD, 1e6, 200, "log"),
-            margin_rows=rows,
-        ),
-        out_dir,
-        args.jobs,
-    )
+    for name, claim in certify.CLAIMS.items():
+        rows = []
+        start = time.perf_counter()
+        report = claim.run({**claim.defaults(), "jobs": args.jobs, "seed": args.seed}, rows)
+        elapsed = time.perf_counter() - start
+        (out_dir / f"{name}.json").write_text(report.to_json() + "\n")
+        certify.write_margins_csv(out_dir / f"{name}-margins.csv", claim.header, rows)
+        print(
+            f"{name:14s} {report.status:4s}  worst margin {report.worst_margin:.6g} "
+            f"({report.points_checked} points, {elapsed:.1f}s)"
+        )
+        ok &= report.passed
     raise SystemExit(0 if ok else 1)
 
 

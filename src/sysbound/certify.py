@@ -16,10 +16,12 @@ sweep is recorded in the claim id.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,6 +33,7 @@ CROSSING_REL_TOL = 1e-10
 IDENTITY_REL_TOL = 1e-12
 
 _BISECTION_MAX_STEPS = 200
+_SCALES = ("linear", "log")
 
 
 def _fmt17(x: float) -> str:
@@ -53,11 +56,13 @@ class GridSpec:
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
         object.__setattr__(self, "points", int(self.points))
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"grid bounds must be finite, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
             raise ValueError(f"grid needs lo < hi, got [{self.lo}, {self.hi}]")
         if self.points < 2:
             raise ValueError(f"grid needs at least 2 points, got {self.points}")
-        if self.scale not in ("linear", "log"):
+        if self.scale not in _SCALES:
             raise ValueError(f"scale must be 'linear' or 'log', got {self.scale!r}")
         if self.scale == "log" and self.lo <= 0:
             raise ValueError("log-scale grid needs lo > 0")
@@ -93,26 +98,89 @@ class CertificateReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
-def _make_report(claim_id, gate_margin, gate_point, ineq_margin, ineq_point, points):
-    if gate_margin is not None and gate_margin < 0:
-        margin, point = gate_margin, gate_point
-    else:
-        margin, point = ineq_margin, ineq_point
-    status = "pass" if margin >= 0 else "fail"
-    return CertificateReport(
-        claim_id=claim_id,
-        status=status,
-        worst_margin=float(margin),
-        worst_point=tuple(float(x) for x in point),
-        points_checked=int(points),
-    )
+class _Worst:
+    """The worst (smallest) margin of a claim's inequality and of its gates,
+    each with the point where it occurred, and the number of points checked.
+
+    Updates are strict, so the first of equal margins is kept and a NaN
+    margin never replaces a number.
+    """
+
+    def __init__(self):
+        self.ineq = self.gate = (math.inf, ())
+        self.points = 0
+
+    def add_ineq(self, margin, point) -> None:
+        if margin < self.ineq[0]:
+            self.ineq = (margin, point)
+
+    def add_gate(self, margin, point) -> None:
+        if margin < self.gate[0]:
+            self.gate = (margin, point)
+
+    def merge(self, other: "_Worst") -> None:
+        self.add_ineq(*other.ineq)
+        self.add_gate(*other.gate)
+        self.points += other.points
+
+    def report(self, claim_id: str) -> CertificateReport:
+        """A violated gate is reported in place of the inequality's margin."""
+        margin, point = self.gate if self.gate[0] < 0 else self.ineq
+        return CertificateReport(
+            claim_id=claim_id,
+            status="pass" if margin >= 0 else "fail",
+            worst_margin=float(margin),
+            worst_point=tuple(float(x) for x in point),
+            points_checked=int(self.points),
+        )
 
 
-def _run_chunks(worker, chunks, jobs):
+def _sweep_chunks(worker, values, extra, jobs, margin_rows) -> _Worst:
+    """Run ``worker((chunk, *extra))`` over consecutive chunks of ``values``,
+    in a process pool when ``jobs > 1``, and merge the chunks in grid order.
+
+    Each worker returns its chunk's ``(_Worst, rows)``.
+    """
+    chunks = [
+        (chunk, *extra)
+        for chunk in np.array_split(values, min(len(values), max(1, jobs * 4)))
+        if len(chunk)
+    ]
     if jobs <= 1 or len(chunks) <= 1:
-        return [worker(chunk) for chunk in chunks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, chunks))
+        results = [worker(chunk) for chunk in chunks]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(worker, chunks))
+    worst = _Worst()
+    for chunk_worst, rows in results:
+        worst.merge(chunk_worst)
+        if margin_rows is not None:
+            margin_rows.extend(rows)
+    return worst
+
+
+def _bisect(f, lo, hi, floor):
+    """Midpoint of a bracket [lo, hi] with f(lo) <= 0 < f(hi), bisected down
+    to a width of 1e-13 * max(hi, floor)."""
+    for _ in range(_BISECTION_MAX_STEPS):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-13 * max(hi, floor):
+            break
+    return 0.5 * (lo + hi)
+
+
+def write_margins_csv(path, header, rows) -> None:
+    """Write per-point margin rows as CSV, every real in 17 significant
+    digits.  Rows are formatted one at a time as they are written."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt17(x) for x in row])
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +191,7 @@ def _cusp_trace_chunk(args):
     vcs, ell_points, bound_scale = args
     two_pi = 2 * math.pi
     trace_bound = bounds.min_trace_bound
-    ineq_margin, ineq_point = math.inf, ()
-    gate_margin, gate_point = math.inf, ()
-    points = 0
-    rows = []
+    worst, rows = _Worst(), []
     for vc in vcs:
         vc = float(vc)
         bound = bound_scale * bounds.cusp_volume_trace_bound(vc, enforce_domain=False)
@@ -134,9 +199,7 @@ def _cusp_trace_chunk(args):
         if w_peak > 2:
             # The bound must agree with the Adams-Reid value at the peak slope.
             relerr = abs(bound - bounds.adams_reid_trace_bound(w_peak)) / bound
-            g = IDENTITY_REL_TOL - relerr
-            if g < gate_margin:
-                gate_margin, gate_point = g, (vc,)
+            worst.add_gate(IDENTITY_REL_TOL - relerr, (vc,))
         ell_hi = math.sqrt(4 * vc / math.sqrt(3))
         if ell_hi < two_pi:
             continue  # empty waist interval: nothing to certify at this volume
@@ -145,11 +208,10 @@ def _cusp_trace_chunk(args):
             m = bound - trace_bound(float(ell), vc)
             if m < worst_vc:
                 worst_vc, worst_ell = m, float(ell)
-        points += ell_points
+        worst.points += ell_points
         rows.append((vc, worst_ell, worst_vc))
-        if worst_vc < ineq_margin:
-            ineq_margin, ineq_point = worst_vc, (vc, worst_ell)
-    return ineq_margin, ineq_point, gate_margin, gate_point, points, rows
+        worst.add_ineq(worst_vc, (vc, worst_ell))
+    return worst, rows
 
 
 def certify_cusp_trace_bound(
@@ -180,24 +242,10 @@ def certify_cusp_trace_bound(
             f"grid starts below the trace-bound threshold "
             f"{bounds.CUSP_VOLUME_THRESHOLD}; use probe=True to explore it"
         )
-    vcs = vc_grid.values()
-    chunks = [
-        (chunk, ell_points, bound_scale)
-        for chunk in np.array_split(vcs, min(len(vcs), max(1, jobs * 4)))
-        if len(chunk)
-    ]
-    ineq_margin, ineq_point = math.inf, ()
-    gate_margin, gate_point = math.inf, ()
-    points = 0
-    for im, ip, gm, gp, n, rows in _run_chunks(_cusp_trace_chunk, chunks, jobs):
-        if im < ineq_margin:
-            ineq_margin, ineq_point = im, ip
-        if gm < gate_margin:
-            gate_margin, gate_point = gm, gp
-        points += n
-        if margin_rows is not None:
-            margin_rows.extend(rows)
-    return _make_report("techlem2", gate_margin, gate_point, ineq_margin, ineq_point, points)
+    worst = _sweep_chunks(
+        _cusp_trace_chunk, vc_grid.values(), (ell_points, bound_scale), jobs, margin_rows
+    )
+    return worst.report("techlem2")
 
 
 # ---------------------------------------------------------------------------
@@ -220,23 +268,12 @@ def _bisect_crossing(v: float):
         hi *= 2
     else:
         return None
-    for _ in range(_BISECTION_MAX_STEPS):
-        mid = 0.5 * (lo + hi)
-        if h(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-13 * hi:
-            break
-    return 0.5 * (lo + hi)
+    return _bisect(h, lo, hi, 0.0)
 
 
 def _crossing_chunk(args):
     vs, rel_tol, monotonic_samples = args
-    ineq_margin, ineq_point = math.inf, ()
-    gate_margin, gate_point = math.inf, ()
-    points = 0
-    rows = []
+    worst, rows = _Worst(), []
     for v in vs:
         v = float(v)
         closed = bounds.crossing_volume(v)
@@ -245,18 +282,16 @@ def _crossing_chunk(args):
             margin = -math.inf
         else:
             margin = rel_tol - abs(root - closed) / closed
-        points += 1
+        worst.points += 1
         rows.append((v, closed, margin))
-        if margin < ineq_margin:
-            ineq_margin, ineq_point = margin, (v,)
+        worst.add_ineq(margin, (v,))
         xs = np.geomspace(v * (1 + 1e-6) if v > 0 else 1e-6, 100 * closed, monotonic_samples)
         f1 = np.array([bounds.drilled_trace_bound(float(x)) for x in xs])
         f2 = np.array([bounds.filling_slope_trace_bound(float(x), v) for x in xs])
-        points += 2 * monotonic_samples
+        worst.points += 2 * monotonic_samples
         g = min(float(np.min(np.diff(f1))), float(np.min(-np.diff(f2))))
-        if g < gate_margin:
-            gate_margin, gate_point = g, (v,)
-    return ineq_margin, ineq_point, gate_margin, gate_point, points, rows
+        worst.add_gate(g, (v,))
+    return worst, rows
 
 
 def certify_crossing(
@@ -278,24 +313,10 @@ def certify_crossing(
     """
     if v_grid.lo <= 0:
         raise ValueError("crossing certification needs positive volumes")
-    vs = v_grid.values()
-    chunks = [
-        (chunk, rel_tol, monotonic_samples)
-        for chunk in np.array_split(vs, min(len(vs), max(1, jobs * 4)))
-        if len(chunk)
-    ]
-    ineq_margin, ineq_point = math.inf, ()
-    gate_margin, gate_point = math.inf, ()
-    points = 0
-    for im, ip, gm, gp, n, rows in _run_chunks(_crossing_chunk, chunks, jobs):
-        if im < ineq_margin:
-            ineq_margin, ineq_point = im, ip
-        if gm < gate_margin:
-            gate_margin, gate_point = gm, gp
-        points += n
-        if margin_rows is not None:
-            margin_rows.extend(rows)
-    return _make_report("crossing", gate_margin, gate_point, ineq_margin, ineq_point, points)
+    worst = _sweep_chunks(
+        _crossing_chunk, v_grid.values(), (rel_tol, monotonic_samples), jobs, margin_rows
+    )
+    return worst.report("crossing")
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +343,13 @@ def certify_length_lemma(
         raise ValueError(f"need at least one sample, got {samples}")
     if r_max < 0:
         raise ValueError(f"r_max must be nonnegative, got {r_max}")
+    worst = _Worst()
     claim_id = f"length-lemma:seed={seed}"
     if r_max == 0:
-        return _make_report(claim_id, None, (), math.inf, (), 0)
+        return worst.report(claim_id)
 
     rng = np.random.default_rng(seed)
     bound = bounds.loxodromic_length_bound(r_max)
-    ineq_margin, ineq_point = math.inf, ()
-    points = 0
     for _ in range(samples):
         r = r_max * rng.uniform()
         theta = 2 * math.pi * rng.uniform()
@@ -338,21 +358,17 @@ def certify_length_lemma(
         if g.classify() is not ElementClass.LOXODROMIC:
             continue
         m = bound - g.translation_length()
-        points += 1
+        worst.points += 1
         if margin_rows is not None:
             margin_rows.append((trace.real, trace.imag, m))
-        if m < ineq_margin:
-            ineq_margin, ineq_point = m, (trace.real, trace.imag)
+        worst.add_ineq(m, (trace.real, trace.imag))
 
-    gate_margin, gate_point = math.inf, ()
     for r in np.geomspace(min(0.1, r_max), r_max, sharpness_points):
         r = float(r)
         g = MoebiusElement.from_trace(complex(0, r))
         lam = math.exp(g.translation_length() / 2)
-        g_m = 1e-9 - abs(lam - (r + math.sqrt(r * r + 4)) / 2)
-        points += 1
-        if g_m < gate_margin:
-            gate_margin, gate_point = g_m, (0.0, r)
+        worst.points += 1
+        worst.add_gate(1e-9 - abs(lam - (r + math.sqrt(r * r + 4)) / 2), (0.0, r))
 
     pinned = MoebiusElement.from_trace(complex(2, (2 * math.pi) ** 2))
     pinned_len = pinned.translation_length()
@@ -360,11 +376,9 @@ def certify_length_lemma(
         math.log(bounds.adams_reid_trace_bound(2 * math.pi) ** 2 + 4) - pinned_len,
         1e-5 - abs(pinned_len - 7.35534),
     )
-    points += 1
-    if pin_m < gate_margin:
-        gate_margin, gate_point = pin_m, (2.0, (2 * math.pi) ** 2)
-
-    return _make_report(claim_id, gate_margin, gate_point, ineq_margin, ineq_point, points)
+    worst.points += 1
+    worst.add_gate(pin_m, (2.0, (2 * math.pi) ** 2))
+    return worst.report(claim_id)
 
 
 # ---------------------------------------------------------------------------
@@ -393,70 +407,137 @@ def certify_cubic_claims(
     if x_grid is None:
         x_grid = GridSpec(-1e3, 1e3, 20001, "linear")
 
-    ineq_margin, ineq_point = math.inf, ()
-    gate_margin, gate_point = math.inf, ()
-    points = 0
+    worst = _Worst()
 
     # f'(x) = 12x^2 - 2x + 16 > 0: discriminant and a direct sweep.
-    disc_margin = 4 * 12 * 16 - (-2) ** 2
-    if disc_margin < ineq_margin:
-        ineq_margin, ineq_point = disc_margin, (0.0,)
+    worst.add_ineq(4 * 12 * 16 - (-2) ** 2, (0.0,))
     for x in x_grid.values():
         x = float(x)
-        m = 12 * x * x - 2 * x + 16
-        points += 1
-        if m < ineq_margin:
-            ineq_margin, ineq_point = m, (x,)
+        worst.points += 1
+        worst.add_ineq(12 * x * x - 2 * x + 16, (x,))
 
     # (8 - 2*sqrt(2)) z^2 - sqrt(2) z + 16 > 0: negative discriminant.
-    quad_margin = 4 * (8 - 2 * math.sqrt(2)) * 16 - 2
-    points += 1
-    if quad_margin < ineq_margin:
-        ineq_margin, ineq_point = quad_margin, (0.0,)
+    worst.points += 1
+    worst.add_ineq(4 * (8 - 2 * math.sqrt(2)) * 16 - 2, (0.0,))
 
     sqrt3 = math.sqrt(3)
     for vc in vc_grid.values():
         vc = float(vc)
         x_star = math.sqrt(2) * vc ** (2 / 3)
         m_claim = _cubic(x_star, vc)
-        points += 1
+        worst.points += 1
         if margin_rows is not None:
             margin_rows.append((vc, x_star, m_claim))
-        if m_claim < ineq_margin:
-            ineq_margin, ineq_point = m_claim, (vc, x_star)
+        worst.add_ineq(m_claim, (vc, x_star))
 
         # Bisect the root with a proven bracket, then compare 4x^2 + 16 values.
         lo, hi = 0.0, x_star
         if not (_cubic(lo, vc) < 0 < _cubic(hi, vc)):
-            ineq_margin, ineq_point = -math.inf, (vc, x_star)
+            # No bracket: the claim fails here, and the last such volume is reported.
+            worst.ineq = (-math.inf, (vc, x_star))
             continue
-        for _ in range(_BISECTION_MAX_STEPS):
-            mid = 0.5 * (lo + hi)
-            if _cubic(mid, vc) > 0:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 1e-13 * max(hi, 1.0):
-                break
-        x0 = 0.5 * (lo + hi)
-        m_ax = (4 * x_star * x_star + 16) - (4 * x0 * x0 + 16)
-        points += 1
-        if m_ax < ineq_margin:
-            ineq_margin, ineq_point = m_ax, (vc, x0)
+        x0 = _bisect(lambda x: _cubic(x, vc), lo, hi, 1.0)
+        worst.points += 1
+        worst.add_ineq((4 * x_star * x_star + 16) - (4 * x0 * x0 + 16), (vc, x0))
 
         # Endpoint identity t(4*vc/sqrt(3)) = 7*vc/sqrt(3).
         endpoint = 4 * vc / sqrt3
         t_end = endpoint + 4 * vc * vc / endpoint
         expected = 7 * vc / sqrt3
-        g = IDENTITY_REL_TOL - abs(t_end - expected) / expected
-        points += 1
-        if g < gate_margin:
-            gate_margin, gate_point = g, (vc, endpoint)
+        worst.points += 1
+        worst.add_gate(IDENTITY_REL_TOL - abs(t_end - expected) / expected, (vc, endpoint))
 
         if vc >= bounds.CUSP_VOLUME_THRESHOLD:
-            m_end = (8 * vc ** (4 / 3) + 16) - expected
-            points += 1
-            if m_end < ineq_margin:
-                ineq_margin, ineq_point = m_end, (vc, endpoint)
+            worst.points += 1
+            worst.add_ineq((8 * vc ** (4 / 3) + 16) - expected, (vc, endpoint))
 
-    return _make_report("cubic", gate_margin, gate_point, ineq_margin, ineq_point, points)
+    return worst.report("cubic")
+
+
+# ---------------------------------------------------------------------------
+# The claim table behind ``sysbound verify`` and scripts/sweep_margins.py
+# ---------------------------------------------------------------------------
+
+class Param(NamedTuple):
+    """A sweep parameter: its CLI flag and config key, how to parse it, its
+    default, and for a string its allowed values."""
+
+    name: str
+    cast: Callable
+    default: object
+    choices: tuple[str, ...] | None = None
+
+
+class Claim(NamedTuple):
+    """A verifiable claim: the header of its margin CSV, its parameters, and
+    ``run(params, margin_rows)``, which takes the parameters by name (those of
+    the claim and of COMMON_PARAMS, and optionally ``probe``).
+
+    Runners call the ``certify_*`` sweeps through this module's globals at
+    call time, so a wrapper installed on the module attribute sees the call.
+    """
+
+    header: tuple[str, ...]
+    params: tuple[Param, ...]
+    run: Callable[[dict, list | None], CertificateReport]
+
+    def defaults(self) -> dict:
+        return {p.name: p.default for p in (*self.params, *COMMON_PARAMS)}
+
+
+COMMON_PARAMS = (Param("seed", int, DEFAULT_SEED), Param("jobs", int, 1))
+
+_VC_GRID = ("vc-min", "vc-max", "vc-points", "vc-scale")
+_V_GRID = ("v-min", "v-max", "points", "scale")
+
+
+def _grid_params(names, lo, points) -> tuple[Param, ...]:
+    """Parameters of a grid from ``lo`` to 1e6, log-spaced by default."""
+    return (
+        Param(names[0], float, lo),
+        Param(names[1], float, 1e6),
+        Param(names[2], int, points),
+        Param(names[3], str, "log", _SCALES),
+    )
+
+
+def _grid(p: dict, names) -> GridSpec:
+    return GridSpec(*(p[name] for name in names))
+
+
+CLAIMS = {
+    "techlem2": Claim(
+        ("vc", "worst_ell", "margin"),
+        (*_grid_params(_VC_GRID, bounds.MIN_CUSP_VOLUME_AT_WAIST_2PI, 200),
+         Param("ell-points", int, 10000)),
+        lambda p, rows: certify_cusp_trace_bound(
+            _grid(p, _VC_GRID), p["ell-points"], probe=p.get("probe", False),
+            margin_rows=rows, jobs=p["jobs"],
+        ),
+    ),
+    "crossing": Claim(
+        ("v", "crossing_volume", "margin"),
+        (*_grid_params(_V_GRID, 0.1, 100),
+         Param("rel-tol", float, CROSSING_REL_TOL),
+         Param("monotonic-samples", int, 1000)),
+        lambda p, rows: certify_crossing(
+            _grid(p, _V_GRID), rel_tol=p["rel-tol"],
+            monotonic_samples=p["monotonic-samples"], margin_rows=rows, jobs=p["jobs"],
+        ),
+    ),
+    "length-lemma": Claim(
+        ("trace_re", "trace_im", "margin"),
+        (Param("samples", int, 100000),
+         Param("r-max", float, 100.0),
+         Param("sharpness-points", int, 1000)),
+        lambda p, rows: certify_length_lemma(
+            p["samples"], p["r-max"], p["seed"],
+            sharpness_points=p["sharpness-points"], margin_rows=rows,
+        ),
+    ),
+    "cubic": Claim(
+        ("vc", "x", "margin"),
+        _grid_params(_VC_GRID, bounds.CUSP_VOLUME_THRESHOLD, 200),
+        lambda p, rows: certify_cubic_claims(_grid(p, _VC_GRID), margin_rows=rows),
+    ),
+}

@@ -16,21 +16,30 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from . import bianchi, bounds, certify
+from .certify import _fmt17
 from .cusp import CuspLattice
-from .mobius import MoebiusElement, NonLoxodromicError
+from .mobius import MoebiusElement
 
 
 class _UsageError(Exception):
-    pass
+    """Bad input: reported as ``usage error: ...`` with exit code 2."""
 
 
-def _fmt17(x) -> str:
-    x = float(x)
-    if x == 0:
-        x = 0.0  # never render -0
-    return format(x, ".17g")
+class _Failure(Exception):
+    """A mathematical failure: reported as ``error: ...`` with exit code 1."""
+
+
+class _Output(NamedTuple):
+    """What a command prints in each format, and its exit code."""
+
+    record: dict
+    header: list
+    rows: list
+    human: list
+    code: int = 0
 
 
 def _fmt6(x) -> str:
@@ -40,14 +49,30 @@ def _fmt6(x) -> str:
     return format(x, ".6g")
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+def _emit(fmt: str, out: _Output) -> None:
+    if fmt == "json":
+        print(json.dumps(out.record, sort_keys=True, indent=2))
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(out.header)
+        writer.writerows(out.rows)
+    else:
+        for line in out.human:
+            print(line)
 
 
-def _print_csv(header, rows) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def _call(error, fn, *args):
+    """``fn(*args)``, with a ValueError it raises re-raised as ``error``."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise error(str(exc)) from None
+
+
+def _finite(name: str, value):
+    if isinstance(value, float) and not math.isfinite(value):
+        raise _UsageError(f"{name} must be finite, got {value}")
+    return value
 
 
 def _parse_complex_pairs(text: str, expected: int, what: str) -> list[complex]:
@@ -87,23 +112,25 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _resolve(args, config: dict[str, str], name: str, cast, default):
-    value = getattr(args, name.replace("-", "_"))
+def _resolve(args, config: dict[str, str], param: certify.Param):
+    """A parameter's value from its flag, else the config file, else its default."""
+    value = getattr(args, param.name.replace("-", "_"))
     if value is not None:
         return value
-    if name in config:
-        try:
-            return cast(config[name])
-        except ValueError as exc:
-            raise _UsageError(f"bad config value for {name}: {exc}") from None
-    return default
+    if param.name not in config:
+        return param.default
+    try:
+        value = param.cast(config[param.name])
+    except ValueError as exc:
+        raise _UsageError(f"bad config value for {param.name}: {exc}") from None
+    return _finite(param.name, value)
 
 
 # ---------------------------------------------------------------------------
-# bound
+# bound, element, lattice
 # ---------------------------------------------------------------------------
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args) -> _Output:
     v = args.volume
     if args.kind == "cusped" and not v > 0:
         raise _UsageError("cusped bound needs --volume > 0")
@@ -111,38 +138,26 @@ def _cmd_bound(args) -> int:
         raise _UsageError("--volume must be nonnegative")
     profile = bounds.BoundProfile.from_volume(v)
     bound = profile.link_bound if args.kind == "closed-link" else profile.cusped_bound
-    fields = [
-        ("V", profile.volume),
-        ("Vc", profile.cusp_volume),
-        ("ell_max", profile.max_waist),
-        ("cusped_bound", profile.cusped_bound),
-        ("link_bound", profile.link_bound),
-    ]
+    fields = {
+        "V": profile.volume,
+        "Vc": profile.cusp_volume,
+        "ell_max": profile.max_waist,
+        "cusped_bound": profile.cusped_bound,
+        "link_bound": profile.link_bound,
+    }
     if args.kind == "closed-link":
-        fields.append(("crossing", profile.crossing))
-    if args.format == "json":
-        _print_json(
-            {
-                "kind": args.kind,
-                "bound": _fmt17(bound),
-                "profile": {k: _fmt17(x) for k, x in fields},
-            }
-        )
-    elif args.format == "csv":
-        header = ["kind", "bound"] + [k for k, _ in fields]
-        _print_csv(header, [[args.kind, _fmt17(bound)] + [_fmt17(x) for _, x in fields]])
-    else:
-        print(f"systole bound ({args.kind}): {_fmt6(bound)}")
-        for k, x in fields:
-            print(f"  {k} = {_fmt6(x)}")
-    return 0
+        fields["crossing"] = profile.crossing
+    return _Output(
+        {"kind": args.kind, "bound": _fmt17(bound),
+         "profile": {k: _fmt17(x) for k, x in fields.items()}},
+        ["kind", "bound", *fields],
+        [[args.kind, _fmt17(bound), *map(_fmt17, fields.values())]],
+        [f"systole bound ({args.kind}): {_fmt6(bound)}",
+         *(f"  {k} = {_fmt6(x)}" for k, x in fields.items())],
+    )
 
 
-# ---------------------------------------------------------------------------
-# element / lattice
-# ---------------------------------------------------------------------------
-
-def _cmd_element(args) -> int:
+def _cmd_element(args) -> _Output:
     a, b, c, d = _parse_complex_pairs(args.matrix, 4, "matrix")
     try:
         g = MoebiusElement(a, b, c, d)
@@ -150,195 +165,81 @@ def _cmd_element(args) -> int:
         raise _UsageError(f"invalid matrix: {exc}") from None
     if args.action == "classify":
         kind = g.classify().value
-        if args.format == "json":
-            _print_json({"action": "classify", "class": kind})
-        elif args.format == "csv":
-            _print_csv(["class"], [[kind]])
-        else:
-            print(kind)
-        return 0
+        return _Output({"action": "classify", "class": kind}, ["class"], [[kind]], [kind])
     if args.action == "length":
-        try:
-            length = g.translation_length()
-        except NonLoxodromicError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        if args.format == "json":
-            _print_json({"action": "length", "length": _fmt17(length)})
-        elif args.format == "csv":
-            _print_csv(["length"], [[_fmt17(length)]])
-        else:
-            print(_fmt6(length))
-        return 0
-    try:
-        sphere = g.isometric_sphere()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.format == "json":
-        _print_json(
-            {
-                "action": "sphere",
-                "center": [_fmt17(sphere.center.real), _fmt17(sphere.center.imag)],
-                "radius": _fmt17(sphere.radius),
-            }
-        )
-    elif args.format == "csv":
-        _print_csv(
-            ["center_re", "center_im", "radius"],
-            [[_fmt17(sphere.center.real), _fmt17(sphere.center.imag), _fmt17(sphere.radius)]],
-        )
-    else:
-        print(f"center {_fmt6(sphere.center.real)}{sphere.center.imag:+.6g}i radius {_fmt6(sphere.radius)}")
-    return 0
+        length = _call(_Failure, g.translation_length)
+        return _Output({"action": "length", "length": _fmt17(length)}, ["length"],
+                       [[_fmt17(length)]], [_fmt6(length)])
+    sphere = _call(_Failure, g.isometric_sphere)
+    center = [_fmt17(sphere.center.real), _fmt17(sphere.center.imag)]
+    return _Output(
+        {"action": "sphere", "center": center, "radius": _fmt17(sphere.radius)},
+        ["center_re", "center_im", "radius"],
+        [[*center, _fmt17(sphere.radius)]],
+        [f"center {_fmt6(sphere.center.real)}{sphere.center.imag:+.6g}i radius {_fmt6(sphere.radius)}"],
+    )
 
 
-def _cmd_lattice(args) -> int:
+def _cmd_lattice(args) -> _Output:
     t1, t2 = _parse_complex_pairs(args.lattice, 2, "lattice")
-    try:
-        lattice = CuspLattice(t1, t2)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    lattice = _call(_Failure, CuspLattice, t1, t2)
     rb = lattice.reduce()
-    if args.action == "waist":
-        value = rb.ell
-    elif args.action == "diameter":
-        value = lattice.torus_diameter()
-    else:
-        value = None
     if args.action == "reduce":
-        if args.format == "json":
-            _print_json(
-                {
-                    "ell": _fmt17(rb.ell),
-                    "z": [_fmt17(rb.z.real), _fmt17(rb.z.imag)],
-                    "area": _fmt17(rb.area),
-                }
-            )
-        elif args.format == "csv":
-            _print_csv(
-                ["ell", "z_re", "z_im", "area"],
-                [[_fmt17(rb.ell), _fmt17(rb.z.real), _fmt17(rb.z.imag), _fmt17(rb.area)]],
-            )
-        else:
-            print(f"ell = {_fmt6(rb.ell)}  z = {_fmt6(rb.z.real)}{rb.z.imag:+.6g}i  area = {_fmt6(rb.area)}")
-        return 0
-    if args.format == "json":
-        _print_json({args.action: _fmt17(value)})
-    elif args.format == "csv":
-        _print_csv([args.action], [[_fmt17(value)]])
-    else:
-        print(_fmt6(value))
-    return 0
+        fields = [_fmt17(rb.ell), _fmt17(rb.z.real), _fmt17(rb.z.imag), _fmt17(rb.area)]
+        return _Output(
+            {"ell": fields[0], "z": fields[1:3], "area": fields[3]},
+            ["ell", "z_re", "z_im", "area"],
+            [fields],
+            [f"ell = {_fmt6(rb.ell)}  z = {_fmt6(rb.z.real)}{rb.z.imag:+.6g}i  area = {_fmt6(rb.area)}"],
+        )
+    value = rb.ell if args.action == "waist" else lattice.torus_diameter()
+    return _Output({args.action: _fmt17(value)}, [args.action], [[_fmt17(value)]], [_fmt6(value)])
 
 
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
 
-_MARGIN_HEADERS = {
-    "techlem2": ["vc", "worst_ell", "margin"],
-    "crossing": ["v", "crossing_volume", "margin"],
-    "length-lemma": ["trace_re", "trace_im", "margin"],
-    "cubic": ["vc", "x", "margin"],
-}
-
-
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> _Output:
+    claim = certify.CLAIMS[args.claim]
     config = _load_config(args.config) if args.config else {}
-    jobs = _resolve(args, config, "jobs", int, 1)
-    seed = _resolve(args, config, "seed", int, certify.DEFAULT_SEED)
+    params = {p.name: _resolve(args, config, p) for p in (*certify.COMMON_PARAMS, *claim.params)}
+    if params["jobs"] < 1:
+        raise _UsageError(f"jobs must be at least 1, got {params['jobs']}")
     rows: list | None = [] if args.margins_csv else None
     try:
-        if args.claim == "techlem2":
-            grid = certify.GridSpec(
-                _resolve(args, config, "vc-min", float, bounds.MIN_CUSP_VOLUME_AT_WAIST_2PI),
-                _resolve(args, config, "vc-max", float, 1e6),
-                _resolve(args, config, "vc-points", int, 200),
-                _resolve(args, config, "vc-scale", str, "log"),
-            )
-            report = certify.certify_cusp_trace_bound(
-                grid,
-                _resolve(args, config, "ell-points", int, 10000),
-                probe=args.probe,
-                margin_rows=rows,
-                jobs=jobs,
-            )
-        elif args.claim == "crossing":
-            grid = certify.GridSpec(
-                _resolve(args, config, "v-min", float, 0.1),
-                _resolve(args, config, "v-max", float, 1e6),
-                _resolve(args, config, "points", int, 100),
-                _resolve(args, config, "scale", str, "log"),
-            )
-            report = certify.certify_crossing(
-                grid,
-                rel_tol=_resolve(args, config, "rel-tol", float, certify.CROSSING_REL_TOL),
-                monotonic_samples=_resolve(args, config, "monotonic-samples", int, 1000),
-                margin_rows=rows,
-                jobs=jobs,
-            )
-        elif args.claim == "length-lemma":
-            report = certify.certify_length_lemma(
-                _resolve(args, config, "samples", int, 100000),
-                _resolve(args, config, "r-max", float, 100.0),
-                seed,
-                sharpness_points=_resolve(args, config, "sharpness-points", int, 1000),
-                margin_rows=rows,
-            )
-        else:
-            grid = certify.GridSpec(
-                _resolve(args, config, "vc-min", float, bounds.CUSP_VOLUME_THRESHOLD),
-                _resolve(args, config, "vc-max", float, 1e6),
-                _resolve(args, config, "vc-points", int, 200),
-                _resolve(args, config, "vc-scale", str, "log"),
-            )
-            report = certify.certify_cubic_claims(grid, margin_rows=rows)
+        report = claim.run({**params, "probe": args.probe}, rows)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-
+    except OverflowError as exc:
+        raise _UsageError(f"{args.claim} overflows floating point at these parameters: {exc}") from None
     if args.margins_csv:
-        with open(args.margins_csv, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(_MARGIN_HEADERS[args.claim])
-            for row in rows:
-                writer.writerow([_fmt17(x) for x in row])
-
-    if args.format == "json":
-        print(report.to_json())
-    elif args.format == "csv":
-        _print_csv(
-            ["claim_id", "status", "worst_margin", "worst_point", "points_checked"],
-            [[
-                report.claim_id,
-                report.status,
-                _fmt17(report.worst_margin),
-                ";".join(_fmt17(x) for x in report.worst_point),
-                report.points_checked,
-            ]],
-        )
-    else:
-        at = ", ".join(_fmt6(x) for x in report.worst_point)
-        print(
-            f"{report.claim_id}: {report.status.upper()} "
-            f"(worst margin {_fmt6(report.worst_margin)} at [{at}], "
-            f"{report.points_checked} points)"
-        )
-    return 0 if report.passed else 1
+        certify.write_margins_csv(args.margins_csv, claim.header, rows)
+    record = report.to_json_dict()
+    at = ", ".join(_fmt6(x) for x in report.worst_point)
+    return _Output(
+        record,
+        list(record),
+        [[record["claim_id"], record["status"], record["worst_margin"],
+          ";".join(record["worst_point"]), record["points_checked"]]],
+        [f"{report.claim_id}: {report.status.upper()} "
+         f"(worst margin {_fmt6(report.worst_margin)} at [{at}], {report.points_checked} points)"],
+        0 if report.passed else 1,
+    )
 
 
 # ---------------------------------------------------------------------------
 # bianchi
 # ---------------------------------------------------------------------------
 
-def _parse_pi(text: str, d: int) -> bianchi.QuadInt:
-    parts = text.split(",")
+def _parse_pi(args) -> bianchi.QuadInt:
+    if args.pi is None:
+        raise _UsageError(f"{args.action} needs --pi")
     try:
-        a, b = (int(p.strip()) for p in parts)
+        a, b = (int(p.strip()) for p in args.pi.split(","))
     except ValueError:
-        raise _UsageError(f"--pi must be 'a,b' integers, got {text!r}") from None
-    return bianchi.QuadInt(a, b, d)
+        raise _UsageError(f"--pi must be 'a,b' integers, got {args.pi!r}") from None
+    return _call(_UsageError, bianchi.QuadInt, a, b, args.d)
 
 
 def _census_height_check(pi, n_max, height) -> bool:
@@ -352,153 +253,93 @@ def _census_height_check(pi, n_max, height) -> bool:
             print(f"n={n}: {len(mats)} elements in box, no loxodromic", file=sys.stderr)
             continue
         attained_norm = min(m.trace().norm for m in lox)
-        attained = math.sqrt(attained_norm)
-        status = "ok" if attained_norm >= lb * lb else "VIOLATION"
+        holds = attained_norm >= lb * lb
+        ok = ok and holds
         print(
             f"n={n}: {len(mats)} elements in box, {len(lox)} loxodromic, "
-            f"min |trace| = {attained:.6g} vs bound {lb} [{status}]",
+            f"min |trace| = {math.sqrt(attained_norm):.6g} vs bound {lb} "
+            f"[{'ok' if holds else 'VIOLATION'}]",
             file=sys.stderr,
         )
-        if attained_norm < lb * lb:
-            ok = False
     return ok
 
 
-def _cmd_bianchi(args) -> int:
-    if args.action == "ideals":
-        return _cmd_bianchi_ideals(args)
-    if args.action == "split":
-        if args.p is None:
-            raise _UsageError("split needs --p")
-        try:
-            result = bianchi.split_prime(args.p, args.d)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
-        if args.format == "json":
-            payload = {"p": args.p, "d": args.d, "split": result is not None}
-            if result is not None:
-                payload.update({"a": result.a, "b": result.b, "norm": result.norm})
-            _print_json(payload)
-        elif args.format == "csv":
-            if result is not None:
-                _print_csv(["p", "d", "split", "a", "b", "norm"],
-                           [[args.p, args.d, "true", result.a, result.b, result.norm]])
-            else:
-                _print_csv(["p", "d", "split", "a", "b", "norm"],
-                           [[args.p, args.d, "false", "", "", ""]])
-        else:
-            if result is not None:
-                conj = result.conjugate()
-                print(f"{args.p} = ({result})({conj})")
-            else:
-                print(f"{args.p} does not split in Z[√-{args.d}]")
-        if result is None and args.require_split:
-            return 1
-        return 0
-
-    if args.pi is None:
-        raise _UsageError(f"{args.action} needs --pi")
-    try:
-        pi = _parse_pi(args.pi, args.d)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-
-    if args.action == "index":
-        try:
-            value = bianchi.newman_index(bianchi.CongruenceLevel(pi, args.n))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        if args.format == "json":
-            _print_json({"pi": [pi.a, pi.b], "d": args.d, "n": args.n, "index": value})
-        elif args.format == "csv":
-            _print_csv(["index"], [[value]])
-        else:
-            print(value)
-        return 0
-
-    if args.action == "census":
-        base = args.base_covolume
-        if base is None:
-            if args.d != 2:
-                raise _UsageError("census needs --base-covolume for d != 2")
-            base = bianchi.PSL2_O2_COVOLUME
-        try:
-            table = bianchi.systole_growth_table(pi, args.n_max, base)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        if args.format == "json":
-            _print_json(
-                {
-                    "base_covolume": _fmt17(base),
-                    "rows": [
-                        {
-                            "n": r.n,
-                            "index": r.index,
-                            "volume": _fmt17(r.volume),
-                            "trace_lb": r.trace_lb,
-                            "trace_lb_uncorrected": r.level_norm,
-                            "systole_lb": _fmt17(r.systole_lb),
-                            "ratio": _fmt17(r.ratio),
-                        }
-                        for r in table
-                    ],
-                }
-            )
-        elif args.format == "csv":
-            _print_csv(
-                ["n", "index", "volume", "trace_lb", "systole_lb", "ratio"],
-                [
-                    [r.n, r.index, _fmt17(r.volume), r.trace_lb, _fmt17(r.systole_lb), _fmt17(r.ratio)]
-                    for r in table
-                ],
-            )
-        else:
-            print("  n        index           volume   trace_lb   systole_lb    ratio")
-            for r in table:
-                print(
-                    f"{r.n:3d} {r.index:12d} {r.volume:16.6g} {r.trace_lb:10d} "
-                    f"{r.systole_lb:12.6g} {r.ratio:8.6f}"
-                )
-        if args.height is not None:
-            if not _census_height_check(pi, args.n_max, args.height):
-                return 1
-        return 0
-
-    raise _UsageError(f"unknown bianchi action {args.action!r}")
+def _bianchi_split(args) -> _Output:
+    if args.p is None:
+        raise _UsageError("split needs --p")
+    x = _call(_UsageError, bianchi.split_prime, args.p, args.d)
+    header = ["p", "d", "split", "a", "b", "norm"]
+    if x is None:
+        return _Output({"p": args.p, "d": args.d, "split": False}, header,
+                       [[args.p, args.d, "false", "", "", ""]],
+                       [f"{args.p} does not split in Z[√-{args.d}]"],
+                       1 if args.require_split else 0)
+    return _Output({"p": args.p, "d": args.d, "split": True, "a": x.a, "b": x.b, "norm": x.norm},
+                   header, [[args.p, args.d, "true", x.a, x.b, x.norm]],
+                   [f"{args.p} = ({x})({x.conjugate()})"])
 
 
-def _cmd_bianchi_ideals(args) -> int:
-    try:
-        elements = bianchi.elements_of_bounded_modulus(args.d, args.max_modulus)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    if args.format == "json":
-        _print_json(
-            {
-                "d": args.d,
-                "max_modulus": _fmt17(args.max_modulus),
-                "count": len(elements),
-                "elements": [{"a": x.a, "b": x.b, "norm": x.norm} for x in elements],
-            }
-        )
-    elif args.format == "csv":
-        _print_csv(["a", "b", "norm"], [[x.a, x.b, x.norm] for x in elements])
-    else:
-        for x in elements:
-            print(f"{x}  (norm {x.norm})")
-        print(f"count: {len(elements)}")
-    return 0
+def _bianchi_index(args) -> _Output:
+    pi = _parse_pi(args)
+    level = _call(_Failure, bianchi.CongruenceLevel, pi, args.n)
+    value = _call(_Failure, bianchi.newman_index, level)
+    return _Output({"pi": [pi.a, pi.b], "d": args.d, "n": args.n, "index": value},
+                   ["index"], [[value]], [str(value)])
+
+
+def _bianchi_census(args) -> _Output:
+    pi = _parse_pi(args)
+    base = args.base_covolume
+    if base is None:
+        if args.d != 2:
+            raise _UsageError("census needs --base-covolume for d != 2")
+        base = bianchi.PSL2_O2_COVOLUME
+    table = _call(_Failure, bianchi.systole_growth_table, pi, args.n_max, base)
+    ok = args.height is None or _census_height_check(pi, args.n_max, args.height)
+    header = ["n", "index", "volume", "trace_lb", "systole_lb", "ratio"]
+    rows = [[r.n, r.index, _fmt17(r.volume), r.trace_lb, _fmt17(r.systole_lb), _fmt17(r.ratio)]
+            for r in table]
+    return _Output(
+        {
+            "base_covolume": _fmt17(base),
+            "rows": [dict(zip(header, row), trace_lb_uncorrected=r.level_norm)
+                     for row, r in zip(rows, table)],
+        },
+        header,
+        rows,
+        ["  n        index           volume   trace_lb   systole_lb    ratio"]
+        + [f"{r.n:3d} {r.index:12d} {r.volume:16.6g} {r.trace_lb:10d} "
+           f"{r.systole_lb:12.6g} {r.ratio:8.6f}" for r in table],
+        0 if ok else 1,
+    )
+
+
+def _bianchi_ideals(args) -> _Output:
+    elements = _call(_UsageError, bianchi.elements_of_bounded_modulus, args.d, args.max_modulus)
+    return _Output(
+        {
+            "d": args.d,
+            "max_modulus": _fmt17(args.max_modulus),
+            "count": len(elements),
+            "elements": [{"a": x.a, "b": x.b, "norm": x.norm} for x in elements],
+        },
+        ["a", "b", "norm"],
+        [[x.a, x.b, x.norm] for x in elements],
+        [f"{x}  (norm {x.norm})" for x in elements] + [f"count: {len(elements)}"],
+    )
+
+
+_BIANCHI_ACTIONS = {
+    "split": _bianchi_split,
+    "index": _bianchi_index,
+    "census": _bianchi_census,
+    "ideals": _bianchi_ideals,
+}
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
-
-def _add_format(parser) -> None:
-    parser.add_argument("--format", choices=["json", "csv", "human"], default="human")
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -510,7 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bound = sub.add_parser("bound", help="evaluate a systole bound for a volume")
     p_bound.add_argument("kind", choices=["closed-link", "cusped"])
     p_bound.add_argument("--volume", type=float, required=True)
-    _add_format(p_bound)
     p_bound.set_defaults(handler=_cmd_bound)
 
     p_elem = sub.add_parser("element", help="classify or measure a matrix")
@@ -520,38 +360,22 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="row-major JSON [[re,im],[re,im],[re,im],[re,im]] for (a b; c d)",
     )
-    _add_format(p_elem)
     p_elem.set_defaults(handler=_cmd_element)
 
     p_lat = sub.add_parser("lattice", help="reduce a cusp lattice")
     p_lat.add_argument("action", choices=["reduce", "waist", "diameter"])
     p_lat.add_argument("--lattice", required=True, help="JSON [[re,im],[re,im]] generators")
-    _add_format(p_lat)
     p_lat.set_defaults(handler=_cmd_lattice)
 
     p_verify = sub.add_parser("verify", help="run a certification sweep")
-    p_verify.add_argument("claim", choices=["techlem2", "crossing", "length-lemma", "cubic"])
-    p_verify.add_argument("--vc-min", type=float)
-    p_verify.add_argument("--vc-max", type=float)
-    p_verify.add_argument("--vc-points", type=int)
-    p_verify.add_argument("--vc-scale", choices=["linear", "log"])
-    p_verify.add_argument("--ell-points", type=int)
-    p_verify.add_argument("--v-min", type=float)
-    p_verify.add_argument("--v-max", type=float)
-    p_verify.add_argument("--points", type=int)
-    p_verify.add_argument("--scale", choices=["linear", "log"])
-    p_verify.add_argument("--rel-tol", type=float)
-    p_verify.add_argument("--monotonic-samples", type=int)
-    p_verify.add_argument("--samples", type=int)
-    p_verify.add_argument("--r-max", type=float)
-    p_verify.add_argument("--sharpness-points", type=int)
-    p_verify.add_argument("--seed", type=int)
-    p_verify.add_argument("--jobs", type=int)
+    p_verify.add_argument("claim", choices=list(certify.CLAIMS))
+    params = {p.name: p for claim in certify.CLAIMS.values() for p in claim.params}
+    for param in (*params.values(), *certify.COMMON_PARAMS):
+        p_verify.add_argument(f"--{param.name}", type=param.cast, choices=param.choices)
     p_verify.add_argument("--probe", action="store_true",
                           help="waive domain preconditions and just report margins")
     p_verify.add_argument("--config", help="key=value file presetting grid defaults")
     p_verify.add_argument("--margins-csv", help="write per-point margins to this CSV")
-    _add_format(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_bi = sub.add_parser("bianchi", help="exact quadratic-order computations")
@@ -566,20 +390,27 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="census only: cross-check trace bounds by enumeration up to this height")
     p_bi.add_argument("--base-covolume", type=float)
     p_bi.add_argument("--max-modulus", type=float, default=2.0)
-    _add_format(p_bi)
-    p_bi.set_defaults(handler=_cmd_bianchi)
+    p_bi.set_defaults(handler=lambda args: _BIANCHI_ACTIONS[args.action](args))
 
+    for command in sub.choices.values():
+        command.add_argument("--format", choices=["json", "csv", "human"], default="human")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        for name, value in vars(args).items():
+            _finite(f"--{name.replace('_', '-')}", value)
+        out = args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except _Failure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    _emit(args.format, out)
+    return out.code
 
 
 def entry() -> None:

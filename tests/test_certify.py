@@ -29,6 +29,9 @@ def test_grid_spec_validation():
         GridSpec(1, 2, 10, "cubic")
     with pytest.raises(ValueError):
         GridSpec(0, 2, 10, "log")
+    for lo, hi in [(1, math.inf), (-math.inf, 1), (math.nan, 1), (1, math.nan)]:
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(lo, hi, 10)
 
 
 def test_grid_spec_values():

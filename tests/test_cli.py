@@ -1,10 +1,11 @@
 import cmath
 import json
 import math
+import warnings
 
 import pytest
 
-from sysbound import bounds
+from sysbound import bounds, certify
 from sysbound.cli import main
 
 
@@ -346,3 +347,65 @@ def test_bianchi_ideals(capsys):
     payload = json.loads(out)
     assert payload["count"] == 2
     assert payload["elements"] == [{"a": -1, "b": 0, "norm": 1}, {"a": 1, "b": 0, "norm": 1}]
+
+
+# ---------------------------------------------------------------------------
+# input boundary
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "closed-link", "--volume", "nan"],
+        ["bound", "closed-link", "--volume", "inf"],
+        ["bound", "cusped", "--volume", "inf"],
+        ["bianchi", "ideals", "--d", "2", "--max-modulus", "inf"],
+        ["bianchi", "census", "--d", "2", "--pi", "3,1", "--base-covolume", "nan"],
+        ["verify", "cubic", "--vc-max", "inf"],
+        ["verify", "crossing", "--v-max", "inf"],
+        ["verify", "techlem2", "--vc-max", "inf"],
+        ["verify", "length-lemma", "--r-max", "nan"],
+        ["verify", "techlem2", "--vc-scale", "linear", "--vc-max", "1e308"],
+        ["verify", "cubic", "--config", "{cfg}"],
+    ],
+)
+def test_non_finite_input_is_one_line_usage_error(argv, tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("vc-max = inf\n")
+    argv = [str(cfg) if a == "{cfg}" else a for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("how", ["--jobs 0", "--jobs -5", "config"])
+@pytest.mark.parametrize("claim", ["techlem2", "cubic"])
+def test_verify_rejects_jobs_below_one(claim, how, tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("jobs = 0\nvc-min = 17.1\nvc-max = 100\nvc-points = 2\nell-points = 10\n")
+    extra = ["--config", str(cfg)] if how == "config" else how.split()
+    code, out, err = run(capsys, ["verify", claim] + extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: jobs must be at least 1")
+
+
+def test_verify_calls_the_sweeps_through_the_module(monkeypatch, capsys):
+    # Wrappers installed on the module attributes (as perfbench's tracer does)
+    # must see every verify run.
+    calls = []
+    for name in ("certify_cubic_claims", "certify_cusp_trace_bound"):
+        original = getattr(certify, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(certify, name, counting)
+    assert run(capsys, ["verify", "cubic", "--vc-points", "3"])[0] == 0
+    assert run(capsys, VERIFY_FAST)[0] == 0
+    assert calls == ["certify_cubic_claims", "certify_cusp_trace_bound"]
