@@ -166,6 +166,7 @@ CASES = [
     ["bianchi", "index", "--d", "2"],
     ["bianchi", "index", "--d", "2", "--pi", "three"],
     ["bianchi", "index", "--d", "0", "--pi", "3,1"],
+    CENSUS + ["--n-max", "2", "--height", "5", "--format", "json"],
     ["bianchi", "census", "--d", "1", "--pi", "1,1", "--n-max", "1"],
     CENSUS + ["--n-max", "1", "--base-covolume", "-1"],
     ["bianchi", "census", "--d", "2"],
