@@ -9,6 +9,7 @@ exact trace predicates rather than floating-point tolerances.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -317,64 +318,50 @@ def enumerate_congruence_elements(level: CongruenceLevel, height: int) -> list[Q
     whose parameter coordinates lie in [-height, height]^8, deduplicated up
     to global sign.
 
-    The determinant condition forces b*c = a*d + (a+d)/pi^n exactly, so the
-    search enumerates (a, d) pairs whose trace part is divisible by pi^n and
-    factors the resulting product over the box.  Representatives are kept in
-    the congruence form (diagonal = 1 mod pi^n) so the exact trace
-    s*pi^(2n) + 2 stays recoverable; the sign-canonical coordinate tuple is
-    used only as the deduplication key.
+    The determinant condition forces b*c = a*d + (a+d)/pi^n exactly.  One
+    pass over the box indexes every (a, d) pair whose trace part a+d is
+    divisible by pi^n under the product b*c it forces; a second pass walks
+    every (b, c) in the box and looks b*c up in that index.  Representatives
+    are kept in the congruence form (diagonal = 1 mod pi^n) so the exact
+    trace s*pi^(2n) + 2 stays recoverable; the sign-canonical coordinate
+    tuple is used only as the deduplication key.  A matrix and its negative
+    both lie in the box only when pi^n divides 2; of such a pair the
+    lexicographically smaller coordinate tuple is kept.
     """
     if not isinstance(height, int) or height < 0:
         raise ValueError(f"height must be a nonnegative int, got {height!r}")
     d = level.pi.d
     w = level.level
     w1, w2, nw = w.a, w.b, w.norm
-    rng = range(-height, height + 1)
-    found: dict[tuple[int, ...], tuple[int, ...]] = {}
+    box = range(-height, height + 1)
 
-    def emit(aa, ab, ba, bb, ca, cb, da, db):
-        m11 = (aa * w1 - d * ab * w2 + 1, aa * w2 + ab * w1)
+    # forced b*c -> the diagonal entries (a*pi^n + 1, d*pi^n + 1) that force it
+    index: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
+    for aa, ab, da, db in itertools.product(box, repeat=4):
+        s1, s2 = aa + da, ab + db
+        n1, n2 = s1 * w1 + d * s2 * w2, s2 * w1 - s1 * w2
+        if n1 % nw or n2 % nw:
+            continue
+        bc = (aa * da - d * ab * db + n1 // nw, aa * db + ab * da + n2 // nw)
+        index.setdefault(bc, []).append((aa * w1 - d * ab * w2 + 1, aa * w2 + ab * w1,
+                                         da * w1 - d * db * w2 + 1, da * w2 + db * w1))
+
+    found: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for ba, bb, ca, cb in itertools.product(box, repeat=4):
+        diagonals = index.get((ba * ca - d * bb * cb, ba * cb + bb * ca))
+        if diagonals is None:
+            continue
         m12 = (ba * w1 - d * bb * w2, ba * w2 + bb * w1)
         m21 = (ca * w1 - d * cb * w2, ca * w2 + cb * w1)
-        m22 = (da * w1 - d * db * w2 + 1, da * w2 + db * w1)
-        det_a = m11[0] * m22[0] - d * m11[1] * m22[1] - (m12[0] * m21[0] - d * m12[1] * m21[1])
-        det_b = m11[0] * m22[1] + m11[1] * m22[0] - (m12[0] * m21[1] + m12[1] * m21[0])
-        if det_a != 1 or det_b != 0:
-            raise RuntimeError("enumerated matrix failed the exact determinant check")
-        coords = (*m11, *m12, *m21, *m22)
-        found.setdefault(_canonical_sign_key(coords), coords)
-
-    for aa in rng:
-        for ab in rng:
-            for da in rng:
-                for db in rng:
-                    s1, s2 = aa + da, ab + db
-                    n1 = s1 * w1 + d * s2 * w2
-                    if n1 % nw:
-                        continue
-                    n2 = s2 * w1 - s1 * w2
-                    if n2 % nw:
-                        continue
-                    p1 = aa * da - d * ab * db + n1 // nw
-                    p2 = aa * db + ab * da + n2 // nw
-                    if p1 == 0 and p2 == 0:
-                        for ca in rng:
-                            for cb in rng:
-                                emit(aa, ab, 0, 0, ca, cb, da, db)
-                    for ba in rng:
-                        for bb in rng:
-                            if ba == 0 and bb == 0:
-                                continue
-                            nb = ba * ba + d * bb * bb
-                            q1 = p1 * ba + d * p2 * bb
-                            if q1 % nb:
-                                continue
-                            q2 = p2 * ba - p1 * bb
-                            if q2 % nb:
-                                continue
-                            ca, cb = q1 // nb, q2 // nb
-                            if -height <= ca <= height and -height <= cb <= height:
-                                emit(aa, ab, ba, bb, ca, cb, da, db)
+        off_a = m12[0] * m21[0] - d * m12[1] * m21[1]
+        off_b = m12[0] * m21[1] + m12[1] * m21[0]
+        for x1, x2, y1, y2 in diagonals:
+            if x1 * y1 - d * x2 * y2 - off_a != 1 or x1 * y2 + x2 * y1 != off_b:
+                raise RuntimeError("enumerated matrix failed the exact determinant check")
+            coords = (x1, x2, *m12, *m21, y1, y2)
+            key = _canonical_sign_key(coords)
+            found[key] = min(found.get(key, coords), coords)
+    del index
 
     matrices = []
     for coords in sorted(found.values()):

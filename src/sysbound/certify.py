@@ -404,6 +404,8 @@ def certify_cubic_claims(
     the endpoint value x + 4*vc^2/x at x = 4*vc/sqrt(3) equals 7*vc/sqrt(3)
     (gate) and stays below 8*vc^(4/3) + 16 above the volume threshold.
     """
+    if vc_grid.lo < 0:
+        raise ValueError("cubic claims need nonnegative cusp volumes")
     if x_grid is None:
         x_grid = GridSpec(-1e3, 1e3, 20001, "linear")
 

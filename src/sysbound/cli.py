@@ -91,7 +91,10 @@ def _parse_complex_pairs(text: str, expected: int, what: str) -> list[complex]:
         )
         if not ok:
             raise _UsageError(f"{what} entries must be [re, im] number pairs")
-        out.append(complex(pair[0], pair[1]))
+        try:
+            out.append(complex(pair[0], pair[1]))
+        except OverflowError:
+            raise _UsageError(f"{what} entries must fit in a float") from None
     return out
 
 
@@ -211,8 +214,6 @@ def _cmd_verify(args) -> _Output:
         report = claim.run({**params, "probe": args.probe}, rows)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    except OverflowError as exc:
-        raise _UsageError(f"{args.claim} overflows floating point at these parameters: {exc}") from None
     if args.margins_csv:
         certify.write_margins_csv(args.margins_csv, claim.header, rows)
     record = report.to_json_dict()
@@ -409,6 +410,11 @@ def main(argv=None) -> int:
     except _Failure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OverflowError as exc:
+        subject = getattr(args, "claim", None) or getattr(args, "action", args.command)
+        print(f"usage error: {subject} overflows floating point at these parameters: {exc}",
+              file=sys.stderr)
+        return 2
     _emit(args.format, out)
     return out.code
 

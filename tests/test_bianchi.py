@@ -244,6 +244,46 @@ def test_enumeration_deduplicates_sign_pairs():
         assert negated not in coords or negated == tuple((e.a, e.b) for e in m.entries())
 
 
+def _brute_force_elements(level, height):
+    # Every parameter vector in the box, checked against det == 1 directly;
+    # one matrix per +/- pair, the smaller coordinate tuple kept.
+    d, w = level.pi.d, level.level
+    box = np.arange(-height, height + 1)
+    params = np.stack(np.meshgrid(*[box] * 8, indexing="ij"), axis=-1).reshape(-1, 4, 2)
+    re = params[..., 0] * w.a - d * params[..., 1] * w.b
+    im = params[..., 0] * w.b + params[..., 1] * w.a
+    re[:, [0, 3]] += 1
+    det_re = (re[:, 0] * re[:, 3] - d * im[:, 0] * im[:, 3]
+              - (re[:, 1] * re[:, 2] - d * im[:, 1] * im[:, 2]))
+    det_im = (re[:, 0] * im[:, 3] + im[:, 0] * re[:, 3]
+              - (re[:, 1] * im[:, 2] + im[:, 1] * re[:, 2]))
+    keep = (det_re == 1) & (det_im == 0)
+    found = {}
+    for row in np.stack([re, im], axis=-1)[keep].reshape(-1, 8).tolist():
+        coords = tuple(row)
+        key = min(coords, tuple(-x for x in coords))
+        found[key] = min(found.get(key, coords), coords)
+    return sorted(found.values())
+
+
+@pytest.mark.parametrize(
+    "pi, n, height",
+    [
+        *[(pi, n, h) for pi, n in [(PI, 1), (PI, 2), (q2(0, 1), 1), (q2(0, 1), 2),
+                                   (QuadInt(1, 1, 1), 1), (q2(1, 0), 1)]
+          for h in (0, 1)],
+        (PI, 1, 2),
+        (q2(0, 1), 2, 2),
+    ],
+    ids=lambda v: f"{v.a},{v.b},d={v.d}" if isinstance(v, QuadInt) else str(v),
+)
+def test_enumeration_is_complete(pi, n, height):
+    level = CongruenceLevel(pi, n)
+    got = [tuple(x for e in m.entries() for x in (e.a, e.b))
+           for m in enumerate_congruence_elements(level, height)]
+    assert got == _brute_force_elements(level, height)
+
+
 def test_enumeration_deterministic():
     level = CongruenceLevel(PI, 1)
     assert enumerate_congruence_elements(level, 2) == enumerate_congruence_elements(level, 2)

@@ -188,6 +188,11 @@ def test_cubic_claims_pass():
     assert report.worst_margin > 0
 
 
+def test_cubic_claims_reject_negative_cusp_volumes():
+    with pytest.raises(ValueError, match="nonnegative"):
+        certify_cubic_claims(GridSpec(-5, 5, 3, "linear"))
+
+
 def test_cubic_claims_boundary_identity():
     vc = bounds.CUSP_VOLUME_THRESHOLD
     assert 2 * vc ** (4 / 3) == pytest.approx(4 * vc / math.sqrt(3), rel=1e-12)

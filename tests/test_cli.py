@@ -367,6 +367,11 @@ def test_bianchi_ideals(capsys):
         ["verify", "length-lemma", "--r-max", "nan"],
         ["verify", "techlem2", "--vc-scale", "linear", "--vc-max", "1e308"],
         ["verify", "cubic", "--config", "{cfg}"],
+        ["verify", "cubic", "--vc-min", "-5", "--vc-max", "5", "--vc-scale", "linear",
+         "--vc-points", "3"],
+        ["element", "classify", "--matrix", f"[[1{'0' * 400},0],[0,0],[0,0],[1,0]]"],
+        ["lattice", "waist", "--lattice", f"[[1{'0' * 400},0],[0,1]]"],
+        ["bianchi", "census", "--d", "2", "--pi", "3,1", "--n-max", "400"],
     ],
 )
 def test_non_finite_input_is_one_line_usage_error(argv, tmp_path, capsys):
