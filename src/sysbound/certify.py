@@ -16,8 +16,6 @@ sweep is recorded in the claim id.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -34,13 +32,6 @@ IDENTITY_REL_TOL = 1e-12
 
 _BISECTION_MAX_STEPS = 200
 _SCALES = ("linear", "log")
-
-
-def _fmt17(x: float) -> str:
-    x = float(x)
-    if x == 0:
-        x = 0.0  # never render -0
-    return format(x, ".17g")
 
 
 @dataclass(frozen=True)
@@ -84,18 +75,6 @@ class CertificateReport:
     @property
     def passed(self) -> bool:
         return self.status == "pass"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "status": self.status,
-            "worst_margin": _fmt17(self.worst_margin),
-            "worst_point": [_fmt17(x) for x in self.worst_point],
-            "points_checked": self.points_checked,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
 class _Worst:
@@ -171,16 +150,6 @@ def _bisect(f, lo, hi, floor):
         if hi - lo <= 1e-13 * max(hi, floor):
             break
     return 0.5 * (lo + hi)
-
-
-def write_margins_csv(path, header, rows) -> None:
-    """Write per-point margin rows as CSV, every real in 17 significant
-    digits.  Rows are formatted one at a time as they are written."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt17(x) for x in row])
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +361,12 @@ def _cubic(x: float, vc: float) -> float:
 def certify_cubic_claims(
     vc_grid: GridSpec,
     *,
-    x_grid: GridSpec | None = None,
     margin_rows: list | None = None,
 ) -> CertificateReport:
     """Certify the calculus facts behind the cusp-volume trace bound.
 
     The comparison cubic f(x) = 4x^3 - x^2 + 16x - 4*vc^2 has positive
-    derivative everywhere (checked on a wide x grid and via its negative
+    derivative everywhere (checked on 20001 points of [-1000, 1000] and via its negative
     discriminant); its unique positive root stays below sqrt(2)*vc^(2/3)
     (checked by evaluating f there and by bisection, per cusp volume); and
     the endpoint value x + 4*vc^2/x at x = 4*vc/sqrt(3) equals 7*vc/sqrt(3)
@@ -406,14 +374,11 @@ def certify_cubic_claims(
     """
     if vc_grid.lo < 0:
         raise ValueError("cubic claims need nonnegative cusp volumes")
-    if x_grid is None:
-        x_grid = GridSpec(-1e3, 1e3, 20001, "linear")
-
     worst = _Worst()
 
     # f'(x) = 12x^2 - 2x + 16 > 0: discriminant and a direct sweep.
     worst.add_ineq(4 * 12 * 16 - (-2) ** 2, (0.0,))
-    for x in x_grid.values():
+    for x in np.linspace(-1e3, 1e3, 20001):
         x = float(x)
         worst.points += 1
         worst.add_ineq(12 * x * x - 2 * x + 16, (x,))
@@ -457,7 +422,7 @@ def certify_cubic_claims(
 
 
 # ---------------------------------------------------------------------------
-# The claim table behind ``sysbound verify`` and scripts/sweep_margins.py
+# The claim table behind ``sysbound verify``
 # ---------------------------------------------------------------------------
 
 class Param(NamedTuple):
@@ -482,9 +447,6 @@ class Claim(NamedTuple):
     header: tuple[str, ...]
     params: tuple[Param, ...]
     run: Callable[[dict, list | None], CertificateReport]
-
-    def defaults(self) -> dict:
-        return {p.name: p.default for p in (*self.params, *COMMON_PARAMS)}
 
 
 COMMON_PARAMS = (Param("seed", int, DEFAULT_SEED), Param("jobs", int, 1))

@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import bianchi, bounds, certify
-from .certify import _fmt17
 from .cusp import CuspLattice
 from .mobius import MoebiusElement
 
@@ -42,20 +41,25 @@ class _Output(NamedTuple):
     code: int = 0
 
 
-def _fmt6(x) -> str:
+def _fmt(x, spec=".17g") -> str:
+    """``x`` as a decimal string in ``spec``, which callers pass as a
+    literal (a spec built per call slows large margin files down); zero is
+    never rendered as -0."""
     x = float(x)
-    if x == 0:
-        x = 0.0
-    return format(x, ".6g")
+    return format(x if x else 0.0, spec)
+
+
+def _write_csv(fh, header, rows) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def _emit(fmt: str, out: _Output) -> None:
     if fmt == "json":
         print(json.dumps(out.record, sort_keys=True, indent=2))
     elif fmt == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(out.header)
-        writer.writerows(out.rows)
+        _write_csv(sys.stdout, out.header, out.rows)
     else:
         for line in out.human:
             print(line)
@@ -151,12 +155,12 @@ def _cmd_bound(args) -> _Output:
     if args.kind == "closed-link":
         fields["crossing"] = profile.crossing
     return _Output(
-        {"kind": args.kind, "bound": _fmt17(bound),
-         "profile": {k: _fmt17(x) for k, x in fields.items()}},
+        {"kind": args.kind, "bound": _fmt(bound),
+         "profile": {k: _fmt(x) for k, x in fields.items()}},
         ["kind", "bound", *fields],
-        [[args.kind, _fmt17(bound), *map(_fmt17, fields.values())]],
-        [f"systole bound ({args.kind}): {_fmt6(bound)}",
-         *(f"  {k} = {_fmt6(x)}" for k, x in fields.items())],
+        [[args.kind, _fmt(bound), *map(_fmt, fields.values())]],
+        [f"systole bound ({args.kind}): {_fmt(bound, '.6g')}",
+         *(f"  {k} = {_fmt(x, '.6g')}" for k, x in fields.items())],
     )
 
 
@@ -171,15 +175,16 @@ def _cmd_element(args) -> _Output:
         return _Output({"action": "classify", "class": kind}, ["class"], [[kind]], [kind])
     if args.action == "length":
         length = _call(_Failure, g.translation_length)
-        return _Output({"action": "length", "length": _fmt17(length)}, ["length"],
-                       [[_fmt17(length)]], [_fmt6(length)])
+        return _Output({"action": "length", "length": _fmt(length)}, ["length"],
+                       [[_fmt(length)]], [_fmt(length, ".6g")])
     sphere = _call(_Failure, g.isometric_sphere)
-    center = [_fmt17(sphere.center.real), _fmt17(sphere.center.imag)]
+    center = [_fmt(sphere.center.real), _fmt(sphere.center.imag)]
     return _Output(
-        {"action": "sphere", "center": center, "radius": _fmt17(sphere.radius)},
+        {"action": "sphere", "center": center, "radius": _fmt(sphere.radius)},
         ["center_re", "center_im", "radius"],
-        [[*center, _fmt17(sphere.radius)]],
-        [f"center {_fmt6(sphere.center.real)}{sphere.center.imag:+.6g}i radius {_fmt6(sphere.radius)}"],
+        [[*center, _fmt(sphere.radius)]],
+        [f"center {_fmt(sphere.center.real, '.6g')}{sphere.center.imag:+.6g}i "
+         f"radius {_fmt(sphere.radius, '.6g')}"],
     )
 
 
@@ -188,15 +193,16 @@ def _cmd_lattice(args) -> _Output:
     lattice = _call(_Failure, CuspLattice, t1, t2)
     rb = lattice.reduce()
     if args.action == "reduce":
-        fields = [_fmt17(rb.ell), _fmt17(rb.z.real), _fmt17(rb.z.imag), _fmt17(rb.area)]
+        fields = [_fmt(rb.ell), _fmt(rb.z.real), _fmt(rb.z.imag), _fmt(rb.area)]
         return _Output(
             {"ell": fields[0], "z": fields[1:3], "area": fields[3]},
             ["ell", "z_re", "z_im", "area"],
             [fields],
-            [f"ell = {_fmt6(rb.ell)}  z = {_fmt6(rb.z.real)}{rb.z.imag:+.6g}i  area = {_fmt6(rb.area)}"],
+            [f"ell = {_fmt(rb.ell, '.6g')}  z = {_fmt(rb.z.real, '.6g')}{rb.z.imag:+.6g}i  "
+             f"area = {_fmt(rb.area, '.6g')}"],
         )
     value = rb.ell if args.action == "waist" else lattice.torus_diameter()
-    return _Output({args.action: _fmt17(value)}, [args.action], [[_fmt17(value)]], [_fmt6(value)])
+    return _Output({args.action: _fmt(value)}, [args.action], [[_fmt(value)]], [_fmt(value, ".6g")])
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +221,24 @@ def _cmd_verify(args) -> _Output:
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     if args.margins_csv:
-        certify.write_margins_csv(args.margins_csv, claim.header, rows)
-    record = report.to_json_dict()
-    at = ", ".join(_fmt6(x) for x in report.worst_point)
+        with open(args.margins_csv, "w", newline="") as fh:
+            _write_csv(fh, claim.header, (map(_fmt, row) for row in rows))
+    worst_point = [_fmt(x) for x in report.worst_point]
+    record = {
+        "claim_id": report.claim_id,
+        "status": report.status,
+        "worst_margin": _fmt(report.worst_margin),
+        "worst_point": worst_point,
+        "points_checked": report.points_checked,
+    }
+    at = ", ".join(_fmt(x, ".6g") for x in report.worst_point)
     return _Output(
         record,
         list(record),
-        [[record["claim_id"], record["status"], record["worst_margin"],
-          ";".join(record["worst_point"]), record["points_checked"]]],
+        [[report.claim_id, report.status, record["worst_margin"], ";".join(worst_point),
+          report.points_checked]],
         [f"{report.claim_id}: {report.status.upper()} "
-         f"(worst margin {_fmt6(report.worst_margin)} at [{at}], {report.points_checked} points)"],
+         f"(worst margin {_fmt(report.worst_margin, '.6g')} at [{at}], {report.points_checked} points)"],
         0 if report.passed else 1,
     )
 
@@ -298,11 +312,11 @@ def _bianchi_census(args) -> _Output:
     table = _call(_Failure, bianchi.systole_growth_table, pi, args.n_max, base)
     ok = args.height is None or _census_height_check(pi, args.n_max, args.height)
     header = ["n", "index", "volume", "trace_lb", "systole_lb", "ratio"]
-    rows = [[r.n, r.index, _fmt17(r.volume), r.trace_lb, _fmt17(r.systole_lb), _fmt17(r.ratio)]
+    rows = [[r.n, r.index, _fmt(r.volume), r.trace_lb, _fmt(r.systole_lb), _fmt(r.ratio)]
             for r in table]
     return _Output(
         {
-            "base_covolume": _fmt17(base),
+            "base_covolume": _fmt(base),
             "rows": [dict(zip(header, row), trace_lb_uncorrected=r.level_norm)
                      for row, r in zip(rows, table)],
         },
@@ -320,7 +334,7 @@ def _bianchi_ideals(args) -> _Output:
     return _Output(
         {
             "d": args.d,
-            "max_modulus": _fmt17(args.max_modulus),
+            "max_modulus": _fmt(args.max_modulus),
             "count": len(elements),
             "elements": [{"a": x.a, "b": x.b, "norm": x.norm} for x in elements],
         },

@@ -184,6 +184,26 @@ def test_verify_output_byte_stable(capsys):
     assert csv1.splitlines()[0] == "claim_id,status,worst_margin,worst_point,points_checked"
 
 
+def test_verify_json_renders_reals_in_17_digits(monkeypatch, capsys):
+    reports = iter([
+        certify.CertificateReport("demo", "pass", 0.125, (1.0, 2.5), 7),
+        certify.CertificateReport("demo", "pass", 1 / 3, (), 1),
+    ])
+    monkeypatch.setattr(certify, "certify_cubic_claims", lambda *args, **kwargs: next(reports))
+    code, out, _ = run(capsys, ["verify", "cubic", "--format", "json"])
+    assert code == 0
+    assert json.loads(out) == {
+        "claim_id": "demo",
+        "status": "pass",
+        "worst_margin": "0.125",
+        "worst_point": ["1", "2.5"],
+        "points_checked": 7,
+    }
+    # 17 significant digits for non-representable reals
+    _, out, _ = run(capsys, ["verify", "cubic", "--format", "json"])
+    assert json.loads(out)["worst_margin"] == "0.33333333333333331"
+
+
 def test_verify_crossing_and_exit_code_on_fail(capsys):
     code, out, _ = run(
         capsys,
