@@ -235,7 +235,10 @@ def level_volume(level: CongruenceLevel, base_covolume: float) -> float:
     base_covolume = float(base_covolume)
     if not base_covolume > 0:
         raise ValueError(f"base covolume must be positive, got {base_covolume}")
-    return base_covolume * newman_index(level)
+    volume = base_covolume * newman_index(level)
+    if not math.isfinite(volume):
+        raise OverflowError("level volume overflows floating point")
+    return volume
 
 
 def min_loxodromic_trace_lower_bound(level: CongruenceLevel) -> int:

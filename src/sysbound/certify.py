@@ -17,6 +17,7 @@ sweep is recorded in the claim id.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -128,7 +129,8 @@ def _sweep_chunks(worker, values, extra, jobs, margin_rows) -> _Worst:
     if jobs <= 1 or len(chunks) <= 1:
         results = [worker(chunk) for chunk in chunks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # A fork pool starts all its workers at once, so never more than the CPUs.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks), os.cpu_count() or 1)) as pool:
             results = list(pool.map(worker, chunks))
     worst = _Worst()
     for chunk_worst, rows in results:

@@ -11,10 +11,12 @@ human output rounds to 6 significant digits.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import math
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from typing import NamedTuple
 
@@ -73,9 +75,13 @@ def _call(error, fn, *args):
         raise error(str(exc)) from None
 
 
-def _finite(name: str, value):
+def _checked(name: str, value):
+    """``value``, refused unless a real is finite and an integer fits in a C
+    ssize_t, the largest count a loop or array can take."""
     if isinstance(value, float) and not math.isfinite(value):
         raise _UsageError(f"{name} must be finite, got {value}")
+    if isinstance(value, int) and not isinstance(value, bool) and abs(value) > sys.maxsize:
+        raise _UsageError(f"{name} must be at most {sys.maxsize} in absolute value, got {value}")
     return value
 
 
@@ -96,9 +102,12 @@ def _parse_complex_pairs(text: str, expected: int, what: str) -> list[complex]:
         if not ok:
             raise _UsageError(f"{what} entries must be [re, im] number pairs")
         try:
-            out.append(complex(pair[0], pair[1]))
+            z = complex(pair[0], pair[1])
         except OverflowError:
             raise _UsageError(f"{what} entries must fit in a float") from None
+        if not cmath.isfinite(z):
+            raise _UsageError(f"{what} entries must be finite, got {pair}")
+        out.append(z)
     return out
 
 
@@ -130,7 +139,7 @@ def _resolve(args, config: dict[str, str], param: certify.Param):
         value = param.cast(config[param.name])
     except ValueError as exc:
         raise _UsageError(f"bad config value for {param.name}: {exc}") from None
-    return _finite(param.name, value)
+    return _checked(param.name, value)
 
 
 # ---------------------------------------------------------------------------
@@ -209,19 +218,33 @@ def _cmd_lattice(args) -> _Output:
 # verify
 # ---------------------------------------------------------------------------
 
+# The parameters of every claim; each is a verify flag.
+_VERIFY_PARAMS = {p.name: p for claim in certify.CLAIMS.values() for p in claim.params}
+
+
 def _cmd_verify(args) -> _Output:
     claim = certify.CLAIMS[args.claim]
+    own = {p.name for p in claim.params}
+    foreign = [name for name in _VERIFY_PARAMS
+               if name not in own and getattr(args, name.replace("-", "_")) is not None]
+    if foreign:
+        raise _UsageError(f"--{foreign[0]} is not a parameter of {args.claim}")
     config = _load_config(args.config) if args.config else {}
     params = {p.name: _resolve(args, config, p) for p in (*certify.COMMON_PARAMS, *claim.params)}
     if params["jobs"] < 1:
         raise _UsageError(f"jobs must be at least 1, got {params['jobs']}")
-    rows: list | None = [] if args.margins_csv else None
+    # Opened before the sweep, so that an unwritable path costs no sweep.
     try:
-        report = claim.run({**params, "probe": args.probe}, rows)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    if args.margins_csv:
-        with open(args.margins_csv, "w", newline="") as fh:
+        fh = open(args.margins_csv, "w", newline="") if args.margins_csv else nullcontext()
+    except OSError as exc:
+        raise _UsageError(f"cannot write --margins-csv: {exc}") from None
+    with fh:
+        rows: list | None = [] if args.margins_csv else None
+        try:
+            report = claim.run({**params, "probe": args.probe}, rows)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from None
+        if rows is not None:
             _write_csv(fh, claim.header, (map(_fmt, row) for row in rows))
     worst_point = [_fmt(x) for x in report.worst_point]
     record = {
@@ -246,6 +269,10 @@ def _cmd_verify(args) -> _Output:
 # ---------------------------------------------------------------------------
 # bianchi
 # ---------------------------------------------------------------------------
+
+_MAX_INDEX_DIGITS = 4300  # CPython's default limit on int-to-str conversion
+_MAX_MODULUS = math.isqrt(sys.maxsize) // 2
+
 
 def _parse_pi(args) -> bianchi.QuadInt:
     if args.pi is None:
@@ -297,6 +324,11 @@ def _bianchi_split(args) -> _Output:
 def _bianchi_index(args) -> _Output:
     pi = _parse_pi(args)
     level = _call(_Failure, bianchi.CongruenceLevel, pi, args.n)
+    # The index is below N(pi)^(3n); past Python's default int-to-str limit
+    # it could not be printed (and would take unbounded time to compute).
+    if 3 * args.n * math.log10(pi.norm) > _MAX_INDEX_DIGITS:
+        raise _UsageError(f"--n must keep the index within {_MAX_INDEX_DIGITS} digits, "
+                          f"got {args.n} for N(pi) = {pi.norm}")
     value = _call(_Failure, bianchi.newman_index, level)
     return _Output({"pi": [pi.a, pi.b], "d": args.d, "n": args.n, "index": value},
                    ["index"], [[value]], [str(value)])
@@ -309,6 +341,8 @@ def _bianchi_census(args) -> _Output:
         if args.d != 2:
             raise _UsageError("census needs --base-covolume for d != 2")
         base = bianchi.PSL2_O2_COVOLUME
+    if args.height is not None and args.height < 0:
+        raise _UsageError(f"--height must be nonnegative, got {args.height}")
     table = _call(_Failure, bianchi.systole_growth_table, pi, args.n_max, base)
     ok = args.height is None or _census_height_check(pi, args.n_max, args.height)
     header = ["n", "index", "volume", "trace_lb", "systole_lb", "ratio"]
@@ -330,6 +364,9 @@ def _bianchi_census(args) -> _Output:
 
 
 def _bianchi_ideals(args) -> _Output:
+    # About (2 * max_modulus)^2 candidates are walked: more than a C ssize_t can count is refused.
+    if args.max_modulus > _MAX_MODULUS:
+        raise _UsageError(f"--max-modulus must be at most {_MAX_MODULUS}, got {args.max_modulus}")
     elements = _call(_UsageError, bianchi.elements_of_bounded_modulus, args.d, args.max_modulus)
     return _Output(
         {
@@ -384,8 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a certification sweep")
     p_verify.add_argument("claim", choices=list(certify.CLAIMS))
-    params = {p.name: p for claim in certify.CLAIMS.values() for p in claim.params}
-    for param in (*params.values(), *certify.COMMON_PARAMS):
+    for param in (*_VERIFY_PARAMS.values(), *certify.COMMON_PARAMS):
         p_verify.add_argument(f"--{param.name}", type=param.cast, choices=param.choices)
     p_verify.add_argument("--probe", action="store_true",
                           help="waive domain preconditions and just report margins")
@@ -416,7 +452,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         for name, value in vars(args).items():
-            _finite(f"--{name.replace('_', '-')}", value)
+            _checked(f"--{name.replace('_', '-')}", value)
         out = args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -424,10 +460,11 @@ def main(argv=None) -> int:
     except _Failure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OverflowError as exc:
+    except (OverflowError, MemoryError) as exc:
         subject = getattr(args, "claim", None) or getattr(args, "action", args.command)
-        print(f"usage error: {subject} overflows floating point at these parameters: {exc}",
-              file=sys.stderr)
+        problem = (f"overflows at these parameters: {exc}" if isinstance(exc, OverflowError)
+                   else "needs more memory than is available at these parameters")
+        print(f"usage error: {subject} {problem}", file=sys.stderr)
         return 2
     _emit(args.format, out)
     return out.code

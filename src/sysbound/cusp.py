@@ -80,6 +80,8 @@ class CuspLattice:
     def __post_init__(self):
         object.__setattr__(self, "t1", _as_finite_complex(self.t1, "t1"))
         object.__setattr__(self, "t2", _as_finite_complex(self.t2, "t2"))
+        if not math.isfinite(self.area):
+            raise OverflowError("lattice area overflows floating point")
         scale = max(abs(self.t1), abs(self.t2))
         if self.area <= _TAU_AREA * scale * scale:
             raise ValueError("degenerate lattice: generators are (nearly) dependent")

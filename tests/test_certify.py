@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from sysbound import bounds
+from sysbound import bounds, certify
 from sysbound.certify import (
     GridSpec,
     certify_crossing,
@@ -92,6 +92,29 @@ def test_cusp_trace_bound_deterministic_and_parallel():
     r2 = certify_cusp_trace_bound(SMALL_VC_GRID, 200, margin_rows=rows2, jobs=2)
     assert r1 == r2
     assert rows1 == rows2
+
+
+def test_jobs_start_no_more_workers_than_cpus(monkeypatch):
+    started = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(certify, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(certify.os, "cpu_count", lambda: 2)
+    report = certify_cusp_trace_bound(SMALL_VC_GRID, 20, jobs=10**6)
+    assert started == [2]
+    assert report == certify_cusp_trace_bound(SMALL_VC_GRID, 20)
 
 
 # ---------------------------------------------------------------------------

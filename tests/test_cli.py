@@ -1,9 +1,14 @@
 import cmath
+import contextlib
+import io
 import json
 import math
+import tempfile
 import warnings
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from sysbound import bounds, certify
 from sysbound.cli import main
@@ -392,6 +397,10 @@ def test_bianchi_ideals(capsys):
         ["element", "classify", "--matrix", f"[[1{'0' * 400},0],[0,0],[0,0],[1,0]]"],
         ["lattice", "waist", "--lattice", f"[[1{'0' * 400},0],[0,1]]"],
         ["bianchi", "census", "--d", "2", "--pi", "3,1", "--n-max", "400"],
+        ["bianchi", "census", "--d", "2", "--pi", "3,1", "--base-covolume", "1e308"],
+        ["lattice", "waist", "--lattice", "[[1e400,0],[0,1]]"],
+        ["lattice", "waist", "--lattice", "[[1e308,0],[0,1e308]]"],
+        ["verify", "cubic", "--vc-points", str(10**18)],
     ],
 )
 def test_non_finite_input_is_one_line_usage_error(argv, tmp_path, capsys):
@@ -404,6 +413,32 @@ def test_non_finite_input_is_one_line_usage_error(argv, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("usage error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bianchi", "census", "--d", "2", "--pi", "3,1", "--height", "-1"], "--height must be"),
+        (["bianchi", "census", "--d", "2", "--pi", "3,1", "--height", str(10**20)],
+         "--height must be"),
+        (["bianchi", "index", "--d", "2", "--pi", "3,1", "--n", "2000"], "--n must"),
+        (["bianchi", "index", "--d", "2", "--pi", "3,1", "--n", "10000000"], "--n must"),
+        (["bianchi", "ideals", "--d", "2", "--max-modulus", "1e308"], "--max-modulus must"),
+        (["verify", "length-lemma", "--seed", str(10**20)], "--seed must"),
+        (["verify", "cubic", "--ell-points", "5", "--samples", "3"],
+         "--ell-points is not a parameter of cubic"),
+        (["verify", "crossing", "--vc-min", "20"], "--vc-min is not a parameter of crossing"),
+        (["verify", "cubic", "--margins-csv", "/nonexistent/x.csv"], "cannot write --margins-csv"),
+    ],
+)
+def test_out_of_range_flag_is_named_in_a_usage_error(argv, message, monkeypatch, capsys):
+    # Refused before any sweep runs.
+    monkeypatch.setattr(certify, "certify_cubic_claims", None)
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"usage error: {message}")
     assert err.count("\n") == 1
 
 
@@ -434,3 +469,130 @@ def test_verify_calls_the_sweeps_through_the_module(monkeypatch, capsys):
     assert run(capsys, ["verify", "cubic", "--vc-points", "3"])[0] == 0
     assert run(capsys, VERIFY_FAST)[0] == 0
     assert calls == ["certify_cubic_claims", "certify_cusp_trace_bound"]
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the whole command line
+# ---------------------------------------------------------------------------
+
+HUGE = str(10**20)
+# Adversarial reals on the command line and the same values as JSON literals.
+BAD_REALS = ["nan", "inf", "-inf", "0", "-1", "1e308", "1e-320", "1" + "0" * 400]
+BAD_JSON_REALS = ["NaN", "Infinity", "-Infinity", "0", "-1", "1e308", "1e-320", "1" + "0" * 400]
+BAD_COUNTS = ["0", "-1", "-7", HUGE]
+
+
+def _real(*valid):
+    return st.sampled_from(BAD_REALS + list(valid))
+
+
+def _count(*valid):
+    return st.sampled_from(BAD_COUNTS + list(valid))
+
+
+def _pairs(n):
+    entry = st.sampled_from(BAD_JSON_REALS + ["1", "0.5", "2", "-0.75"])
+    pair = st.tuples(entry, entry).map(lambda p: f"[{p[0]},{p[1]}]")
+    return st.lists(pair, min_size=n, max_size=n).map(lambda ps: "[" + ",".join(ps) + "]")
+
+
+# Every verify parameter drawn with tiny valid sizes, so that no omitted
+# flag falls back to a full-size default grid.
+VERIFY_SLOTS = {
+    "vc-min": _real("17.1", "2", "1"),
+    "vc-max": _real("40", "100"),
+    "vc-points": _count("2", "3"),
+    "vc-scale": st.sampled_from(["linear", "log"]),
+    "ell-points": _count("2", "5"),
+    "v-min": _real("0.5", "0.1"),
+    "v-max": _real("50"),
+    "points": _count("2", "3"),
+    "scale": st.sampled_from(["linear", "log"]),
+    "rel-tol": _real("1e-10", "1e-18"),
+    "monotonic-samples": _count("2", "5"),
+    "samples": _count("1", "5"),
+    "r-max": _real("30", "5"),
+    "sharpness-points": _count("2", "3"),
+}
+CLAIM_FLAGS = {name: [p.name for p in claim.params] for name, claim in certify.CLAIMS.items()}
+
+
+@st.composite
+def _verify_argv(draw):
+    claim = draw(st.sampled_from(sorted(CLAIM_FLAGS)))
+    argv = ["verify", claim]
+    for name in CLAIM_FLAGS[claim]:
+        argv.append(f"--{name}={draw(VERIFY_SLOTS[name])}")
+    argv.append(f"--seed={draw(st.sampled_from(['0', '9', '-1', HUGE]))}")
+    argv.append(f"--jobs={draw(st.sampled_from(['1', '0', '-1']))}")
+    foreign = sorted(set(VERIFY_SLOTS) - set(CLAIM_FLAGS[claim]))
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(foreign))
+        argv.append(f"--{name}={draw(VERIFY_SLOTS[name])}")
+    if draw(st.booleans()):
+        argv.append("--margins-csv={tmp}/" + draw(st.sampled_from(["m.csv", "missing/m.csv"])))
+    return argv
+
+
+@st.composite
+def _bianchi_argv(draw):
+    action = draw(st.sampled_from(["split", "index", "census", "ideals"]))
+    argv = ["bianchi", action, f"--d={draw(_count('2', '1'))}"]
+    if action == "split":
+        argv.append(f"--p={draw(_count('11', '5', '2'))}")
+    if action in ("index", "census"):
+        argv.append(f"--pi={draw(st.sampled_from(['3,1', '1,1', '0,1', '0,0', 'three']))}")
+    if action == "index":
+        argv.append(f"--n={draw(_count('1', '2', '2000', '10000000'))}")
+    if action == "census":
+        argv.append(f"--n-max={draw(_count('1', '2'))}")
+        if draw(st.booleans()):
+            argv.append(f"--height={draw(_count('1', '2'))}")
+        if draw(st.booleans()):
+            argv.append(f"--base-covolume={draw(_real('0.3053', '1'))}")
+    if action == "ideals":
+        argv.append(f"--max-modulus={draw(_real('2', '1.5'))}")
+    return argv
+
+
+_ARGV = st.tuples(
+    st.one_of(
+        st.builds(lambda kind, v: ["bound", kind, f"--volume={v}"],
+                  st.sampled_from(["closed-link", "cusped"]), _real("2.5", "1")),
+        st.builds(lambda action, m: ["element", action, f"--matrix={m}"],
+                  st.sampled_from(["classify", "length", "sphere"]), _pairs(4)),
+        st.builds(lambda action, m: ["lattice", action, f"--lattice={m}"],
+                  st.sampled_from(["reduce", "waist", "diameter"]), _pairs(2)),
+        _verify_argv(),
+        _bianchi_argv(),
+    ),
+    st.sampled_from(["json", "csv", "human"]),
+).map(lambda t: t[0] + [f"--format={t[1]}"])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(argv=_ARGV)
+@example(argv=["lattice", "waist", "--lattice=[[1e400,0],[0,1]]"])
+@example(argv=["element", "classify", "--matrix=[[1e400,0],[0,0],[0,0],[1,0]]"])
+@example(argv=["lattice", "waist", "--lattice=[[1e308,0],[0,1e308]]"])
+@example(argv=["bianchi", "census", "--d=2", "--pi=3,1", "--n-max=1", "--height=-1"])
+@example(argv=["bianchi", "census", "--d=2", "--pi=3,1", "--n-max=1", f"--height={HUGE}"])
+@example(argv=["bianchi", "index", "--d=2", "--pi=3,1", "--n=2000"])
+@example(argv=["bianchi", "index", "--d=2", "--pi=3,1", "--n=10000000"])
+@example(argv=["verify", "cubic", "--vc-points=3", "--margins-csv=/nonexistent/x.csv"])
+@example(argv=["verify", "cubic", "--vc-points=3", "--ell-points=5", "--samples=3"])
+def test_any_command_line_exits_0_1_or_2_without_a_traceback(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [a.replace("{tmp}", tmp) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert not caught, [str(w.message) for w in caught]
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("usage error: ")
+        assert err.getvalue().count("\n") == 1
