@@ -524,6 +524,7 @@ def _verify_argv(draw):
     for name in CLAIM_FLAGS[claim]:
         argv.append(f"--{name}={draw(VERIFY_SLOTS[name])}")
     argv.append(f"--seed={draw(st.sampled_from(['0', '9', '-1', HUGE]))}")
+    # --jobs above 1 would start a process pool for every example.
     argv.append(f"--jobs={draw(st.sampled_from(['1', '0', '-1']))}")
     foreign = sorted(set(VERIFY_SLOTS) - set(CLAIM_FLAGS[claim]))
     if draw(st.booleans()):
