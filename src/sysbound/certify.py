@@ -368,11 +368,12 @@ def certify_cubic_claims(
     """Certify the calculus facts behind the cusp-volume trace bound.
 
     The comparison cubic f(x) = 4x^3 - x^2 + 16x - 4*vc^2 has positive
-    derivative everywhere (checked on 20001 points of [-1000, 1000] and via its negative
-    discriminant); its unique positive root stays below sqrt(2)*vc^(2/3)
-    (checked by evaluating f there and by bisection, per cusp volume); and
-    the endpoint value x + 4*vc^2/x at x = 4*vc/sqrt(3) equals 7*vc/sqrt(3)
-    (gate) and stays below 8*vc^(4/3) + 16 above the volume threshold.
+    derivative everywhere (checked on 20001 points of [-1000, 1000] and via
+    its negative discriminant); its unique positive root stays below
+    sqrt(2)*vc^(2/3) (checked by evaluating f there and by bisection, per
+    cusp volume); and the endpoint value x + 4*vc^2/x at x = 4*vc/sqrt(3)
+    equals 7*vc/sqrt(3) (gate) and stays below 8*vc^(4/3) + 16 above the
+    volume threshold.
     """
     if vc_grid.lo < 0:
         raise ValueError("cubic claims need nonnegative cusp volumes")
