@@ -49,12 +49,17 @@ def _is_prime(n: int) -> bool:
 
 
 def _is_squarefree(n: int) -> bool:
+    # Divide out each p while p^3 <= n, so O(n^(1/3)) steps.  The cofactor
+    # left has no prime factor below p and is less than p^3, so it has at most
+    # two prime factors: it is squarefree unless it is the square of a prime.
     p = 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
+    while p * p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return False
         p += 1
-    return True
+    return n == 1 or math.isqrt(n) ** 2 != n
 
 
 def _check_d(d: int) -> int:

@@ -42,9 +42,12 @@ __all__ = [
 ]
 
 
-def _require(condition: bool, message: str) -> None:
+def _require(condition: bool, message: str, *args) -> None:
+    # The message is formatted only on failure: the scalar bounds run millions
+    # of times per sweep, and building a float's repr on every passing call
+    # cost more than the bound itself.
     if not condition:
-        raise ValueError(message)
+        raise ValueError(message.format(*args))
 
 
 _bernoulli_cache: list[Fraction] = [Fraction(1)]
@@ -61,6 +64,18 @@ def _bernoulli(m: int) -> Fraction:
     return _bernoulli_cache[m]
 
 
+_zeta_ratio_cache: list[float] = []
+
+
+def _zeta_ratio(n: int) -> float:
+    # zeta(2n) / pi^(2n) = (-1)^(n+1) * B_(2n) * 2^(2n-1) / (2n)!, rounded once.
+    while len(_zeta_ratio_cache) < n:
+        k = len(_zeta_ratio_cache) + 1
+        exact = (-1) ** (k + 1) * _bernoulli(2 * k) * (2 ** (2 * k - 1)) / Fraction(math.factorial(2 * k))
+        _zeta_ratio_cache.append(float(exact))
+    return _zeta_ratio_cache[n - 1]
+
+
 def lobachevsky(theta: float, terms: int = 30) -> float:
     """Lobachevsky function  -integral_0^theta log|2 sin t| dt  for 0 < theta < pi.
 
@@ -70,14 +85,12 @@ def lobachevsky(theta: float, terms: int = 30) -> float:
     Convergence is geometric in (theta/pi)^2.
     """
     theta = float(theta)
-    _require(0 < theta < math.pi, f"theta must lie in (0, pi), got {theta}")
+    _require(0 < theta < math.pi, "theta must lie in (0, pi), got {}", theta)
     total = theta * (1 - math.log(2 * theta))
     theta_sq = theta * theta
     power = theta_sq
     for n in range(1, terms + 1):
-        # zeta(2n) / pi^(2n) = (-1)^(n+1) * B_(2n) * 2^(2n-1) / (2n)!
-        coeff = (-1) ** (n + 1) * _bernoulli(2 * n) * (2 ** (2 * n - 1)) / Fraction(math.factorial(2 * n))
-        total += float(coeff) * power * theta / (n * (2 * n + 1))
+        total += _zeta_ratio(n) * power * theta / (n * (2 * n + 1))
         power *= theta_sq
     return total
 
@@ -103,7 +116,7 @@ def adams_reid_trace_bound(w: float) -> float:
     """Adams-Reid bound sqrt(w^4 + 4) on the minimal loxodromic trace modulus
     of a cusped group with a slope of length w > 2."""
     w = float(w)
-    _require(w > 2, f"slope length must exceed 2, got {w}")
+    _require(w > 2, "slope length must exceed 2, got {}", w)
     return math.sqrt(w**4 + 4)
 
 
@@ -111,14 +124,14 @@ def adams_reid_length_bound(w: float) -> float:
     """Adams-Reid systole bound Re(2*arccosh((2 + w^2 i)/2)) for a slope of
     length w > 2 (the exact translation length of the worst-case trace)."""
     w = float(w)
-    _require(w > 2, f"slope length must exceed 2, got {w}")
+    _require(w > 2, "slope length must exceed 2, got {}", w)
     return abs((2 * cmath.acosh(complex(2, w * w) / 2)).real)
 
 
 def loxodromic_length_bound(r: float) -> float:
     """log(r^2 + 4): translation-length bound for trace modulus at most r."""
     r = float(r)
-    _require(r >= 0, f"trace modulus bound must be nonnegative, got {r}")
+    _require(r >= 0, "trace modulus bound must be nonnegative, got {}", r)
     return math.log(r * r + 4)
 
 
@@ -127,8 +140,8 @@ def torus_diameter_trace_bound(ell: float, vc: float) -> float:
     torus of waist ell and area 2*vc (half-diagonal of the extremal
     rectangle)."""
     ell, vc = float(ell), float(vc)
-    _require(ell > 0, f"waist size must be positive, got {ell}")
-    _require(vc > 0, f"cusp volume must be positive, got {vc}")
+    _require(ell > 0, "waist size must be positive, got {}", ell)
+    _require(vc > 0, "cusp volume must be positive, got {}", vc)
     return math.sqrt(ell * ell / 4 + vc * vc / (ell * ell))
 
 
@@ -136,13 +149,22 @@ def shifted_parabolic_trace_bound(ell: float) -> float:
     """sqrt(ell^2 + 4): trace bound for a trace-2 parabolic composed with the
     minimal cusp translation of length ell."""
     ell = float(ell)
-    _require(ell >= 0, f"translation length must be nonnegative, got {ell}")
+    _require(ell >= 0, "translation length must be nonnegative, got {}", ell)
     return math.sqrt(ell * ell + 4)
 
 
 def min_trace_bound(ell: float, vc: float) -> float:
-    """Pointwise best of the torus-diameter and Adams-Reid trace bounds."""
-    return min(torus_diameter_trace_bound(ell, vc), adams_reid_trace_bound(ell))
+    """Pointwise best of the torus-diameter and Adams-Reid trace bounds.
+
+    Equal, bit for bit and error for error, to
+    ``min(torus_diameter_trace_bound(ell, vc), adams_reid_trace_bound(ell))``,
+    evaluated in one frame because the techlem2 sweep calls it once per point.
+    """
+    ell, vc = float(ell), float(vc)
+    _require(ell > 0, "waist size must be positive, got {}", ell)
+    _require(vc > 0, "cusp volume must be positive, got {}", vc)
+    _require(ell > 2, "slope length must exceed 2, got {}", ell)
+    return min(math.sqrt(ell * ell / 4 + vc * vc / (ell * ell)), math.sqrt(ell**4 + 4))
 
 
 def cusp_volume_trace_bound(vc: float, enforce_domain: bool = True) -> float:
@@ -153,11 +175,11 @@ def cusp_volume_trace_bound(vc: float, enforce_domain: bool = True) -> float:
     bare formula below the threshold (used by probe-mode certification).
     """
     vc = float(vc)
-    _require(vc > 0, f"cusp volume must be positive, got {vc}")
+    _require(vc > 0, "cusp volume must be positive, got {}", vc)
     if enforce_domain:
         _require(
             vc >= CUSP_VOLUME_THRESHOLD,
-            f"cusp volume {vc} below threshold {CUSP_VOLUME_THRESHOLD}",
+            "cusp volume {} below threshold {}", vc, CUSP_VOLUME_THRESHOLD,
         )
     return math.sqrt(2 * vc ** (4 / 3) + 4)
 
@@ -166,7 +188,7 @@ def cusped_systole_bound(v: float) -> float:
     """Systole bound max(ADAMS_REID_LENGTH, log(2*(C0*v)^(4/3) + 8)) for a
     non-compact finite-volume hyperbolic 3-manifold of volume v."""
     v = float(v)
-    _require(v > 0, f"volume must be positive, got {v}")
+    _require(v > 0, "volume must be positive, got {}", v)
     vc = CUSP_DENSITY_BOUND * v
     return max(ADAMS_REID_LENGTH, math.log(2 * vc ** (4 / 3) + 8))
 
@@ -176,7 +198,7 @@ def link_systole_bound(v: float) -> float:
     hyperbolic link complement in a closed manifold of volume v (v = 0
     encodes a non-hyperbolic closed manifold)."""
     v = float(v)
-    _require(v >= 0, f"volume must be nonnegative, got {v}")
+    _require(v >= 0, "volume must be nonnegative, got {}", v)
     vc = CUSP_DENSITY_BOUND * v
     return math.log((math.sqrt(2) * vc ** (2 / 3) + 4 * math.pi**2) ** 2 + 8)
 
@@ -186,8 +208,8 @@ def fkp_min_slope_bound(v: float, x: float) -> float:
     filling a complement of volume x yields a closed manifold of volume v
     (inverted Futer-Kalfagianni-Purcell volume inequality)."""
     v, x = float(v), float(x)
-    _require(v > 0, f"closed volume must be positive, got {v}")
-    _require(x > v, f"complement volume {x} must exceed closed volume {v}")
+    _require(v > 0, "closed volume must be positive, got {}", v)
+    _require(x > v, "complement volume {} must exceed closed volume {}", x, v)
     denom = 1 - (v / x) ** (2 / 3)
     if denom <= 0:
         return math.inf
@@ -198,7 +220,7 @@ def drilled_trace_bound(x: float) -> float:
     """Trace bound sqrt(2*(C0*x)^(4/3) + 4) as a function of the drilled
     manifold's volume x (increasing in x)."""
     x = float(x)
-    _require(x > 0, f"volume must be positive, got {x}")
+    _require(x > 0, "volume must be positive, got {}", x)
     return cusp_volume_trace_bound(CUSP_DENSITY_BOUND * x, enforce_domain=False)
 
 
@@ -206,8 +228,8 @@ def filling_slope_trace_bound(x: float, v: float) -> float:
     """Trace bound sqrt(16*pi^4/(1 - (v/x)^(2/3))^2 + 4) via the filling-slope
     length (decreasing in x on (v, infinity))."""
     v, x = float(v), float(x)
-    _require(v >= 0, f"closed volume must be nonnegative, got {v}")
-    _require(x > v, f"complement volume {x} must exceed closed volume {v}")
+    _require(v >= 0, "closed volume must be nonnegative, got {}", v)
+    _require(x > v, "complement volume {} must exceed closed volume {}", x, v)
     denom = 1 - (v / x) ** (2 / 3)
     if denom <= 0:
         return math.inf
@@ -218,7 +240,7 @@ def crossing_volume(v: float) -> float:
     """Unique complement volume where the drilled and filling-slope trace
     bounds agree: (v^(2/3) + 4*pi^2/(sqrt(2)*C0^(2/3)))^(3/2)."""
     v = float(v)
-    _require(v >= 0, f"volume must be nonnegative, got {v}")
+    _require(v >= 0, "volume must be nonnegative, got {}", v)
     return (v ** (2 / 3) + 4 * math.pi**2 / (math.sqrt(2) * CUSP_DENSITY_BOUND ** (2 / 3))) ** 1.5
 
 
@@ -241,7 +263,7 @@ class BoundProfile:
     @classmethod
     def from_volume(cls, v: float) -> "BoundProfile":
         v = float(v)
-        _require(v >= 0, f"volume must be nonnegative, got {v}")
+        _require(v >= 0, "volume must be nonnegative, got {}", v)
         vc = CUSP_DENSITY_BOUND * v
         max_waist = max_waist_for_cusp_volume(vc) if vc > 0 else 0.0
         cusped = max(ADAMS_REID_LENGTH, math.log(2 * vc ** (4 / 3) + 8))

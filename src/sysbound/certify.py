@@ -229,7 +229,7 @@ def _bisect_crossing(v: float):
     def h(x):
         return bounds.drilled_trace_bound(x) - bounds.filling_slope_trace_bound(x, v)
 
-    lo = v * (1 + 1e-9)
+    lo = max(v * (1 + 1e-9), math.nextafter(v, math.inf))
     if not h(lo) < 0:
         return None
     hi = 2 * max(v, 1.0)
@@ -256,7 +256,8 @@ def _crossing_chunk(args):
         worst.points += 1
         rows.append((v, closed, margin))
         worst.add_ineq(margin, (v,))
-        xs = np.geomspace(v * (1 + 1e-6) if v > 0 else 1e-6, 100 * closed, monotonic_samples)
+        xs = np.geomspace(max(v * (1 + 1e-6), math.nextafter(v, math.inf)), 100 * closed,
+                          monotonic_samples)
         f1 = np.array([bounds.drilled_trace_bound(float(x)) for x in xs])
         f2 = np.array([bounds.filling_slope_trace_bound(float(x), v) for x in xs])
         worst.points += 2 * monotonic_samples
@@ -314,6 +315,8 @@ def certify_length_lemma(
         raise ValueError(f"need at least one sample, got {samples}")
     if r_max < 0:
         raise ValueError(f"r_max must be nonnegative, got {r_max}")
+    if not math.isfinite(r_max * r_max):
+        raise OverflowError(f"r_max^2 is not finite for r_max = {r_max}")
     worst = _Worst()
     claim_id = f"length-lemma:seed={seed}"
     if r_max == 0:
@@ -337,6 +340,8 @@ def certify_length_lemma(
     for r in np.geomspace(min(0.1, r_max), r_max, sharpness_points):
         r = float(r)
         g = MoebiusElement.from_trace(complex(0, r))
+        if g.classify() is not ElementClass.LOXODROMIC:
+            continue
         lam = math.exp(g.translation_length() / 2)
         worst.points += 1
         worst.add_gate(1e-9 - abs(lam - (r + math.sqrt(r * r + 4)) / 2), (0.0, r))

@@ -8,6 +8,7 @@ from hypothesis import given
 
 from sysbound.bianchi import (
     PSL2_O2_COVOLUME,
+    _is_squarefree,
     CongruenceLevel,
     QuadInt,
     QuadMatrix,
@@ -58,6 +59,32 @@ def test_rejects_bad_inputs():
         QuadInt(1.5, 0, 2)
     with pytest.raises(ValueError):
         q2(1, 0) + QuadInt(1, 0, 3)
+
+
+def test_squarefree_matches_trial_division_by_squares():
+    # Reference, as a sieve: n is squarefree unless k^2 divides it for some
+    # k >= 2 with k^2 <= n.
+    limit = 10**5
+    squarefree = [True] * (limit + 1)
+    for k in range(2, math.isqrt(limit) + 1):
+        for m in range(k * k, limit + 1, k * k):
+            squarefree[m] = False
+    assert [n for n in range(1, limit + 1) if _is_squarefree(n) != squarefree[n]] == []
+
+
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        (2 * 1000003**2, False),  # a square of a prime above the cube root
+        (1000003**2, False),
+        (1000003 * 1000033, True),  # two primes above the cube root
+        (2**61 - 1, True),  # a Mersenne prime
+        (9223372036854775783, True),  # the largest prime below 2^63
+        (8 * 1000003, False),
+    ],
+)
+def test_squarefree_beyond_the_cube_root(n, expected):
+    assert _is_squarefree(n) is expected
 
 
 @given(ints, ints, ints, ints, ints, ints)

@@ -1,5 +1,8 @@
+import ast
 import cmath
+import inspect
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -31,6 +34,25 @@ def test_lobachevsky_domain():
         bounds.lobachevsky(0)
     with pytest.raises(ValueError):
         bounds.lobachevsky(math.pi)
+
+
+def _lobachevsky_rebuilding_coefficients(theta, terms):
+    # Reference: the same series with each zeta(2n)/pi^(2n) rebuilt from
+    # Fractions on every call.
+    total = theta * (1 - math.log(2 * theta))
+    theta_sq = theta * theta
+    power = theta_sq
+    for n in range(1, terms + 1):
+        coeff = (-1) ** (n + 1) * bounds._bernoulli(2 * n) * (2 ** (2 * n - 1)) / Fraction(math.factorial(2 * n))
+        total += float(coeff) * power * theta / (n * (2 * n + 1))
+        power *= theta_sq
+    return total
+
+
+@pytest.mark.parametrize("terms", [60, 0, 1, 5, 30])
+@pytest.mark.parametrize("theta", [1e-3, 0.5, 1.0, math.pi / 3, 2.0, 3.1])
+def test_lobachevsky_cached_coefficients_are_bit_identical(theta, terms):
+    assert bounds.lobachevsky(theta, terms) == _lobachevsky_rebuilding_coefficients(theta, terms)
 
 
 def test_cusp_density_bound():
@@ -142,6 +164,32 @@ def test_min_trace_bound_branches():
         s = bounds.min_trace_bound(float(ell), 50.0)
         assert s <= bounds.adams_reid_trace_bound(float(ell))
         assert s <= bounds.torus_diameter_trace_bound(float(ell), 50.0)
+
+
+def _composed_min_trace_bound(ell, vc):
+    return min(bounds.torus_diameter_trace_bound(ell, vc), bounds.adams_reid_trace_bound(ell))
+
+
+def test_min_trace_bound_is_bit_identical_to_the_composition():
+    # The first grid-sweep slice of the benchmark: the default techlem2 grid's
+    # first 10 cusp volumes, each on its default 10 000-point waist grid.
+    vc_min = bounds.MIN_CUSP_VOLUME_AT_WAIST_2PI
+    step = math.log(1e6 / vc_min) / 199
+    for vc in np.geomspace(vc_min, vc_min * math.exp(9 * step), 10):
+        vc = float(vc)
+        for ell in np.linspace(2 * math.pi, math.sqrt(4 * vc / math.sqrt(3)), 10000):
+            ell = float(ell)
+            assert bounds.min_trace_bound(ell, vc) == _composed_min_trace_bound(ell, vc), (ell, vc)
+
+
+@pytest.mark.parametrize("vc", [math.nan, -1.0, 0.0, 5.0])
+@pytest.mark.parametrize("ell", [math.nan, -1.0, 0.0, 1.5, 2.0])
+def test_min_trace_bound_fails_like_the_composition(ell, vc):
+    with pytest.raises(ValueError) as composed:
+        _composed_min_trace_bound(ell, vc)
+    with pytest.raises(ValueError) as fused:
+        bounds.min_trace_bound(ell, vc)
+    assert str(fused.value) == str(composed.value)
 
 
 def test_shifted_parabolic_trace_bound():
@@ -331,3 +379,51 @@ def test_bound_profile_zero_volume():
     assert profile.link_bound == pytest.approx(7.35663, abs=1e-4)
     with pytest.raises(ValueError):
         bounds.BoundProfile.from_volume(-1)
+
+
+# ---------------------------------------------------------------------------
+# domain guards
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "fn, args, message",
+    [
+        (bounds.lobachevsky, (0,), "theta must lie in (0, pi), got 0.0"),
+        (bounds.adams_reid_trace_bound, (0.1 + 0.2,), "slope length must exceed 2, got 0.30000000000000004"),
+        (bounds.adams_reid_length_bound, (2,), "slope length must exceed 2, got 2.0"),
+        (bounds.loxodromic_length_bound, (-1e-320,), "trace modulus bound must be nonnegative, got -1e-320"),
+        (bounds.torus_diameter_trace_bound, (0, 5), "waist size must be positive, got 0.0"),
+        (bounds.torus_diameter_trace_bound, (3, -1), "cusp volume must be positive, got -1.0"),
+        (bounds.shifted_parabolic_trace_bound, (-0.5,), "translation length must be nonnegative, got -0.5"),
+        (bounds.min_trace_bound, (math.nan, 5), "waist size must be positive, got nan"),
+        (bounds.min_trace_bound, (3, -math.inf), "cusp volume must be positive, got -inf"),
+        (bounds.min_trace_bound, (1.5, 5), "slope length must exceed 2, got 1.5"),
+        (bounds.cusp_volume_trace_bound, (0,), "cusp volume must be positive, got 0.0"),
+        (bounds.cusp_volume_trace_bound, (1,), "cusp volume 1.0 below threshold 1.539600717839002"),
+        (bounds.cusped_systole_bound, (0,), "volume must be positive, got 0.0"),
+        (bounds.link_systole_bound, (-1e300,), "volume must be nonnegative, got -1e+300"),
+        (bounds.fkp_min_slope_bound, (0, 1), "closed volume must be positive, got 0.0"),
+        (bounds.fkp_min_slope_bound, (2, 1), "complement volume 1.0 must exceed closed volume 2.0"),
+        (bounds.drilled_trace_bound, (-2,), "volume must be positive, got -2.0"),
+        (bounds.filling_slope_trace_bound, (1, -1), "closed volume must be nonnegative, got -1.0"),
+        (bounds.filling_slope_trace_bound, (1e-320, 1e-320),
+         "complement volume 1e-320 must exceed closed volume 1e-320"),
+        (bounds.crossing_volume, (-1,), "volume must be nonnegative, got -1.0"),
+        (bounds.BoundProfile.from_volume, (-1,), "volume must be nonnegative, got -1.0"),
+    ],
+)
+def test_guard_messages(fn, args, message):
+    with pytest.raises(ValueError) as exc:
+        fn(*args)
+    assert str(exc.value) == message
+
+
+def test_guard_messages_are_formatted_only_on_failure():
+    # An f-string message is built on every call, passing or not; the hot
+    # bounds run millions of times per sweep, so each guard passes a template
+    # and its arguments, and _require formats them only when it raises.
+    calls = [node for node in ast.walk(ast.parse(inspect.getsource(bounds)))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_require"]
+    assert len(calls) >= 17
+    eager = [node.lineno for node in calls if isinstance(node.args[1], ast.JoinedStr)]
+    assert eager == [], f"_require calls with an f-string message at bounds.py lines {eager}"

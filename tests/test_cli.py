@@ -442,6 +442,35 @@ def test_out_of_range_flag_is_named_in_a_usage_error(argv, message, monkeypatch,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        # r_max^2 overflows: an overflow, not a complaint about a matrix entry.
+        (["verify", "length-lemma", "--samples", "3", "--r-max", "1e308", "--sharpness-points", "2"],
+         2, "usage error: length-lemma overflows at these parameters: "
+            "r_max^2 is not finite for r_max = 1e+308\n"),
+        # Sharpness traces this small classify as elliptic and are skipped.
+        (["verify", "length-lemma", "--samples", "3", "--r-max", "1e-320", "--sharpness-points", "2"],
+         0, ""),
+        # The bracket starts above a subnormal v; the overflow is at v = 1e308.
+        (["verify", "crossing", "--v-min", "1e-320", "--v-max", "1e308", "--points", "3",
+          "--monotonic-samples", "3"],
+         2, "usage error: crossing overflows at these parameters: "),
+        (["verify", "crossing", "--v-min", "1e-320", "--v-max", "1e-300", "--points", "3",
+          "--monotonic-samples", "3"],
+         0, ""),
+    ],
+)
+def test_sweeps_at_extreme_parameters(argv, code, err, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got_code, out, got_err = run(capsys, argv + ["--format", "json"])
+    assert got_code == code
+    assert got_err.startswith(err)
+    assert got_err.count("\n") == (code == 2)
+    assert (out == "") == (code == 2)
+
+
 @pytest.mark.parametrize("how", ["--jobs 0", "--jobs -5", "config"])
 @pytest.mark.parametrize("claim", ["techlem2", "cubic"])
 def test_verify_rejects_jobs_below_one(claim, how, tmp_path, capsys):
