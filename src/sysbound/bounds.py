@@ -161,9 +161,11 @@ def min_trace_bound(ell: float, vc: float) -> float:
     evaluated in one frame because the techlem2 sweep calls it once per point.
     """
     ell, vc = float(ell), float(vc)
-    _require(ell > 0, "waist size must be positive, got {}", ell)
-    _require(vc > 0, "cusp volume must be positive, got {}", vc)
-    _require(ell > 2, "slope length must exceed 2, got {}", ell)
+    if not (ell > 2 and vc > 0):
+        # A single test on the sweep's path; the guards name the first failure.
+        _require(ell > 0, "waist size must be positive, got {}", ell)
+        _require(vc > 0, "cusp volume must be positive, got {}", vc)
+        _require(ell > 2, "slope length must exceed 2, got {}", ell)
     return min(math.sqrt(ell * ell / 4 + vc * vc / (ell * ell)), math.sqrt(ell**4 + 4))
 
 

@@ -17,8 +17,6 @@ sweep is recorded in the claim id.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -98,11 +96,6 @@ class _Worst:
         if margin < self.gate[0]:
             self.gate = (margin, point)
 
-    def merge(self, other: "_Worst") -> None:
-        self.add_ineq(*other.ineq)
-        self.add_gate(*other.gate)
-        self.points += other.points
-
     def report(self, claim_id: str) -> CertificateReport:
         """A violated gate is reported in place of the inequality's margin."""
         margin, point = self.gate if self.gate[0] < 0 else self.ineq
@@ -113,31 +106,6 @@ class _Worst:
             worst_point=tuple(float(x) for x in point),
             points_checked=int(self.points),
         )
-
-
-def _sweep_chunks(worker, values, extra, jobs, margin_rows) -> _Worst:
-    """Run ``worker((chunk, *extra))`` over consecutive chunks of ``values``,
-    in a process pool when ``jobs > 1``, and merge the chunks in grid order.
-
-    Each worker returns its chunk's ``(_Worst, rows)``.
-    """
-    chunks = [
-        (chunk, *extra)
-        for chunk in np.array_split(values, min(len(values), max(1, jobs * 4)))
-        if len(chunk)
-    ]
-    if jobs <= 1 or len(chunks) <= 1:
-        results = [worker(chunk) for chunk in chunks]
-    else:
-        # A fork pool starts all its workers at once, so never more than the CPUs.
-        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks), os.cpu_count() or 1)) as pool:
-            results = list(pool.map(worker, chunks))
-    worst = _Worst()
-    for chunk_worst, rows in results:
-        worst.merge(chunk_worst)
-        if margin_rows is not None:
-            margin_rows.extend(rows)
-    return worst
 
 
 def _bisect(f, lo, hi, floor):
@@ -158,33 +126,6 @@ def _bisect(f, lo, hi, floor):
 # Cusp-volume trace bound sweep (CLI claim "techlem2")
 # ---------------------------------------------------------------------------
 
-def _cusp_trace_chunk(args):
-    vcs, ell_points, bound_scale = args
-    two_pi = 2 * math.pi
-    trace_bound = bounds.min_trace_bound
-    worst, rows = _Worst(), []
-    for vc in vcs:
-        vc = float(vc)
-        bound = bound_scale * bounds.cusp_volume_trace_bound(vc, enforce_domain=False)
-        w_peak = 2**0.25 * vc ** (1 / 3)
-        if w_peak > 2:
-            # The bound must agree with the Adams-Reid value at the peak slope.
-            relerr = abs(bound - bounds.adams_reid_trace_bound(w_peak)) / bound
-            worst.add_gate(IDENTITY_REL_TOL - relerr, (vc,))
-        ell_hi = math.sqrt(4 * vc / math.sqrt(3))
-        if ell_hi < two_pi:
-            continue  # empty waist interval: nothing to certify at this volume
-        worst_vc, worst_ell = math.inf, two_pi
-        for ell in np.linspace(two_pi, ell_hi, ell_points):
-            m = bound - trace_bound(float(ell), vc)
-            if m < worst_vc:
-                worst_vc, worst_ell = m, float(ell)
-        worst.points += ell_points
-        rows.append((vc, worst_ell, worst_vc))
-        worst.add_ineq(worst_vc, (vc, worst_ell))
-    return worst, rows
-
-
 def certify_cusp_trace_bound(
     vc_grid: GridSpec,
     ell_points: int = 10000,
@@ -192,7 +133,6 @@ def certify_cusp_trace_bound(
     probe: bool = False,
     bound_scale: float = 1.0,
     margin_rows: list | None = None,
-    jobs: int = 1,
 ) -> CertificateReport:
     """Certify that the cusp-volume trace bound dominates the per-slope trace
     bound on the whole waist interval [2*pi, sqrt(4*vc/sqrt(3))].
@@ -213,9 +153,29 @@ def certify_cusp_trace_bound(
             f"grid starts below the trace-bound threshold "
             f"{bounds.CUSP_VOLUME_THRESHOLD}; use probe=True to explore it"
         )
-    worst = _sweep_chunks(
-        _cusp_trace_chunk, vc_grid.values(), (ell_points, bound_scale), jobs, margin_rows
-    )
+    two_pi = 2 * math.pi
+    trace_bound = bounds.min_trace_bound
+    worst = _Worst()
+    # Python floats, not numpy scalars: the slope loop runs once per point.
+    for vc in vc_grid.values().tolist():
+        bound = bound_scale * bounds.cusp_volume_trace_bound(vc, enforce_domain=False)
+        w_peak = 2**0.25 * vc ** (1 / 3)
+        if w_peak > 2:
+            # The bound must agree with the Adams-Reid value at the peak slope.
+            relerr = abs(bound - bounds.adams_reid_trace_bound(w_peak)) / bound
+            worst.add_gate(IDENTITY_REL_TOL - relerr, (vc,))
+        ell_hi = math.sqrt(4 * vc / math.sqrt(3))
+        if ell_hi < two_pi:
+            continue  # empty waist interval: nothing to certify at this volume
+        worst_vc, worst_ell = math.inf, two_pi
+        for ell in np.linspace(two_pi, ell_hi, ell_points).tolist():
+            m = bound - trace_bound(ell, vc)
+            if m < worst_vc:
+                worst_vc, worst_ell = m, ell
+        worst.points += ell_points
+        if margin_rows is not None:
+            margin_rows.append((vc, worst_ell, worst_vc))
+        worst.add_ineq(worst_vc, (vc, worst_ell))
     return worst.report("techlem2")
 
 
@@ -242,37 +202,12 @@ def _bisect_crossing(v: float):
     return _bisect(h, lo, hi, 0.0)
 
 
-def _crossing_chunk(args):
-    vs, rel_tol, monotonic_samples = args
-    worst, rows = _Worst(), []
-    for v in vs:
-        v = float(v)
-        closed = bounds.crossing_volume(v)
-        root = _bisect_crossing(v)
-        if root is None:
-            margin = -math.inf
-        else:
-            margin = rel_tol - abs(root - closed) / closed
-        worst.points += 1
-        rows.append((v, closed, margin))
-        worst.add_ineq(margin, (v,))
-        xs = np.geomspace(max(v * (1 + 1e-6), math.nextafter(v, math.inf)), 100 * closed,
-                          monotonic_samples)
-        f1 = np.array([bounds.drilled_trace_bound(float(x)) for x in xs])
-        f2 = np.array([bounds.filling_slope_trace_bound(float(x), v) for x in xs])
-        worst.points += 2 * monotonic_samples
-        g = min(float(np.min(np.diff(f1))), float(np.min(-np.diff(f2))))
-        worst.add_gate(g, (v,))
-    return worst, rows
-
-
 def certify_crossing(
     v_grid: GridSpec,
     *,
     rel_tol: float = CROSSING_REL_TOL,
     monotonic_samples: int = 1000,
     margin_rows: list | None = None,
-    jobs: int = 1,
 ) -> CertificateReport:
     """Certify the closed form for the crossing of the two trace bounds.
 
@@ -285,9 +220,25 @@ def certify_crossing(
     """
     if v_grid.lo <= 0:
         raise ValueError("crossing certification needs positive volumes")
-    worst = _sweep_chunks(
-        _crossing_chunk, v_grid.values(), (rel_tol, monotonic_samples), jobs, margin_rows
-    )
+    worst = _Worst()
+    for v in v_grid.values().tolist():
+        closed = bounds.crossing_volume(v)
+        root = _bisect_crossing(v)
+        if root is None:
+            margin = -math.inf
+        else:
+            margin = rel_tol - abs(root - closed) / closed
+        worst.points += 1
+        if margin_rows is not None:
+            margin_rows.append((v, closed, margin))
+        worst.add_ineq(margin, (v,))
+        xs = np.geomspace(max(v * (1 + 1e-6), math.nextafter(v, math.inf)), 100 * closed,
+                          monotonic_samples).tolist()
+        f1 = np.array([bounds.drilled_trace_bound(x) for x in xs])
+        f2 = np.array([bounds.filling_slope_trace_bound(x, v) for x in xs])
+        worst.points += 2 * monotonic_samples
+        g = min(float(np.min(np.diff(f1))), float(np.min(-np.diff(f2))))
+        worst.add_gate(g, (v,))
     return worst.report("crossing")
 
 
@@ -457,6 +408,7 @@ class Claim(NamedTuple):
     run: Callable[[dict, list | None], CertificateReport]
 
 
+# ``jobs`` is parsed and validated, so old command lines still run; no sweep reads it.
 COMMON_PARAMS = (Param("seed", int, DEFAULT_SEED), Param("jobs", int, 1))
 
 _VC_GRID = ("vc-min", "vc-max", "vc-points", "vc-scale")
@@ -483,8 +435,7 @@ CLAIMS = {
         (*_grid_params(_VC_GRID, bounds.MIN_CUSP_VOLUME_AT_WAIST_2PI, 200),
          Param("ell-points", int, 10000)),
         lambda p, rows: certify_cusp_trace_bound(
-            _grid(p, _VC_GRID), p["ell-points"], probe=p.get("probe", False),
-            margin_rows=rows, jobs=p["jobs"],
+            _grid(p, _VC_GRID), p["ell-points"], probe=p.get("probe", False), margin_rows=rows,
         ),
     ),
     "crossing": Claim(
@@ -494,7 +445,7 @@ CLAIMS = {
          Param("monotonic-samples", int, 1000)),
         lambda p, rows: certify_crossing(
             _grid(p, _V_GRID), rel_tol=p["rel-tol"],
-            monotonic_samples=p["monotonic-samples"], margin_rows=rows, jobs=p["jobs"],
+            monotonic_samples=p["monotonic-samples"], margin_rows=rows,
         ),
     ),
     "length-lemma": Claim(

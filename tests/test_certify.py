@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from sysbound import bounds, certify
+from sysbound import bounds
 from sysbound.certify import (
     GridSpec,
     certify_crossing,
@@ -86,35 +86,12 @@ def test_cusp_trace_bound_single_volume():
     assert report.passed
 
 
-def test_cusp_trace_bound_deterministic_and_parallel():
+def test_cusp_trace_bound_deterministic():
     rows1, rows2 = [], []
-    r1 = certify_cusp_trace_bound(SMALL_VC_GRID, 200, margin_rows=rows1, jobs=1)
-    r2 = certify_cusp_trace_bound(SMALL_VC_GRID, 200, margin_rows=rows2, jobs=2)
+    r1 = certify_cusp_trace_bound(SMALL_VC_GRID, 200, margin_rows=rows1)
+    r2 = certify_cusp_trace_bound(SMALL_VC_GRID, 200, margin_rows=rows2)
     assert r1 == r2
     assert rows1 == rows2
-
-
-def test_jobs_start_no_more_workers_than_cpus(monkeypatch):
-    started = []
-
-    class Pool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(certify, "ProcessPoolExecutor", Pool)
-    monkeypatch.setattr(certify.os, "cpu_count", lambda: 2)
-    report = certify_cusp_trace_bound(SMALL_VC_GRID, 20, jobs=10**6)
-    assert started == [2]
-    assert report == certify_cusp_trace_bound(SMALL_VC_GRID, 20)
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +113,13 @@ def test_crossing_detects_tolerance_violation():
     assert not report.passed
 
 
-def test_crossing_deterministic_and_parallel():
+def test_crossing_deterministic():
     grid = GridSpec(0.5, 100, 8, "log")
-    r1 = certify_crossing(grid, monotonic_samples=100, jobs=1)
-    r2 = certify_crossing(grid, monotonic_samples=100, jobs=2)
+    rows1, rows2 = [], []
+    r1 = certify_crossing(grid, monotonic_samples=100, margin_rows=rows1)
+    r2 = certify_crossing(grid, monotonic_samples=100, margin_rows=rows2)
     assert r1 == r2
+    assert rows1 == rows2
 
 
 def test_crossing_rejects_nonpositive_volumes():

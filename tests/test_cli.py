@@ -3,13 +3,17 @@ import contextlib
 import io
 import json
 import math
+import subprocess
+import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+import sysbound
 from sysbound import bounds, certify
 from sysbound.cli import main
 
@@ -483,6 +487,20 @@ def test_verify_rejects_jobs_below_one(claim, how, tmp_path, capsys):
     assert err.startswith("usage error: jobs must be at least 1")
 
 
+def test_verify_accepts_and_ignores_jobs(capsys):
+    assert run(capsys, VERIFY_FAST + ["--jobs", str(sys.maxsize)]) == run(capsys, VERIFY_FAST)
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    src = str(Path(sysbound.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import sysbound.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[]\n"
+
+
 def test_verify_calls_the_sweeps_through_the_module(monkeypatch, capsys):
     # Wrappers installed on the module attributes (as perfbench's tracer does)
     # must see every verify run.
@@ -553,8 +571,7 @@ def _verify_argv(draw):
     for name in CLAIM_FLAGS[claim]:
         argv.append(f"--{name}={draw(VERIFY_SLOTS[name])}")
     argv.append(f"--seed={draw(st.sampled_from(['0', '9', '-1', HUGE]))}")
-    # --jobs above 1 would start a process pool for every example.
-    argv.append(f"--jobs={draw(st.sampled_from(['1', '0', '-1']))}")
+    argv.append(f"--jobs={draw(_count('1', '2', str(sys.maxsize)))}")
     foreign = sorted(set(VERIFY_SLOTS) - set(CLAIM_FLAGS[claim]))
     if draw(st.booleans()):
         name = draw(st.sampled_from(foreign))
