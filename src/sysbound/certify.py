@@ -259,8 +259,9 @@ def certify_length_lemma(
     Traces are drawn with modulus uniform on (0, r_max] and uniform argument;
     each is realized as a diagonalizable element and run through the real
     translation-length path.  The purely-imaginary trace family, where the
-    eigenvalue bound (r + sqrt(r^2 + 4))/2 is attained, is checked as a gate,
-    as is the pinned worst-case trace 2 + (2*pi)^2 i.
+    eigenvalue bound (r + sqrt(r^2 + 4))/2 is attained, is checked as a gate
+    to a relative IDENTITY_REL_TOL, as is the pinned worst-case trace
+    2 + (2*pi)^2 i.
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
@@ -294,8 +295,9 @@ def certify_length_lemma(
         if g.classify() is not ElementClass.LOXODROMIC:
             continue
         lam = math.exp(g.translation_length() / 2)
+        expected = (r + math.sqrt(r * r + 4)) / 2
         worst.points += 1
-        worst.add_gate(1e-9 - abs(lam - (r + math.sqrt(r * r + 4)) / 2), (0.0, r))
+        worst.add_gate(IDENTITY_REL_TOL - abs(lam - expected) / expected, (0.0, r))
 
     pinned = MoebiusElement.from_trace(complex(2, (2 * math.pi) ** 2))
     pinned_len = pinned.translation_length()

@@ -10,6 +10,7 @@ from sysbound.certify import (
     certify_cusp_trace_bound,
     certify_length_lemma,
 )
+from sysbound.mobius import MoebiusElement
 
 SMALL_VC_GRID = GridSpec(17.1, 1e4, 30, "log")
 
@@ -150,6 +151,20 @@ def test_length_lemma_vacuous_at_zero_radius():
     report = certify_length_lemma(100, 0.0, seed=3)
     assert report.passed
     assert report.points_checked == 0
+
+
+def test_length_lemma_sharpness_gate_is_relative(monkeypatch):
+    # An eigenvalue near 1e154 is exact to about 1e-14 relative, which an
+    # absolute tolerance of 1e-9 reported as a failure.
+    assert certify_length_lemma(3, 1e154, sharpness_points=2).passed
+    # A relative error of 5e-12 in the eigenvalue must fail the gate, also
+    # where the absolute error (about 2.5e-10 at r = 50) is small.
+    original = MoebiusElement.translation_length
+    monkeypatch.setattr(MoebiusElement, "translation_length", lambda g: original(g) + 1e-11)
+    report = certify_length_lemma(3, 50.0, sharpness_points=10)
+    assert not report.passed
+    assert -1e-11 < report.worst_margin < 0
+    assert report.worst_point[0] == 0.0  # a purely imaginary sharpness trace
 
 
 def test_length_lemma_margin_rows():

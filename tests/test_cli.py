@@ -453,6 +453,9 @@ def test_out_of_range_flag_is_named_in_a_usage_error(argv, message, monkeypatch,
         (["verify", "length-lemma", "--samples", "3", "--r-max", "1e308", "--sharpness-points", "2"],
          2, "usage error: length-lemma overflows at these parameters: "
             "r_max^2 is not finite for r_max = 1e+308\n"),
+        # The sharpness gate is relative, so an eigenvalue near 1e154 passes.
+        (["verify", "length-lemma", "--samples", "3", "--r-max", "1e154", "--sharpness-points", "2"],
+         0, ""),
         # Sharpness traces this small classify as elliptic and are skipped.
         (["verify", "length-lemma", "--samples", "3", "--r-max", "1e-320", "--sharpness-points", "2"],
          0, ""),
