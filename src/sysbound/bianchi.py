@@ -181,6 +181,10 @@ def split_prime(p: int, d: int) -> QuadInt | None:
     _check_d(d)
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
+    if p > 2 and pow(-d % p, (p - 1) // 2, p) == p - 1:
+        # Euler's criterion: -d is not a square mod p, so a^2 + d*b^2 = p has
+        # no solution, and the O(sqrt(p)) scan below can be skipped.
+        return None
     for a in range(math.isqrt(p) + 1):
         rest = p - a * a
         if rest <= 0 or rest % d:

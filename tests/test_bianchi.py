@@ -149,6 +149,34 @@ def test_split_canonical_choice():
     assert result == q2(1, 1)
 
 
+def _split_by_scan(p, d):
+    """The canonical solution of a^2 + d*b^2 = p, found by scanning every a."""
+    for a in range(math.isqrt(p) + 1):
+        rest = p - a * a
+        if rest <= 0 or rest % d:
+            continue
+        b = math.isqrt(rest // d)
+        if d * b * b == rest:
+            return QuadInt(a, b, d)
+    return None
+
+
+def test_split_agrees_with_a_full_scan():
+    # Euler's criterion skips the scan for primes that cannot split; every
+    # answer must still be the scan's, on 10 x 2262 (d, p) pairs.
+    limit = 20000
+    composite = bytearray(limit)
+    primes = []
+    for n in range(2, limit):
+        if not composite[n]:
+            primes.append(n)
+            composite[n * n::n] = b"\x01" * len(range(n * n, limit, n))
+    assert len(primes) == 2262
+    mismatches = [(d, p) for d in (1, 2, 3, 5, 6, 7, 10, 11, 15, 23) for p in primes
+                  if split_prime(p, d) != _split_by_scan(p, d)]
+    assert mismatches == []
+
+
 # ---------------------------------------------------------------------------
 # congruence levels, index, volume
 # ---------------------------------------------------------------------------

@@ -308,6 +308,17 @@ def test_bianchi_split_requires_split(capsys):
     assert code == 1
 
 
+# A prime near 2^63 at which -2 is not a square, so it does not split in Z[sqrt(-2)].
+LARGE_NON_SPLIT_PRIME = 9223372036854775783
+
+
+def test_bianchi_split_of_a_large_non_split_prime_returns_at_once(capsys):
+    code, out, _ = run(capsys, ["bianchi", "split", "--d", "2", "--p", str(LARGE_NON_SPLIT_PRIME),
+                                "--format", "json"])
+    assert code == 0
+    assert json.loads(out) == {"p": LARGE_NON_SPLIT_PRIME, "d": 2, "split": False}
+
+
 def test_bianchi_index(capsys):
     code, out, _ = run(capsys, ["bianchi", "index", "--d", "2", "--pi", "3,1", "--n", "1"])
     assert code == 0
@@ -629,6 +640,7 @@ _ARGV = st.tuples(
 @example(argv=["bianchi", "census", "--d=2", "--pi=3,1", "--n-max=1", f"--height={HUGE}"])
 @example(argv=["bianchi", "index", "--d=2", "--pi=3,1", "--n=2000"])
 @example(argv=["bianchi", "index", "--d=2", "--pi=3,1", "--n=10000000"])
+@example(argv=["bianchi", "split", "--d=2", f"--p={LARGE_NON_SPLIT_PRIME}"])
 @example(argv=["verify", "cubic", "--vc-points=3", "--margins-csv=/nonexistent/x.csv"])
 @example(argv=["verify", "cubic", "--vc-points=3", "--ell-points=5", "--samples=3"])
 def test_any_command_line_exits_0_1_or_2_without_a_traceback(argv):
