@@ -17,6 +17,7 @@ sweep is recorded in the claim id.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -331,7 +332,10 @@ def certify_cubic_claims(
     sqrt(2)*vc^(2/3) (checked by evaluating f there and by bisection, per
     cusp volume); and the endpoint value x + 4*vc^2/x at x = 4*vc/sqrt(3)
     equals 7*vc/sqrt(3) (gate) and stays below 8*vc^(4/3) + 16 above the
-    volume threshold.
+    volume threshold.  A positive volume at which 4*vc^2 is not a normal
+    float or a term of f(sqrt(2)*vc^(2/3)) is not finite (outside about
+    [7.5e-155, 4e153]) is refused with a ValueError: doubles cannot decide
+    the claim there.
     """
     if vc_grid.lo < 0:
         raise ValueError("cubic claims need nonnegative cusp volumes")
@@ -352,7 +356,13 @@ def certify_cubic_claims(
     for vc in vc_grid.values():
         vc = float(vc)
         x_star = math.sqrt(2) * vc ** (2 / 3)
-        m_claim = _cubic(x_star, vc)
+        try:
+            m_claim = _cubic(x_star, vc)
+        except OverflowError:  # x**3 raises where 4*x**3 would be inf
+            m_claim = math.nan
+        if vc > 0 and not (4 * vc * vc >= sys.float_info.min and math.isfinite(m_claim)):
+            raise ValueError(f"cubic claims need 4*vc^2 normal and finite cubic terms, "
+                             f"got vc = {vc}")
         worst.points += 1
         if margin_rows is not None:
             margin_rows.append((vc, x_star, m_claim))
