@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bounds
-from .mobius import ElementClass, MoebiusElement
+from .mobius import MoebiusElement, NonLoxodromicError
 
 DEFAULT_SEED = 42
 CROSSING_REL_TOL = 1e-10
@@ -79,21 +79,27 @@ class CertificateReport:
 
 class _Worst:
     """The worst (smallest) margin of a claim's inequality and of its gates,
-    each with the point where it occurred, and the number of points checked.
+    each with the point where it occurred, the number of points checked, and
+    the margin rows, kept only when constructed with a list.
 
     Updates are strict, so the first of equal margins is kept and a NaN
     margin never replaces a number.
     """
 
-    def __init__(self):
+    def __init__(self, margin_rows: list | None = None):
         self.ineq = self.gate = (math.inf, ())
         self.points = 0
+        self.rows = margin_rows
 
-    def add_ineq(self, margin, point) -> None:
+    def add_ineq(self, margin, point, points=1, row=None) -> None:
+        self.points += points
+        if row is not None and self.rows is not None:
+            self.rows.append(row)
         if margin < self.ineq[0]:
             self.ineq = (margin, point)
 
-    def add_gate(self, margin, point) -> None:
+    def add_gate(self, margin, point, points=1) -> None:
+        self.points += points
         if margin < self.gate[0]:
             self.gate = (margin, point)
 
@@ -156,7 +162,7 @@ def certify_cusp_trace_bound(
         )
     two_pi = 2 * math.pi
     trace_bound = bounds.min_trace_bound
-    worst = _Worst()
+    worst = _Worst(margin_rows)
     # Python floats, not numpy scalars: the slope loop runs once per point.
     for vc in vc_grid.values().tolist():
         bound = bound_scale * bounds.cusp_volume_trace_bound(vc, enforce_domain=False)
@@ -164,7 +170,7 @@ def certify_cusp_trace_bound(
         if w_peak > 2:
             # The bound must agree with the Adams-Reid value at the peak slope.
             relerr = abs(bound - bounds.adams_reid_trace_bound(w_peak)) / bound
-            worst.add_gate(IDENTITY_REL_TOL - relerr, (vc,))
+            worst.add_gate(IDENTITY_REL_TOL - relerr, (vc,), points=0)
         ell_hi = math.sqrt(4 * vc / math.sqrt(3))
         if ell_hi < two_pi:
             continue  # empty waist interval: nothing to certify at this volume
@@ -173,10 +179,7 @@ def certify_cusp_trace_bound(
             m = bound - trace_bound(ell, vc)
             if m < worst_vc:
                 worst_vc, worst_ell = m, ell
-        worst.points += ell_points
-        if margin_rows is not None:
-            margin_rows.append((vc, worst_ell, worst_vc))
-        worst.add_ineq(worst_vc, (vc, worst_ell))
+        worst.add_ineq(worst_vc, (vc, worst_ell), ell_points, (vc, worst_ell, worst_vc))
     return worst.report("techlem2")
 
 
@@ -221,25 +224,18 @@ def certify_crossing(
     """
     if v_grid.lo <= 0:
         raise ValueError("crossing certification needs positive volumes")
-    worst = _Worst()
+    worst = _Worst(margin_rows)
     for v in v_grid.values().tolist():
         closed = bounds.crossing_volume(v)
         root = _bisect_crossing(v)
-        if root is None:
-            margin = -math.inf
-        else:
-            margin = rel_tol - abs(root - closed) / closed
-        worst.points += 1
-        if margin_rows is not None:
-            margin_rows.append((v, closed, margin))
-        worst.add_ineq(margin, (v,))
+        margin = -math.inf if root is None else rel_tol - abs(root - closed) / closed
+        worst.add_ineq(margin, (v,), row=(v, closed, margin))
         xs = np.geomspace(max(v * (1 + 1e-6), math.nextafter(v, math.inf)), 100 * closed,
                           monotonic_samples).tolist()
         f1 = np.array([bounds.drilled_trace_bound(x) for x in xs])
         f2 = np.array([bounds.filling_slope_trace_bound(x, v) for x in xs])
-        worst.points += 2 * monotonic_samples
         g = min(float(np.min(np.diff(f1))), float(np.min(-np.diff(f2))))
-        worst.add_gate(g, (v,))
+        worst.add_gate(g, (v,), 2 * monotonic_samples)
     return worst.report("crossing")
 
 
@@ -270,7 +266,7 @@ def certify_length_lemma(
         raise ValueError(f"r_max must be nonnegative, got {r_max}")
     if not math.isfinite(r_max * r_max):
         raise OverflowError(f"r_max^2 is not finite for r_max = {r_max}")
-    worst = _Worst()
+    worst = _Worst(margin_rows)
     claim_id = f"length-lemma:seed={seed}"
     if r_max == 0:
         return worst.report(claim_id)
@@ -281,32 +277,23 @@ def certify_length_lemma(
         r = r_max * rng.uniform()
         theta = 2 * math.pi * rng.uniform()
         trace = complex(r * math.cos(theta), r * math.sin(theta))
-        g = MoebiusElement.from_trace(trace)
-        if g.classify() is not ElementClass.LOXODROMIC:
+        try:
+            m = bound - MoebiusElement.from_trace(trace).translation_length()
+        except NonLoxodromicError:
             continue
-        m = bound - g.translation_length()
-        worst.points += 1
-        if margin_rows is not None:
-            margin_rows.append((trace.real, trace.imag, m))
-        worst.add_ineq(m, (trace.real, trace.imag))
+        worst.add_ineq(m, (trace.real, trace.imag), row=(trace.real, trace.imag, m))
 
-    for r in np.geomspace(min(0.1, r_max), r_max, sharpness_points):
-        r = float(r)
-        g = MoebiusElement.from_trace(complex(0, r))
-        if g.classify() is not ElementClass.LOXODROMIC:
+    for r in np.geomspace(min(0.1, r_max), r_max, sharpness_points).tolist():
+        try:
+            lam = math.exp(MoebiusElement.from_trace(complex(0, r)).translation_length() / 2)
+        except NonLoxodromicError:
             continue
-        lam = math.exp(g.translation_length() / 2)
         expected = (r + math.sqrt(r * r + 4)) / 2
-        worst.points += 1
         worst.add_gate(IDENTITY_REL_TOL - abs(lam - expected) / expected, (0.0, r))
 
-    pinned = MoebiusElement.from_trace(complex(2, (2 * math.pi) ** 2))
-    pinned_len = pinned.translation_length()
-    pin_m = min(
-        math.log(bounds.adams_reid_trace_bound(2 * math.pi) ** 2 + 4) - pinned_len,
-        1e-5 - abs(pinned_len - 7.35534),
-    )
-    worst.points += 1
+    pinned_len = MoebiusElement.from_trace(complex(2, (2 * math.pi) ** 2)).translation_length()
+    pin_m = min(math.log(bounds.adams_reid_trace_bound(2 * math.pi) ** 2 + 4) - pinned_len,
+                1e-5 - abs(pinned_len - 7.35534))
     worst.add_gate(pin_m, (2.0, (2 * math.pi) ** 2))
     return worst.report(claim_id)
 
@@ -332,61 +319,46 @@ def certify_cubic_claims(
     sqrt(2)*vc^(2/3) (checked by evaluating f there and by bisection, per
     cusp volume); and the endpoint value x + 4*vc^2/x at x = 4*vc/sqrt(3)
     equals 7*vc/sqrt(3) (gate) and stays below 8*vc^(4/3) + 16 above the
-    volume threshold.  A positive volume at which 4*vc^2 is not a normal
-    float or a term of f(sqrt(2)*vc^(2/3)) is not finite (outside about
-    [7.5e-155, 4e153]) is refused with a ValueError: doubles cannot decide
-    the claim there.
+    volume threshold.  A ValueError refuses a positive volume (outside about
+    [7.5e-155, 4e153]) where 4*vc^2 is not normal or f overflows at the root bound.
     """
     if vc_grid.lo < 0:
         raise ValueError("cubic claims need nonnegative cusp volumes")
-    worst = _Worst()
+    worst = _Worst(margin_rows)
 
     # f'(x) = 12x^2 - 2x + 16 > 0: discriminant and a direct sweep.
-    worst.add_ineq(4 * 12 * 16 - (-2) ** 2, (0.0,))
-    for x in np.linspace(-1e3, 1e3, 20001):
-        x = float(x)
-        worst.points += 1
+    worst.add_ineq(4 * 12 * 16 - (-2) ** 2, (0.0,), points=0)
+    for x in np.linspace(-1e3, 1e3, 20001).tolist():
         worst.add_ineq(12 * x * x - 2 * x + 16, (x,))
 
     # (8 - 2*sqrt(2)) z^2 - sqrt(2) z + 16 > 0: negative discriminant.
-    worst.points += 1
     worst.add_ineq(4 * (8 - 2 * math.sqrt(2)) * 16 - 2, (0.0,))
 
-    sqrt3 = math.sqrt(3)
-    for vc in vc_grid.values():
-        vc = float(vc)
+    for vc in vc_grid.values().tolist():
         x_star = math.sqrt(2) * vc ** (2 / 3)
         try:
             m_claim = _cubic(x_star, vc)
         except OverflowError:  # x**3 raises where 4*x**3 would be inf
             m_claim = math.nan
         if vc > 0 and not (4 * vc * vc >= sys.float_info.min and math.isfinite(m_claim)):
-            raise ValueError(f"cubic claims need 4*vc^2 normal and finite cubic terms, "
-                             f"got vc = {vc}")
-        worst.points += 1
-        if margin_rows is not None:
-            margin_rows.append((vc, x_star, m_claim))
-        worst.add_ineq(m_claim, (vc, x_star))
+            raise ValueError(f"cubic claims need 4*vc^2 normal and the cubic finite, got vc = {vc}")
+        worst.add_ineq(m_claim, (vc, x_star), row=(vc, x_star, m_claim))
 
-        # Bisect the root with a proven bracket, then compare 4x^2 + 16 values.
-        lo, hi = 0.0, x_star
-        if not (_cubic(lo, vc) < 0 < _cubic(hi, vc)):
-            # No bracket: the claim fails here, and the last such volume is reported.
-            worst.ineq = (-math.inf, (vc, x_star))
+        # Bisect the root, then compare 4x^2 + 16 values.  f(0) = -4*vc^2 < 0 (vc = 0
+        # gives f(x_star) = 0), so [0, x_star] is a bracket iff f(x_star) > 0.
+        if not m_claim > 0:
+            worst.add_ineq(-math.inf, (vc, x_star), points=0)  # no bracket: the claim fails
             continue
-        x0 = _bisect(lambda x: _cubic(x, vc), lo, hi, 1.0)
-        worst.points += 1
+        x0 = _bisect(lambda x: _cubic(x, vc), 0.0, x_star, 1.0)
         worst.add_ineq((4 * x_star * x_star + 16) - (4 * x0 * x0 + 16), (vc, x0))
 
         # Endpoint identity t(4*vc/sqrt(3)) = 7*vc/sqrt(3).
-        endpoint = 4 * vc / sqrt3
+        endpoint = 4 * vc / math.sqrt(3)
         t_end = endpoint + 4 * vc * vc / endpoint
-        expected = 7 * vc / sqrt3
-        worst.points += 1
+        expected = 7 * vc / math.sqrt(3)
         worst.add_gate(IDENTITY_REL_TOL - abs(t_end - expected) / expected, (vc, endpoint))
 
         if vc >= bounds.CUSP_VOLUME_THRESHOLD:
-            worst.points += 1
             worst.add_ineq((8 * vc ** (4 / 3) + 16) - expected, (vc, endpoint))
 
     return worst.report("cubic")

@@ -5,6 +5,7 @@ import pytest
 from sysbound import bounds
 from sysbound.certify import (
     GridSpec,
+    _Worst,
     certify_crossing,
     certify_cubic_claims,
     certify_cusp_trace_bound,
@@ -38,6 +39,54 @@ def test_grid_spec_values():
     assert list(lin) == pytest.approx([0, 0.25, 0.5, 0.75, 1.0])
     log = GridSpec(1, 100, 3, "log").values()
     assert list(log) == pytest.approx([1, 10, 100])
+
+
+def test_worst_counts_every_points_argument():
+    worst = _Worst()
+    worst.add_ineq(1.0, (0.0,))
+    worst.add_ineq(2.0, (1.0,), points=0)
+    worst.add_ineq(3.0, (2.0,), points=5)
+    worst.add_gate(4.0, (3.0,))
+    worst.add_gate(5.0, (4.0,), points=0)
+    worst.add_gate(6.0, (5.0,), points=7)
+    assert worst.report("c").points_checked == 1 + 0 + 5 + 1 + 0 + 7
+
+
+def test_worst_keeps_rows_only_when_given_a_list():
+    rows = []
+    worst = _Worst(rows)
+    worst.add_ineq(1.0, (0.0,), row=(0.0, 1.0))
+    worst.add_ineq(2.0, (1.0,))
+    worst.add_gate(3.0, (2.0,))
+    worst.add_ineq(-1.0, (3.0,), points=0, row=(3.0, -1.0))
+    assert rows == [(0.0, 1.0), (3.0, -1.0)]
+    unkept = _Worst()
+    unkept.add_ineq(1.0, (0.0,), row=(0.0, 1.0))
+    assert unkept.report("c").worst_margin == 1.0
+
+
+def test_worst_keeps_the_first_of_equal_margins_and_never_takes_nan():
+    worst = _Worst()
+    worst.add_ineq(0.5, (1.0,))
+    worst.add_ineq(0.5, (2.0,))
+    worst.add_ineq(math.nan, (3.0,))
+    report = worst.report("c")
+    assert (report.worst_margin, report.worst_point) == (0.5, (1.0,))
+    first_nan = _Worst()
+    first_nan.add_ineq(math.nan, (1.0,))
+    first_nan.add_ineq(0.25, (2.0,))
+    assert first_nan.report("c").worst_point == (2.0,)
+
+
+def test_worst_surfaces_a_gate_only_when_negative():
+    worst = _Worst()
+    worst.add_ineq(2.0, (1.0,))
+    worst.add_gate(0.0, (2.0,))
+    report = worst.report("c")
+    assert (report.status, report.worst_margin, report.worst_point) == ("pass", 2.0, (1.0,))
+    worst.add_gate(-1e-3, (3.0,))
+    report = worst.report("c")
+    assert (report.status, report.worst_margin, report.worst_point) == ("fail", -1e-3, (3.0,))
 
 
 def test_report_status_matches_margin_sign():

@@ -480,13 +480,13 @@ def test_out_of_range_flag_is_named_in_a_usage_error(argv, message, monkeypatch,
         # The cubic's terms overflow (inf - inf is NaN), 4*vc^2 is subnormal, and
         # 4*vc^2 underflows to 0 so that there is no bracket: each is refused.
         (["verify", "cubic", "--vc-min", "6.8e153", "--vc-max", "6.9e153", "--vc-points", "2"],
-         2, "usage error: cubic claims need 4*vc^2 normal and finite cubic terms, "
+         2, "usage error: cubic claims need 4*vc^2 normal and the cubic finite, "
             "got vc = 6.8e+153\n"),
         (["verify", "cubic", "--vc-min", "1e-160", "--vc-max", "1e-159", "--vc-points", "2"],
-         2, "usage error: cubic claims need 4*vc^2 normal and finite cubic terms, "
+         2, "usage error: cubic claims need 4*vc^2 normal and the cubic finite, "
             "got vc = 1e-160\n"),
         (["verify", "cubic", "--vc-min", "1e-200", "--vc-max", "1e-170", "--vc-points", "3"],
-         2, "usage error: cubic claims need 4*vc^2 normal and finite cubic terms, "
+         2, "usage error: cubic claims need 4*vc^2 normal and the cubic finite, "
             "got vc = 1e-200\n"),
     ],
 )
