@@ -157,9 +157,6 @@ class QuadInt:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def to_complex(self) -> complex:
-        return complex(self.a, self.b * math.sqrt(self.d))
-
     def try_divide(self, other: "QuadInt") -> "QuadInt | None":
         """Exact quotient self/other in the ring, or None if not divisible."""
         other = self._coerce(other)
@@ -172,27 +169,53 @@ class QuadInt:
         return QuadInt(num.a // n, num.b // n, self.d)
 
 
+def _sqrt_mod(n: int, p: int) -> int | None:
+    """A square root of n modulo the odd prime p, for n not divisible by p,
+    or None when n is not a square (Euler's criterion); Tonelli-Shanks."""
+    if pow(n, (p - 1) // 2, p) == p - 1:
+        return None
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q * 2^s with q odd
+    q = (p - 1) >> s
+    z = next(z for z in itertools.count(2) if pow(z, (p - 1) // 2, p) == p - 1)  # a non-residue
+    c, t, r = pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    # Invariant: r^2 = n*t (mod p), and t has order dividing 2^s.
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
 def split_prime(p: int, d: int) -> QuadInt | None:
     """An element of norm p in Z[sqrt(-d)], or None when p has no such
     representation (the prime does not split or ramify this way).
 
-    The canonical solution has the smallest a >= 0 and b > 0.
+    The canonical solution has the smallest a >= 0 and b > 0, unique up to
+    signs (and the swap of a and b at d = 1).  Cornacchia's algorithm finds it
+    in O(log^2 p) steps (Cohen, *A Course in Computational Algebraic Number
+    Theory*, 1993, Algorithms 1.5.1 and 1.5.2).
     """
     _check_d(d)
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    if p > 2 and pow(-d % p, (p - 1) // 2, p) == p - 1:
-        # Euler's criterion: -d is not a square mod p, so a^2 + d*b^2 = p has
-        # no solution, and the O(sqrt(p)) scan below can be skipped.
+    if p == 2 or d % p == 0:
+        # Then b = 1: p | d forces p | a, so a = 0 and d = p; and at p = 2, d*b^2 <= 2.
+        a = math.isqrt(max(p - d, 0))
+        return QuadInt(a, 1, d) if a * a + d == p else None
+    r = _sqrt_mod(-d % p, p)
+    if r is None:
         return None
-    for a in range(math.isqrt(p) + 1):
-        rest = p - a * a
-        if rest <= 0 or rest % d:
-            continue
-        b = math.isqrt(rest // d)
-        if d * b * b == rest:
-            return QuadInt(a, b, d)
-    return None
+    # Euclid on (p, r) from the root r <= p/2; the first remainder below sqrt(p) is a.
+    x, a, limit = p, min(r, p - r), math.isqrt(p)
+    while a > limit:
+        x, a = a, x % a
+    rest = p - a * a
+    b = math.isqrt(rest // d)
+    if rest % d or d * b * b != rest:
+        return None
+    return QuadInt(min(a, b), max(a, b), d) if d == 1 else QuadInt(a, b, d)
 
 
 @dataclass(frozen=True)
@@ -290,16 +313,9 @@ class QuadMatrix:
         return self.m11 + self.m22
 
     def is_identity_up_to_sign(self) -> bool:
-        one = QuadInt(1, 0, self.d)
-        for sign in (one, -one):
-            if (
-                self.m11 == sign
-                and self.m22 == sign
-                and self.m12.is_zero()
-                and self.m21.is_zero()
-            ):
-                return True
-        return False
+        m11 = self.m11
+        return (self.m12.is_zero() and self.m21.is_zero() and m11 == self.m22
+                and m11.b == 0 and abs(m11.a) == 1)
 
     def classify_exact(self) -> ElementClass:
         """Conjugacy type from the exact trace (determinant must be 1)."""

@@ -162,19 +162,27 @@ def _split_by_scan(p, d):
 
 
 def test_split_agrees_with_a_full_scan():
-    # Euler's criterion skips the scan for primes that cannot split; every
-    # answer must still be the scan's, on 10 x 2262 (d, p) pairs.
-    limit = 20000
+    # Cornacchia's algorithm must give the scan's canonical answer, None
+    # included, on 10 x 9592 (d, p) pairs.
+    limit = 10**5
     composite = bytearray(limit)
     primes = []
     for n in range(2, limit):
         if not composite[n]:
             primes.append(n)
             composite[n * n::n] = b"\x01" * len(range(n * n, limit, n))
-    assert len(primes) == 2262
+    assert len(primes) == 9592
     mismatches = [(d, p) for d in (1, 2, 3, 5, 6, 7, 10, 11, 15, 23) for p in primes
                   if split_prime(p, d) != _split_by_scan(p, d)]
     assert mismatches == []
+
+
+def test_split_of_large_primes_has_the_norm():
+    for p in (2**61 - 1, 9223372036854775643, 9223372036854775783):
+        for d in (1, 2, 3, 5, 6, 7, 11):
+            result = split_prime(p, d)
+            assert result is None or (result.norm == p and result.a >= 0 and result.b > 0)
+    assert split_prime(9223372036854775643, 2) == q2(1725430539, 1767238169)
 
 
 # ---------------------------------------------------------------------------

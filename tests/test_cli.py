@@ -308,8 +308,9 @@ def test_bianchi_split_requires_split(capsys):
     assert code == 1
 
 
-# A prime near 2^63 at which -2 is not a square, so it does not split in Z[sqrt(-2)].
+# Primes near 2^63 at which -2 is not a square, and is one, mod p.
 LARGE_NON_SPLIT_PRIME = 9223372036854775783
+LARGE_SPLIT_PRIME = 9223372036854775643
 
 
 def test_bianchi_split_of_a_large_non_split_prime_returns_at_once(capsys):
@@ -317,6 +318,14 @@ def test_bianchi_split_of_a_large_non_split_prime_returns_at_once(capsys):
                                 "--format", "json"])
     assert code == 0
     assert json.loads(out) == {"p": LARGE_NON_SPLIT_PRIME, "d": 2, "split": False}
+
+
+def test_bianchi_split_of_a_large_split_prime_returns_at_once(capsys):
+    code, out, _ = run(capsys, ["bianchi", "split", "--d", "2", "--p", str(LARGE_SPLIT_PRIME),
+                                "--format", "json"])
+    assert code == 0
+    assert json.loads(out) == {"p": LARGE_SPLIT_PRIME, "d": 2, "split": True,
+                               "a": 1725430539, "b": 1767238169, "norm": LARGE_SPLIT_PRIME}
 
 
 def test_bianchi_index(capsys):
@@ -652,6 +661,7 @@ _ARGV = st.tuples(
 @example(argv=["bianchi", "index", "--d=2", "--pi=3,1", "--n=2000"])
 @example(argv=["bianchi", "index", "--d=2", "--pi=3,1", "--n=10000000"])
 @example(argv=["bianchi", "split", "--d=2", f"--p={LARGE_NON_SPLIT_PRIME}"])
+@example(argv=["bianchi", "split", "--d=2", f"--p={LARGE_SPLIT_PRIME}"])
 @example(argv=["verify", "cubic", "--vc-points=3", "--margins-csv=/nonexistent/x.csv"])
 @example(argv=["verify", "cubic", "--vc-points=3", "--ell-points=5", "--samples=3"])
 def test_any_command_line_exits_0_1_or_2_without_a_traceback(argv):
