@@ -344,8 +344,8 @@ def certify_cubic_claims(
             raise ValueError(f"cubic claims need 4*vc^2 normal and the cubic finite, got vc = {vc}")
         worst.add_ineq(m_claim, (vc, x_star), row=(vc, x_star, m_claim))
 
-        # Bisect the root, then compare 4x^2 + 16 values.  f(0) = -4*vc^2 < 0 (vc = 0
-        # gives f(x_star) = 0), so [0, x_star] is a bracket iff f(x_star) > 0.
+        # Bisect the root, then compare 4x^2 + 16 values.  [0, x_star] is a bracket iff
+        # f(x_star) > 0: f(0) = -4*vc^2 < 0 at every volume but 0, where x_star = 0.
         if not m_claim > 0:
             worst.add_ineq(-math.inf, (vc, x_star), points=0)  # no bracket: the claim fails
             continue

@@ -182,7 +182,6 @@ def test_split_of_large_primes_has_the_norm():
         for d in (1, 2, 3, 5, 6, 7, 11):
             result = split_prime(p, d)
             assert result is None or (result.norm == p and result.a >= 0 and result.b > 0)
-    assert split_prime(9223372036854775643, 2) == q2(1725430539, 1767238169)
 
 
 # ---------------------------------------------------------------------------
