@@ -24,13 +24,15 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bounds
-from .mobius import MoebiusElement, NonLoxodromicError
+from .mobius import MoebiusElement, NonLoxodromicError, trace_translation_length
 
 DEFAULT_SEED = 42
 CROSSING_REL_TOL = 1e-10
 IDENTITY_REL_TOL = 1e-12
 
 _BISECTION_MAX_STEPS = 200
+# Uniform pairs per draw: the stream of scalar draws, at a call per block and flat memory.
+_DRAW_BLOCK = 4096
 _SCALES = ("linear", "log")
 
 
@@ -174,6 +176,10 @@ def certify_cusp_trace_bound(
         ell_hi = math.sqrt(4 * vc / math.sqrt(3))
         if ell_hi < two_pi:
             continue  # empty waist interval: nothing to certify at this volume
+        try:
+            ell_hi**4  # the largest ell**4 that min_trace_bound takes at this volume
+        except OverflowError:
+            raise ValueError(f"techlem2 needs every slope's ell^4 finite, got vc = {vc}") from None
         worst_vc, worst_ell = math.inf, two_pi
         for ell in np.linspace(two_pi, ell_hi, ell_points).tolist():
             m = bound - trace_bound(ell, vc)
@@ -194,6 +200,8 @@ def _bisect_crossing(v: float):
         return bounds.drilled_trace_bound(x) - bounds.filling_slope_trace_bound(x, v)
 
     lo = max(v * (1 + 1e-9), math.nextafter(v, math.inf))
+    if not h(lo) < 0:
+        lo = math.nextafter(v, math.inf)  # above about 1e16 the root lies within v*1e-9 of v
     if not h(lo) < 0:
         return None
     hi = 2 * max(v, 1.0)
@@ -227,6 +235,8 @@ def certify_crossing(
     worst = _Worst(margin_rows)
     for v in v_grid.values().tolist():
         closed = bounds.crossing_volume(v)
+        if not closed > v:  # the closed form rounds to v or below from about 1e24 on
+            raise ValueError(f"crossing needs crossing_volume(v) > v in doubles, got v = {v}")
         root = _bisect_crossing(v)
         margin = -math.inf if root is None else rel_tol - abs(root - closed) / closed
         worst.add_ineq(margin, (v,), row=(v, closed, margin))
@@ -253,12 +263,11 @@ def certify_length_lemma(
 ) -> CertificateReport:
     """Certify translation_length <= log(r_max^2 + 4) on random loxodromics.
 
-    Traces are drawn with modulus uniform on (0, r_max] and uniform argument;
-    each is realized as a diagonalizable element and run through the real
-    translation-length path.  The purely-imaginary trace family, where the
-    eigenvalue bound (r + sqrt(r^2 + 4))/2 is attained, is checked as a gate
-    to a relative IDENTITY_REL_TOL, as is the pinned worst-case trace
-    2 + (2*pi)^2 i.
+    Traces are drawn with modulus uniform on (0, r_max] and uniform argument
+    and measured by ``trace_translation_length``.  Through MoebiusElement,
+    the purely-imaginary trace family, where the eigenvalue bound
+    (r + sqrt(r^2 + 4))/2 is attained, is checked as a gate to a relative
+    IDENTITY_REL_TOL, as is the pinned worst-case trace 2 + (2*pi)^2 i.
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
@@ -273,15 +282,15 @@ def certify_length_lemma(
 
     rng = np.random.default_rng(seed)
     bound = bounds.loxodromic_length_bound(r_max)
-    for _ in range(samples):
-        r = r_max * rng.uniform()
-        theta = 2 * math.pi * rng.uniform()
-        trace = complex(r * math.cos(theta), r * math.sin(theta))
-        try:
-            m = bound - MoebiusElement.from_trace(trace).translation_length()
-        except NonLoxodromicError:
-            continue
-        worst.add_ineq(m, (trace.real, trace.imag), row=(trace.real, trace.imag, m))
+    for start in range(0, samples, _DRAW_BLOCK):
+        u = rng.uniform(size=2 * min(_DRAW_BLOCK, samples - start)).tolist()
+        for u_r, u_theta in zip(u[::2], u[1::2]):
+            r, theta = r_max * u_r, 2 * math.pi * u_theta
+            x, y = r * math.cos(theta), r * math.sin(theta)
+            length = trace_translation_length(complex(x, y))
+            if length is not None:
+                m = bound - length
+                worst.add_ineq(m, (x, y), row=(x, y, m))
 
     for r in np.geomspace(min(0.1, r_max), r_max, sharpness_points).tolist():
         try:

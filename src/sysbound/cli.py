@@ -44,9 +44,7 @@ class _Output(NamedTuple):
 
 
 def _fmt(x, spec=".17g") -> str:
-    """``x`` as a decimal string in ``spec``, which callers pass as a
-    literal (a spec built per call slows large margin files down); zero is
-    never rendered as -0."""
+    """``x`` as a decimal string in ``spec``; zero is never rendered as -0."""
     x = float(x)
     return format(x if x else 0.0, spec)
 
@@ -55,6 +53,13 @@ def _write_csv(fh, header, rows) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
+
+
+def _write_margins(fh, header, rows) -> None:
+    """``_write_csv`` of ``_fmt``-ed rows of reals, one format per row (``+ 0.0`` drops -0)."""
+    fh.write(",".join(header) + "\n")
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    fh.writelines(line % tuple(x + 0.0 for x in row) for row in rows)
 
 
 def _emit(fmt: str, out: _Output) -> None:
@@ -245,7 +250,7 @@ def _cmd_verify(args) -> _Output:
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
         if rows is not None:
-            _write_csv(fh, claim.header, (map(_fmt, row) for row in rows))
+            _write_margins(fh, claim.header, rows)
     worst_point = [_fmt(x) for x in report.worst_point]
     record = {
         "claim_id": report.claim_id,

@@ -61,6 +61,50 @@ def _as_finite_complex(value, name: str) -> complex:
     return z
 
 
+def _normalized(a, b, c, d) -> list[complex]:
+    """The finite entries of (a b; c d), rescaled to determinant 1 when off by more than TAU_DET."""
+    entries = [_as_finite_complex(z, name) for z, name in zip((a, b, c, d), "abcd")]
+    det = entries[0] * entries[3] - entries[1] * entries[2]
+    if det == 0:
+        raise ValueError("matrix is singular")
+    if abs(det - 1) > TAU_DET:
+        root = cmath.sqrt(det)
+        entries = [z / root for z in entries]
+    return entries
+
+
+def _classify(a, b, c, d, tol: float) -> ElementClass:
+    """Conjugacy type of the normalized matrix (a b; c d); see MoebiusElement.classify."""
+    for sign in (1, -1):
+        if abs(a - sign) <= tol and abs(b) <= tol and abs(c) <= tol and abs(d - sign) <= tol:
+            return ElementClass.IDENTITY
+    t = a + d
+    if abs(t.imag) <= tol:
+        if abs(abs(t.real) - 2) <= tol:
+            return ElementClass.PARABOLIC
+        if abs(t.real) < 2:
+            return ElementClass.ELLIPTIC
+    return ElementClass.LOXODROMIC
+
+
+def _eigenvalue(t: complex) -> complex:
+    """A nonzero root lam of lam^2 - t*lam + 1."""
+    lam = (t + cmath.sqrt(t * t - 4)) / 2
+    if lam == 0:
+        lam = (t - cmath.sqrt(t * t - 4)) / 2
+    return lam
+
+
+def trace_translation_length(trace, tol: float = TAU_CLASS) -> float | None:
+    """``MoebiusElement.from_trace(trace).translation_length(tol)``, bit for bit,
+    or None where that raises NonLoxodromicError; no element is built."""
+    lam = _eigenvalue(_as_finite_complex(trace, "trace"))
+    a, b, c, d = _normalized(lam, 0, 0, 1 / lam)
+    if _classify(a, b, c, d, tol) is not ElementClass.LOXODROMIC:
+        return None
+    return abs((2 * cmath.acosh((a + d) / 2)).real)
+
+
 @dataclass(frozen=True, eq=False)
 class IsometricSphere:
     """Euclidean hemisphere on which a matrix acts as a Euclidean isometry."""
@@ -89,14 +133,7 @@ class MoebiusElement:
     d: complex
 
     def __post_init__(self):
-        entries = [_as_finite_complex(getattr(self, name), name) for name in "abcd"]
-        det = entries[0] * entries[3] - entries[1] * entries[2]
-        if det == 0:
-            raise ValueError("matrix is singular")
-        if abs(det - 1) > TAU_DET:
-            root = cmath.sqrt(det)
-            entries = [z / root for z in entries]
-        for name, z in zip("abcd", entries):
+        for name, z in zip("abcd", _normalized(self.a, self.b, self.c, self.d)):
             object.__setattr__(self, name, z)
 
     @classmethod
@@ -110,10 +147,7 @@ class MoebiusElement:
         The eigenvalue is one root of the characteristic quadratic; traces
         +/-2 therefore yield +/-identity, not a parabolic.
         """
-        t = _as_finite_complex(trace, "trace")
-        lam = (t + cmath.sqrt(t * t - 4)) / 2
-        if lam == 0:
-            lam = (t - cmath.sqrt(t * t - 4)) / 2
+        lam = _eigenvalue(_as_finite_complex(trace, "trace"))
         return cls(lam, 0, 0, 1 / lam)
 
     def _entries(self) -> tuple[complex, complex, complex, complex]:
@@ -159,17 +193,6 @@ class MoebiusElement:
             self.c * other.b + self.d * other.d,
         )
 
-    def _is_identity_up_to_sign(self, tol: float) -> bool:
-        for sign in (1, -1):
-            if (
-                abs(self.a - sign) <= tol
-                and abs(self.b) <= tol
-                and abs(self.c) <= tol
-                and abs(self.d - sign) <= tol
-            ):
-                return True
-        return False
-
     def classify(self, tol: float = TAU_CLASS) -> ElementClass:
         """Conjugacy type from the trace, up to sign.
 
@@ -177,16 +200,7 @@ class MoebiusElement:
         traces within `tol` of +/-2 as parabolic.  Exact-arithmetic callers
         should classify with exact predicates instead of this.
         """
-        if self._is_identity_up_to_sign(tol):
-            return ElementClass.IDENTITY
-        t = self.trace
-        if abs(t.imag) <= tol:
-            if abs(abs(t.real) - 2) <= tol:
-                return ElementClass.PARABOLIC
-            if abs(t.real) < 2:
-                return ElementClass.ELLIPTIC
-            return ElementClass.LOXODROMIC
-        return ElementClass.LOXODROMIC
+        return _classify(self.a, self.b, self.c, self.d, tol)
 
     def translation_length(self, tol: float = TAU_CLASS) -> float:
         """Distance the element moves points on its axis.

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from sysbound import bounds
@@ -11,7 +12,7 @@ from sysbound.certify import (
     certify_cusp_trace_bound,
     certify_length_lemma,
 )
-from sysbound.mobius import MoebiusElement
+from sysbound.mobius import MoebiusElement, NonLoxodromicError
 
 SMALL_VC_GRID = GridSpec(17.1, 1e4, 30, "log")
 
@@ -214,6 +215,27 @@ def test_length_lemma_sharpness_gate_is_relative(monkeypatch):
     assert not report.passed
     assert -1e-11 < report.worst_margin < 0
     assert report.worst_point[0] == 0.0  # a purely imaginary sharpness trace
+
+
+@pytest.mark.parametrize("samples", [1, 4096, 4097, 10_000])
+def test_length_lemma_rows_are_those_of_scalar_draws_and_elements(samples):
+    # The reference draws each uniform with a scalar call and measures each
+    # trace through MoebiusElement: the sweep's blocks of 4096 pairs must not show.
+    rng = np.random.default_rng(9)
+    bound = bounds.loxodromic_length_bound(40.0)
+    expected = []
+    for _ in range(samples):
+        r = 40.0 * rng.uniform()
+        theta = 2 * math.pi * rng.uniform()
+        trace = complex(r * math.cos(theta), r * math.sin(theta))
+        try:
+            m = bound - MoebiusElement.from_trace(trace).translation_length()
+        except NonLoxodromicError:
+            continue
+        expected.append((trace.real, trace.imag, m))
+    rows = []
+    certify_length_lemma(samples, 40.0, seed=9, sharpness_points=2, margin_rows=rows)
+    assert rows == expected
 
 
 def test_length_lemma_margin_rows():

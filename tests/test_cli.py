@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 
 import sysbound
 from sysbound import bounds, certify
-from sysbound.cli import main
+from sysbound.cli import _fmt, _write_csv, _write_margins, main
 
 
 def run(capsys, argv):
@@ -255,6 +255,17 @@ def test_verify_margins_csv(tmp_path, capsys):
     assert len(lines) == 5  # header + one row per cusp volume
 
 
+def test_margin_writer_gives_the_bytes_of_csv_writer_and_fmt():
+    header = ("vc", "x", "margin")
+    rows = [(math.nan, math.inf, -math.inf), (-0.0, 5e-324, 1e308), (3, -2.5, 0.0),
+            (-1e-300, 1 / 3, 10**20), (-5e-324, -1e308, 0)]
+    want, got = io.StringIO(), io.StringIO()
+    _write_csv(want, header, (map(_fmt, row) for row in rows))
+    _write_margins(got, header, rows)
+    assert got.getvalue() == want.getvalue()
+    assert "-0," not in got.getvalue()
+
+
 def test_verify_config_defaults_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
@@ -479,10 +490,32 @@ def test_out_of_range_flag_is_named_in_a_usage_error(argv, message, monkeypatch,
         # Sharpness traces this small classify as elliptic and are skipped.
         (["verify", "length-lemma", "--samples", "3", "--r-max", "1e-320", "--sharpness-points", "2"],
          0, ""),
-        # The bracket starts above a subnormal v; the overflow is at v = 1e308.
+        # The bracket starts above a subnormal v; at v = 1e308 the closed form
+        # rounds to v or below, which is refused before anything overflows.
         (["verify", "crossing", "--v-min", "1e-320", "--v-max", "1e308", "--points", "3",
           "--monotonic-samples", "3"],
-         2, "usage error: crossing overflows at these parameters: "),
+         2, "usage error: crossing needs crossing_volume(v) > v in doubles, "
+            "got v = 1e+308\n"),
+        # Above about 1e16 the crossing lies within v*1e-9 of v, so the bracket
+        # starts just above v.
+        *((["verify", "crossing", "--v-min", lo, "--v-max", hi, "--points", "2",
+            "--monotonic-samples", "3"], 0, "")
+          for lo, hi in [("1e17", "2e17"), ("1e20", "2e20"), ("1e24", "1.5e24")]),
+        (["verify", "crossing", "--v-min", "1e30", "--v-max", "2e30", "--points", "2",
+          "--monotonic-samples", "3"],
+         2, "usage error: crossing needs crossing_volume(v) > v in doubles, "
+            "got v = 1e+30\n"),
+        (["verify", "crossing", "--v-min", "1e240", "--v-max", "2e240", "--points", "2",
+          "--monotonic-samples", "3"],
+         2, "usage error: crossing needs crossing_volume(v) > v in doubles, "
+            "got v = 1e+240\n"),
+        # ell^4 overflows for slopes above about 1e77.
+        (["verify", "techlem2", "--vc-min", "1e150", "--vc-max", "2e150", "--vc-points", "2",
+          "--ell-points", "3"],
+         0, ""),
+        (["verify", "techlem2", "--vc-min", "1e160", "--vc-max", "2e160", "--vc-points", "2",
+          "--ell-points", "3"],
+         2, "usage error: techlem2 needs every slope's ell^4 finite, got vc = 1e+160\n"),
         (["verify", "crossing", "--v-min", "1e-320", "--v-max", "1e-300", "--points", "3",
           "--monotonic-samples", "3"],
          0, ""),

@@ -11,6 +11,7 @@ from sysbound.mobius import (
     ElementClass,
     MoebiusElement,
     NonLoxodromicError,
+    trace_translation_length,
 )
 
 finite = st.floats(-30, 30, allow_nan=False, allow_infinity=False)
@@ -142,6 +143,60 @@ def test_translation_length_refused_for_non_loxodromic():
         MoebiusElement(0, -1, 1, 0).translation_length()
     with pytest.raises(NonLoxodromicError):
         MoebiusElement.identity().translation_length()
+
+
+def _element_length(trace):
+    try:
+        return MoebiusElement.from_trace(trace).translation_length()
+    except NonLoxodromicError:
+        return None
+
+
+# Parabolic and identity traces, the real-axis and +/-2 tolerances on either
+# side, tiny and huge moduli, and eigenvalues within 1e-9 of +/-1 or of the unit circle.
+EDGE_TRACES = [
+    2, -2, 2 + 1e-10, 2 - 1e-10, -2 + 1e-10, -2 - 1e-10, complex(2, 2e-9), complex(2, 5e-10),
+    0, complex(0, 1e-300), 1.5, -1.99999999995, complex(1e150, 1e150), complex(-1e150, 1e150),
+    *(sign * (lam + 1 / lam)
+      for sign in (1, -1)
+      for lam in (1 + 1e-9, 1 + 5e-10, 1 - 1e-9, complex(1, 1e-9), complex(1, 4e-10),
+                  cmath.exp(complex(1e-9, 1e-9)), cmath.exp(complex(3e-10, 1.0)))),
+]
+
+
+@pytest.mark.parametrize("trace", EDGE_TRACES)
+def test_trace_translation_length_is_the_elements_at_edge_traces(trace):
+    assert repr(trace_translation_length(trace)) == repr(_element_length(trace))
+
+
+def test_trace_translation_length_is_the_elements_on_seeded_traces():
+    rng = np.random.default_rng(2024)
+    n = 50_000
+    # Uniform in the disc of radius 100, as the length-lemma sweep draws, and
+    # near the real segment [-3, 3], where the classification tolerances bite.
+    moduli = 100 * rng.uniform(size=n)
+    args = 2 * math.pi * rng.uniform(size=n)
+    real = rng.uniform(-3, 3, size=n)
+    imag = rng.choice([-1, 1], size=n) * 10 ** rng.uniform(-12, -6, size=n)
+    traces = [complex(r * math.cos(t), r * math.sin(t))
+              for r, t in zip(moduli.tolist(), args.tolist())]
+    traces += [complex(x, y) for x, y in zip(real.tolist(), imag.tolist())]
+    nones = 0
+    for trace in traces:
+        got = trace_translation_length(trace)
+        assert repr(got) == repr(_element_length(trace)), trace
+        nones += got is None
+    assert 0 < nones < n
+
+
+@pytest.mark.parametrize("trace", [math.nan, complex(0, math.inf), 1e300])
+def test_trace_translation_length_raises_as_the_element_does(trace):
+    # At 1e300 the eigenvalue overflows, and the element refuses it.
+    with pytest.raises(ValueError) as element_error:
+        MoebiusElement.from_trace(trace)
+    with pytest.raises(ValueError) as error:
+        trace_translation_length(trace)
+    assert str(error.value) == str(element_error.value)
 
 
 def test_translation_length_bounded_by_trace_modulus():
