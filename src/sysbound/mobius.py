@@ -89,20 +89,22 @@ def _classify(a, b, c, d, tol: float) -> ElementClass:
 
 def _eigenvalue(t: complex) -> complex:
     """A nonzero root lam of lam^2 - t*lam + 1."""
-    lam = (t + cmath.sqrt(t * t - 4)) / 2
-    if lam == 0:
-        lam = (t - cmath.sqrt(t * t - 4)) / 2
-    return lam
+    root = cmath.sqrt(t * t - 4)
+    return (t + root) / 2 or (t - root) / 2
 
 
-def trace_translation_length(trace, tol: float = TAU_CLASS) -> float | None:
-    """``MoebiusElement.from_trace(trace).translation_length(tol)``, bit for bit,
-    or None where that raises NonLoxodromicError; no element is built."""
+def _length(t: complex) -> float:
+    """|Re(2*arccosh(t/2))|, the translation length of a loxodromic of trace t."""
+    return abs((2 * cmath.acosh(t / 2)).real)
+
+
+def trace_translation_length(trace) -> float | None:
+    """``MoebiusElement.from_trace(trace).translation_length()`` bit for bit; None if not loxodromic."""
     lam = _eigenvalue(_as_finite_complex(trace, "trace"))
     a, b, c, d = _normalized(lam, 0, 0, 1 / lam)
-    if _classify(a, b, c, d, tol) is not ElementClass.LOXODROMIC:
+    if _classify(a, b, c, d, TAU_CLASS) is not ElementClass.LOXODROMIC:
         return None
-    return abs((2 * cmath.acosh((a + d) / 2)).real)
+    return _length(a + d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,7 +216,7 @@ class MoebiusElement:
         kind = self.classify(tol)
         if kind is not ElementClass.LOXODROMIC:
             raise NonLoxodromicError(f"element is {kind.value}, not loxodromic")
-        return abs((2 * cmath.acosh(self.trace / 2)).real)
+        return _length(self.trace)
 
     def isometric_sphere(self) -> IsometricSphere:
         """Sphere with center -d/c and radius 1/|c|; undefined when c = 0."""
