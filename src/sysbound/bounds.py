@@ -238,6 +238,32 @@ def filling_slope_trace_bound(x: float, v: float) -> float:
     return math.sqrt(16 * math.pi**4 / denom**2 + 4)
 
 
+def _crossing_trace_bounds(xs, v: float):
+    """Arrays ``drilled_trace_bound(x)`` and ``filling_slope_trace_bound(x, v)``
+    over the 1-d float64 array ``xs`` of complement volumes, each above v.
+
+    Equal, lane for lane and bit for bit, to the scalar calls.  numpy does
+    only sqrt, *, /, + and -, which are correctly rounded as Python's floats
+    are; every power goes through Python's ``**`` (libm pow) one lane at a
+    time, because numpy's power differs from it in the last bit on a few
+    percent of lanes, and ``d * d`` differs from ``d**2`` on some.
+    """
+    import numpy as np  # here, so that importing the package's bounds loads no numpy
+
+    v = float(v)
+    _require(v >= 0, "closed volume must be nonnegative, got {}", v)
+    x_min = float(np.min(xs))
+    _require(x_min > v, "complement volume {} must exceed closed volume {}", x_min, v)
+    vc = CUSP_DENSITY_BOUND * xs
+    drilled = np.sqrt(2 * np.array([t ** (4 / 3) for t in vc.tolist()]) + 4)
+    denom = 1 - np.array([r ** (2 / 3) for r in (v / xs).tolist()])
+    filling = np.full(xs.shape, math.inf)  # where denom <= 0, as in the scalar bound
+    live = denom > 0
+    squares = np.array([d**2 for d in denom[live].tolist()])
+    filling[live] = np.sqrt(16 * math.pi**4 / squares + 4)
+    return drilled, filling
+
+
 def crossing_volume(v: float) -> float:
     """Unique complement volume where the drilled and filling-slope trace
     bounds agree: (v^(2/3) + 4*pi^2/(sqrt(2)*C0^(2/3)))^(3/2)."""

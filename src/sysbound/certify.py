@@ -165,6 +165,9 @@ def certify_cusp_trace_bound(
     two_pi = 2 * math.pi
     trace_bound = bounds.min_trace_bound
     worst = _Worst(margin_rows)
+    # Every volume is gated and checked before any is swept, so that a refusal
+    # costs no slope loop.
+    sweeps = []
     # Python floats, not numpy scalars: the slope loop runs once per point.
     for vc in vc_grid.values().tolist():
         bound = bound_scale * bounds.cusp_volume_trace_bound(vc, enforce_domain=False)
@@ -180,6 +183,8 @@ def certify_cusp_trace_bound(
             ell_hi**4  # the largest ell**4 that min_trace_bound takes at this volume
         except OverflowError:
             raise ValueError(f"techlem2 needs every slope's ell^4 finite, got vc = {vc}") from None
+        sweeps.append((vc, bound, ell_hi))
+    for vc, bound, ell_hi in sweeps:
         worst_vc, worst_ell = math.inf, two_pi
         for ell in np.linspace(two_pi, ell_hi, ell_points).tolist():
             m = bound - trace_bound(ell, vc)
@@ -232,18 +237,22 @@ def certify_crossing(
     """
     if v_grid.lo <= 0:
         raise ValueError("crossing certification needs positive volumes")
-    worst = _Worst(margin_rows)
-    for v in v_grid.values().tolist():
-        closed = bounds.crossing_volume(v)
+    if monotonic_samples < 2:
+        raise ValueError(f"need at least 2 monotonic samples, got {monotonic_samples}")
+    vs = v_grid.values().tolist()
+    closeds = [bounds.crossing_volume(v) for v in vs]
+    # Every volume is checked before any is swept.
+    for v, closed in zip(vs, closeds):
         if not closed > v:  # the closed form rounds to v or below from about 1e24 on
             raise ValueError(f"crossing needs crossing_volume(v) > v in doubles, got v = {v}")
+    worst = _Worst(margin_rows)
+    for v, closed in zip(vs, closeds):
         root = _bisect_crossing(v)
         margin = -math.inf if root is None else rel_tol - abs(root - closed) / closed
         worst.add_ineq(margin, (v,), row=(v, closed, margin))
         xs = np.geomspace(max(v * (1 + 1e-6), math.nextafter(v, math.inf)), 100 * closed,
-                          monotonic_samples).tolist()
-        f1 = np.array([bounds.drilled_trace_bound(x) for x in xs])
-        f2 = np.array([bounds.filling_slope_trace_bound(x, v) for x in xs])
+                          monotonic_samples)
+        f1, f2 = bounds._crossing_trace_bounds(xs, v)
         g = min(float(np.min(np.diff(f1))), float(np.min(-np.diff(f2))))
         worst.add_gate(g, (v,), 2 * monotonic_samples)
     return worst.report("crossing")
@@ -271,6 +280,8 @@ def certify_length_lemma(
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
+    if sharpness_points < 0:
+        raise ValueError(f"need a nonnegative number of sharpness points, got {sharpness_points}")
     if r_max < 0:
         raise ValueError(f"r_max must be nonnegative, got {r_max}")
     if not math.isfinite(r_max * r_max):
@@ -333,6 +344,17 @@ def certify_cubic_claims(
     """
     if vc_grid.lo < 0:
         raise ValueError("cubic claims need nonnegative cusp volumes")
+    # Every volume is checked before anything is swept.
+    claims = []
+    for vc in vc_grid.values().tolist():
+        x_star = math.sqrt(2) * vc ** (2 / 3)
+        try:
+            m_claim = _cubic(x_star, vc)
+        except OverflowError:  # x**3 raises where 4*x**3 would be inf
+            m_claim = math.nan
+        if vc > 0 and not (4 * vc * vc >= sys.float_info.min and math.isfinite(m_claim)):
+            raise ValueError(f"cubic claims need 4*vc^2 normal and the cubic finite, got vc = {vc}")
+        claims.append((vc, x_star, m_claim))
     worst = _Worst(margin_rows)
 
     # f'(x) = 12x^2 - 2x + 16 > 0: discriminant and a direct sweep.
@@ -343,14 +365,7 @@ def certify_cubic_claims(
     # (8 - 2*sqrt(2)) z^2 - sqrt(2) z + 16 > 0: negative discriminant.
     worst.add_ineq(4 * (8 - 2 * math.sqrt(2)) * 16 - 2, (0.0,))
 
-    for vc in vc_grid.values().tolist():
-        x_star = math.sqrt(2) * vc ** (2 / 3)
-        try:
-            m_claim = _cubic(x_star, vc)
-        except OverflowError:  # x**3 raises where 4*x**3 would be inf
-            m_claim = math.nan
-        if vc > 0 and not (4 * vc * vc >= sys.float_info.min and math.isfinite(m_claim)):
-            raise ValueError(f"cubic claims need 4*vc^2 normal and the cubic finite, got vc = {vc}")
+    for vc, x_star, m_claim in claims:
         worst.add_ineq(m_claim, (vc, x_star), row=(vc, x_star, m_claim))
 
         # Bisect the root, then compare 4x^2 + 16 values.  [0, x_star] is a bracket iff

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sysbound import bounds
+from sysbound import bounds, certify
 from sysbound.certify import (
     GridSpec,
     _Worst,
@@ -176,6 +176,115 @@ def test_crossing_deterministic():
 def test_crossing_rejects_nonpositive_volumes():
     with pytest.raises(ValueError):
         certify_crossing(GridSpec(0.0, 1.0, 5, "linear"))
+
+
+def _gated_volumes(monkeypatch, grid, samples):
+    """Each (xs, v) at which certify_crossing's monotonicity gate evaluates the bounds."""
+    calls = []
+    original = bounds._crossing_trace_bounds
+
+    def recording(xs, v):
+        calls.append((xs.copy(), v))
+        return original(xs, v)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bounds, "_crossing_trace_bounds", recording)
+        certify_crossing(grid, monotonic_samples=samples)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "grid, samples",
+    [
+        (GridSpec(0.1, 1e6, 100, "log"), 1000),  # the CLI's default crossing grid
+        (GridSpec(1e-320, 1e-300, 3, "log"), 3),
+        (GridSpec(1e-320, 1e-300, 3, "log"), 1000),
+        (GridSpec(1e17, 2e17, 2, "log"), 3),
+        (GridSpec(1e20, 2e20, 2, "log"), 3),
+        (GridSpec(1e24, 1.5e24, 2, "log"), 3),
+        (GridSpec(1e24, 1.5e24, 2, "log"), 1000),
+    ],
+)
+def test_crossing_gate_arrays_equal_the_scalar_bounds_bit_for_bit(grid, samples, monkeypatch):
+    calls = _gated_volumes(monkeypatch, grid, samples)
+    assert [v for _, v in calls] == grid.values().tolist()
+    for xs, v in calls:
+        # The smallest complement volumes there are: one and two ulps above v.
+        xs = np.concatenate([[math.nextafter(v, math.inf)], xs])
+        xs = np.concatenate([[math.nextafter(xs[0], math.inf)], xs])
+        drilled, filling = bounds._crossing_trace_bounds(xs, v)
+        scalar = xs.tolist()
+        assert np.array_equal(drilled, [bounds.drilled_trace_bound(x) for x in scalar])
+        # inf == inf, so lanes where the scalar bound is inf count as equal.
+        assert np.array_equal(filling, [bounds.filling_slope_trace_bound(x, v) for x in scalar])
+
+
+def test_crossing_gate_arrays_keep_the_scalar_domain_guards():
+    with pytest.raises(ValueError, match="complement volume 2.0 must exceed closed volume 2.0"):
+        bounds._crossing_trace_bounds(np.array([3.0, 2.0]), 2.0)
+    with pytest.raises(ValueError, match="closed volume must be nonnegative, got -1.0"):
+        bounds._crossing_trace_bounds(np.array([3.0]), -1.0)
+
+
+def test_crossing_gate_fails_on_a_filling_bound_that_is_not_monotone(monkeypatch):
+    grid = GridSpec(0.5, 100, 5, "log")
+    bad_v = grid.values().tolist()[2]
+    original = bounds._crossing_trace_bounds
+
+    def rising_filling(xs, v):
+        drilled, filling = original(xs, v)
+        return (drilled, filling[::-1]) if v == bad_v else (drilled, filling)
+
+    monkeypatch.setattr(bounds, "_crossing_trace_bounds", rising_filling)
+    report = certify_crossing(grid, monotonic_samples=50)
+    assert report.status == "fail"
+    assert report.worst_margin < 0
+    assert report.worst_point == (bad_v,)
+    assert report.points_checked == 5 * (1 + 2 * 50)
+
+
+@pytest.mark.parametrize(
+    "sweep, good_grid, bad_grid, message, swept",
+    [
+        (lambda grid: certify_cusp_trace_bound(grid, 3),
+         GridSpec(1e150, 2e150, 2, "log"), GridSpec(1e150, 1e160, 200, "log"),
+         "techlem2 needs every slope's ell^4 finite, got vc = 5.8727866131894406e+153",
+         (bounds, "min_trace_bound")),
+        (lambda grid: certify_crossing(grid, monotonic_samples=3),
+         GridSpec(1.0, 10.0, 2, "log"), GridSpec(1.0, 1e30, 5, "log"),
+         "crossing needs crossing_volume(v) > v in doubles, got v = 1e+30",
+         (bounds, "_crossing_trace_bounds")),
+        (lambda grid: certify_crossing(grid, monotonic_samples=3),
+         GridSpec(1.0, 10.0, 2, "log"), GridSpec(1.0, 1e30, 5, "log"),
+         "crossing needs crossing_volume(v) > v in doubles, got v = 1e+30",
+         (bounds, "drilled_trace_bound")),
+        (certify_cubic_claims,
+         GridSpec(2.0, 10.0, 2, "log"), GridSpec(2.0, 6.9e153, 5, "log"),
+         "cubic claims need 4*vc^2 normal and the cubic finite, got vc = 6.9e+153",
+         (certify, "_bisect")),
+    ],
+    ids=["techlem2", "crossing-gate", "crossing-bisection", "cubic"],
+)
+def test_refusal_comes_before_any_volume_is_swept(sweep, good_grid, bad_grid, message, swept,
+                                                  monkeypatch):
+    counts = {"swept": 0, "margins": 0}
+
+    def counted(key, original):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    module, name = swept
+    monkeypatch.setattr(module, name, counted("swept", getattr(module, name)))
+    monkeypatch.setattr(_Worst, "add_ineq", counted("margins", _Worst.add_ineq))
+    sweep(good_grid)
+    assert counts["swept"] > 0 and counts["margins"] > 0  # the counters see a sweep
+    counts.update(swept=0, margins=0)
+    with pytest.raises(ValueError) as exc:
+        sweep(bad_grid)
+    assert str(exc.value) == message
+    assert counts == {"swept": 0, "margins": 0}
 
 
 # ---------------------------------------------------------------------------

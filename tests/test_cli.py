@@ -465,6 +465,12 @@ def test_non_finite_input_is_one_line_usage_error(argv, tmp_path, capsys):
          "--ell-points is not a parameter of cubic"),
         (["verify", "crossing", "--vc-min", "20"], "--vc-min is not a parameter of crossing"),
         (["verify", "cubic", "--margins-csv", "/nonexistent/x.csv"], "cannot write --margins-csv"),
+        (["verify", "crossing", "--monotonic-samples", "1"],
+         "need at least 2 monotonic samples, got 1\n"),
+        (["verify", "crossing", "--monotonic-samples", "0"],
+         "need at least 2 monotonic samples, got 0\n"),
+        (["verify", "length-lemma", "--sharpness-points", "-1"],
+         "need a nonnegative number of sharpness points, got -1\n"),
     ],
 )
 def test_out_of_range_flag_is_named_in_a_usage_error(argv, message, monkeypatch, capsys):
