@@ -92,7 +92,7 @@ class QuadInt:
 
     def _coerce(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
-            return QuadInt(other, 0, self.d)
+            return _quad(other, 0, self.d)
         if isinstance(other, QuadInt):
             if other.d != self.d:
                 raise ValueError(f"mixed rings: sqrt(-{self.d}) vs sqrt(-{other.d})")
@@ -103,18 +103,18 @@ class QuadInt:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return QuadInt(self.a + other.a, self.b + other.b, self.d)
+        return _quad(self.a + other.a, self.b + other.b, self.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadInt(-self.a, -self.b, self.d)
+        return _quad(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return QuadInt(self.a - other.a, self.b - other.b, self.d)
+        return _quad(self.a - other.a, self.b - other.b, self.d)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -123,7 +123,7 @@ class QuadInt:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return QuadInt(
+        return _quad(
             self.a * other.a - self.d * self.b * other.b,
             self.a * other.b + self.b * other.a,
             self.d,
@@ -134,7 +134,7 @@ class QuadInt:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"exponent must be a nonnegative int, got {n!r}")
-        result = QuadInt(1, 0, self.d)
+        result = _quad(1, 0, self.d)
         base = self
         while n:
             if n & 1:
@@ -152,7 +152,7 @@ class QuadInt:
         return math.sqrt(self.norm)
 
     def conjugate(self) -> "QuadInt":
-        return QuadInt(self.a, -self.b, self.d)
+        return _quad(self.a, -self.b, self.d)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -166,7 +166,18 @@ class QuadInt:
         n = other.norm
         if num.a % n or num.b % n:
             return None
-        return QuadInt(num.a // n, num.b // n, self.d)
+        return _quad(num.a // n, num.b // n, self.d)
+
+
+def _quad(a: int, b: int, d: int, _new=object.__new__, _cls=QuadInt) -> QuadInt:
+    """``QuadInt(a, b, d)`` without the constructor's checks: for the ints that
+    ring arithmetic yields in a ring whose ``d`` was checked when it was built."""
+    x = _new(_cls)
+    fields = x.__dict__
+    fields["a"] = a
+    fields["b"] = b
+    fields["d"] = d
+    return x
 
 
 def _sqrt_mod(n: int, p: int) -> int | None:
@@ -321,23 +332,36 @@ class QuadMatrix:
         """Conjugacy type from the exact trace (determinant must be 1)."""
         if self.is_identity_up_to_sign():
             return ElementClass.IDENTITY
-        t = self.trace()
-        if t.b == 0:
-            if abs(t.a) < 2:
+        m11, m22 = self.m11, self.m22
+        if m11.b + m22.b == 0:  # the trace, read from coordinates
+            t = abs(m11.a + m22.a)
+            if t < 2:
                 return ElementClass.ELLIPTIC
-            if abs(t.a) == 2:
+            if t == 2:
                 return ElementClass.PARABOLIC
         return ElementClass.LOXODROMIC
 
 
+def _matrix(m11: QuadInt, m12: QuadInt, m21: QuadInt, m22: QuadInt,
+            _new=object.__new__, _cls=QuadMatrix) -> QuadMatrix:
+    """``QuadMatrix`` without the constructor's checks, for entries known to
+    share one ring."""
+    m = _new(_cls)
+    fields = m.__dict__
+    fields["m11"] = m11
+    fields["m12"] = m12
+    fields["m21"] = m21
+    fields["m22"] = m22
+    return m
+
+
 def _canonical_sign_key(coords: tuple[int, ...]) -> tuple[int, ...]:
     # Identify a matrix with its negative: flip so the first nonzero entry
-    # has positive a-coordinate (or a = 0 and positive b).
-    for a, b in zip(coords[0::2], coords[1::2]):
-        if a != 0 or b != 0:
-            if a < 0 or (a == 0 and b < 0):
-                return tuple(-x for x in coords)
-            return coords
+    # has positive a-coordinate (or a = 0 and positive b), that is, so the
+    # first nonzero coordinate is positive.
+    for x in coords:
+        if x:
+            return tuple(-y for y in coords) if x < 0 else coords
     return coords
 
 
@@ -346,15 +370,20 @@ def enumerate_congruence_elements(level: CongruenceLevel, height: int) -> list[Q
     whose parameter coordinates lie in [-height, height]^8, deduplicated up
     to global sign.
 
-    The determinant condition forces b*c = a*d + (a+d)/pi^n exactly.  One
-    pass over the box indexes every (a, d) pair whose trace part a+d is
-    divisible by pi^n under the product b*c it forces; a second pass walks
-    every (b, c) in the box and looks b*c up in that index.  Representatives
-    are kept in the congruence form (diagonal = 1 mod pi^n) so the exact
-    trace s*pi^(2n) + 2 stays recoverable; the sign-canonical coordinate
-    tuple is used only as the deduplication key.  A matrix and its negative
-    both lie in the box only when pi^n divides 2; of such a pair the
-    lexicographically smaller coordinate tuple is kept.
+    The determinant condition forces b*c = a*d + (a+d)/pi^n exactly.  Pass 1
+    indexes every (a, d) pair whose trace part a+d is divisible by w = pi^n
+    under the product b*c it forces.  It groups the box's pairs x by the
+    residue of x*conj(w) mod N(w), taken componentwise: w divides a+d exactly
+    when the residues of a and d sum to (0, 0), so each a meets only the d it
+    admits, for any nonzero w.  Pass 2 walks every (b, c) in the box, one b
+    at a time, and looks b*c up in that index; every matrix found is checked
+    against the determinant exactly.  Representatives are kept in the
+    congruence form (diagonal = 1 mod pi^n) so the exact trace
+    s*pi^(2n) + 2 stays recoverable; the sign-canonical coordinate tuple is
+    used only as the deduplication key.  A matrix and its negative both lie
+    in the box only when pi^n divides 2; of such a pair the lexicographically
+    smaller coordinate tuple is kept.  The matrices share their entries: one
+    ``QuadInt`` per distinct coordinate pair, built once.
     """
     if not isinstance(height, int) or height < 0:
         raise ValueError(f"height must be a nonnegative int, got {height!r}")
@@ -362,40 +391,49 @@ def enumerate_congruence_elements(level: CongruenceLevel, height: int) -> list[Q
     w = level.level
     w1, w2, nw = w.a, w.b, w.norm
     box = range(-height, height + 1)
+    # each parameter x with x*conj(w) and the entry x*w
+    params = [(xa, xb, xa * w1 + d * xb * w2, xb * w1 - xa * w2, xa * w1 - d * xb * w2,
+               xa * w2 + xb * w1) for xa in box for xb in box]
 
+    groups: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for x in params:
+        groups.setdefault((x[2] % nw, x[3] % nw), []).append(x)
     # forced b*c -> the diagonal entries (a*pi^n + 1, d*pi^n + 1) that force it
     index: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
-    for aa, ab, da, db in itertools.product(box, repeat=4):
-        s1, s2 = aa + da, ab + db
-        n1, n2 = s1 * w1 + d * s2 * w2, s2 * w1 - s1 * w2
-        if n1 % nw or n2 % nw:
+    for (k1, k2), admitted in groups.items():
+        partners = groups.get((-k1 % nw, -k2 % nw))
+        if partners is None:
             continue
-        bc = (aa * da - d * ab * db + n1 // nw, aa * db + ab * da + n2 // nw)
-        index.setdefault(bc, []).append((aa * w1 - d * ab * w2 + 1, aa * w2 + ab * w1,
-                                         da * w1 - d * db * w2 + 1, da * w2 + db * w1))
+        for aa, ab, ua1, ua2, ea1, ea2 in admitted:
+            for da, db, ud1, ud2, ed1, ed2 in partners:
+                bc = (aa * da - d * ab * db + (ua1 + ud1) // nw,
+                      aa * db + ab * da + (ua2 + ud2) // nw)
+                index.setdefault(bc, []).append((ea1 + 1, ea2, ed1 + 1, ed2))
+    del groups
 
     found: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for ba, bb, ca, cb in itertools.product(box, repeat=4):
-        diagonals = index.get((ba * ca - d * bb * cb, ba * cb + bb * ca))
-        if diagonals is None:
-            continue
-        m12 = (ba * w1 - d * bb * w2, ba * w2 + bb * w1)
-        m21 = (ca * w1 - d * cb * w2, ca * w2 + cb * w1)
-        off_a = m12[0] * m21[0] - d * m12[1] * m21[1]
-        off_b = m12[0] * m21[1] + m12[1] * m21[0]
-        for x1, x2, y1, y2 in diagonals:
-            if x1 * y1 - d * x2 * y2 - off_a != 1 or x1 * y2 + x2 * y1 != off_b:
-                raise RuntimeError("enumerated matrix failed the exact determinant check")
-            coords = (x1, x2, *m12, *m21, y1, y2)
-            key = _canonical_sign_key(coords)
-            found[key] = min(found.get(key, coords), coords)
+    for ba, bb, _, _, b1, b2 in params:
+        products = [(ba * ca - d * bb * cb, ba * cb + bb * ca) for ca, cb, *_ in params]
+        for c, diagonals in zip(params, map(index.get, products)):
+            if diagonals is None:
+                continue
+            c1, c2 = c[4], c[5]
+            off_a = b1 * c1 - d * b2 * c2
+            off_b = b1 * c2 + b2 * c1
+            for x1, x2, y1, y2 in diagonals:
+                if x1 * y1 - d * x2 * y2 - off_a != 1 or x1 * y2 + x2 * y1 != off_b:
+                    raise RuntimeError("enumerated matrix failed the exact determinant check")
+                coords = (x1, x2, b1, b2, c1, c2, y1, y2)
+                key = _canonical_sign_key(coords)
+                found[key] = min(found.get(key, coords), coords)
     del index
 
-    matrices = []
-    for coords in sorted(found.values()):
-        q = [QuadInt(coords[i], coords[i + 1], d) for i in range(0, 8, 2)]
-        matrices.append(QuadMatrix(*q))
-    return matrices
+    entries = {}
+    for *_, e1, e2 in params:
+        entries[e1, e2] = _quad(e1, e2, d)
+        entries[e1 + 1, e2] = _quad(e1 + 1, e2, d)
+    return [_matrix(entries[c[0], c[1]], entries[c[2], c[3]], entries[c[4], c[5]],
+                    entries[c[6], c[7]]) for c in sorted(found.values())]
 
 
 @dataclass(frozen=True)

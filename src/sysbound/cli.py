@@ -277,6 +277,13 @@ def _cmd_verify(args) -> _Output:
 
 _MAX_INDEX_DIGITS = 4300  # CPython's default limit on int-to-str conversion
 _MAX_MODULUS = math.isqrt(sys.maxsize) // 2
+# A census --height h holds about (2h+1)^2 parameter pairs and, at n = 1, about
+# (2h+1)^4 / N(pi) index entries with the matrices they yield.  Each costs
+# under 2 KiB: traced peaks of the height check were 0.8-1.7 KiB per pair
+# plus entry at h = 4-12 and N(pi) = 2-43, and the largest height accepted at
+# N(pi) = 11, 23, peaked at 0.5 GB resident.  Heights past the budget are refused.
+_CENSUS_BYTES = 1 << 30
+_CENSUS_ITEM_BYTES = 2048
 
 
 def _parse_pi(args) -> bianchi.QuadInt:
@@ -349,6 +356,11 @@ def _bianchi_census(args) -> _Output:
     if args.height is not None and args.height < 0:
         raise _UsageError(f"--height must be nonnegative, got {args.height}")
     table = _call(_Failure, bianchi.systole_growth_table, pi, args.n_max, base)
+    if args.height is not None:  # the table has checked that N(pi) is an odd prime
+        pairs = (2 * args.height + 1) ** 2
+        if _CENSUS_ITEM_BYTES * (pairs + pairs * pairs // pi.norm) > _CENSUS_BYTES:
+            raise _UsageError(f"--height must keep the census within {_CENSUS_BYTES >> 20} MiB, "
+                              f"got {args.height} for N(pi) = {pi.norm}")
     ok = args.height is None or _census_height_check(pi, args.n_max, args.height)
     header = ["n", "index", "volume", "trace_lb", "systole_lb", "ratio"]
     rows = [[r.n, r.index, _fmt(r.volume), r.trace_lb, _fmt(r.systole_lb), _fmt(r.ratio)]

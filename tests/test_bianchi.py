@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 
 import hypothesis.strategies as st
 import mpmath as mp
@@ -59,6 +61,42 @@ def test_rejects_bad_inputs():
         QuadInt(1.5, 0, 2)
     with pytest.raises(ValueError):
         q2(1, 0) + QuadInt(1, 0, 3)
+
+
+def test_ring_arithmetic_equals_the_checked_constructor():
+    # Ring arithmetic builds its results without the constructor's checks;
+    # they must be indistinguishable from checked ones.
+    rng = np.random.default_rng(7)
+    for d in (1, 2, 3, 5, 7, 15):
+        for _ in range(200):
+            a1, b1, a2, b2 = (int(v) for v in rng.integers(-10**6, 10**6 + 1, 4))
+            k = int(rng.integers(-50, 51))
+            x, y = QuadInt(a1, b1, d), QuadInt(a2, b2, d)
+            results = [x + y, x - y, -x, x * y, x.conjugate(), x**3, x**0,
+                       x + k, k + x, x - k, k - x, x * k, k * x, (x * y).try_divide(y)]
+            for r in results:
+                checked = QuadInt(r.a, r.b, d)
+                assert type(r) is QuadInt
+                assert r == checked
+                assert hash(r) == hash(checked)
+                assert repr(r) == repr(checked)
+                assert type(r.a) is int and type(r.b) is int
+
+
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        ((1.5, 0, 2), TypeError, "a must be an int, got 1.5"),
+        ((1, True, 2), TypeError, "b must be an int, got True"),
+        ((True, 0, 2), TypeError, "a must be an int, got True"),
+        ((1, 0, 2.0), TypeError, "d must be an int, got 2.0"),
+        ((1, 1, 4), ValueError, "d must be a positive squarefree integer, got 4"),
+        ((1, 1, 0), ValueError, "d must be a positive squarefree integer, got 0"),
+    ],
+)
+def test_public_constructor_keeps_every_check(args, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        QuadInt(*args)
 
 
 def test_squarefree_matches_trial_division_by_squares():
@@ -332,7 +370,9 @@ def _brute_force_elements(level, height):
     "pi, n, height",
     [
         *[(pi, n, h) for pi, n in [(PI, 1), (PI, 2), (q2(0, 1), 1), (q2(0, 1), 2),
-                                   (QuadInt(1, 1, 1), 1), (q2(1, 0), 1)]
+                                   (QuadInt(1, 1, 1), 1), (q2(1, 0), 1),
+                                   # a non-cyclic quotient and two non-maximal levels
+                                   (q2(3, 0), 1), (QuadInt(1, 1, 1), 2), (QuadInt(1, 1, 3), 1)]
           for h in (0, 1)],
         (PI, 1, 2),
         (q2(0, 1), 2, 2),
@@ -344,6 +384,110 @@ def test_enumeration_is_complete(pi, n, height):
     got = [tuple(x for e in m.entries() for x in (e.a, e.b))
            for m in enumerate_congruence_elements(level, height)]
     assert got == _brute_force_elements(level, height)
+
+
+def _reference_sign_key(coords: tuple[int, ...]) -> tuple[int, ...]:
+    # Identify a matrix with its negative: flip so the first nonzero entry
+    # has positive a-coordinate (or a = 0 and positive b).
+    for a, b in zip(coords[0::2], coords[1::2]):
+        if a != 0 or b != 0:
+            if a < 0 or (a == 0 and b < 0):
+                return tuple(-x for x in coords)
+            return coords
+    return coords
+
+
+def _reference_enumeration(level: CongruenceLevel, height: int) -> list[QuadMatrix]:
+    """The two-pass enumerator before residue grouping, kept verbatim: it
+    tests divisibility for every (a, d) in the box and builds every entry
+    through the public constructors."""
+    if not isinstance(height, int) or height < 0:
+        raise ValueError(f"height must be a nonnegative int, got {height!r}")
+    d = level.pi.d
+    w = level.level
+    w1, w2, nw = w.a, w.b, w.norm
+    box = range(-height, height + 1)
+
+    # forced b*c -> the diagonal entries (a*pi^n + 1, d*pi^n + 1) that force it
+    index: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
+    for aa, ab, da, db in itertools.product(box, repeat=4):
+        s1, s2 = aa + da, ab + db
+        n1, n2 = s1 * w1 + d * s2 * w2, s2 * w1 - s1 * w2
+        if n1 % nw or n2 % nw:
+            continue
+        bc = (aa * da - d * ab * db + n1 // nw, aa * db + ab * da + n2 // nw)
+        index.setdefault(bc, []).append((aa * w1 - d * ab * w2 + 1, aa * w2 + ab * w1,
+                                         da * w1 - d * db * w2 + 1, da * w2 + db * w1))
+
+    found: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for ba, bb, ca, cb in itertools.product(box, repeat=4):
+        diagonals = index.get((ba * ca - d * bb * cb, ba * cb + bb * ca))
+        if diagonals is None:
+            continue
+        m12 = (ba * w1 - d * bb * w2, ba * w2 + bb * w1)
+        m21 = (ca * w1 - d * cb * w2, ca * w2 + cb * w1)
+        off_a = m12[0] * m21[0] - d * m12[1] * m21[1]
+        off_b = m12[0] * m21[1] + m12[1] * m21[0]
+        for x1, x2, y1, y2 in diagonals:
+            if x1 * y1 - d * x2 * y2 - off_a != 1 or x1 * y2 + x2 * y1 != off_b:
+                raise RuntimeError("enumerated matrix failed the exact determinant check")
+            coords = (x1, x2, *m12, *m21, y1, y2)
+            key = _reference_sign_key(coords)
+            found[key] = min(found.get(key, coords), coords)
+    del index
+
+    matrices = []
+    for coords in sorted(found.values()):
+        q = [QuadInt(coords[i], coords[i + 1], d) for i in range(0, 8, 2)]
+        matrices.append(QuadMatrix(*q))
+    return matrices
+
+
+# pi, n: the tower of PSL2(Z[sqrt(-2)]), ramified and unit levels, the
+# non-cyclic quotient mod 3, and levels in other rings.
+REFERENCE_LEVELS = [
+    (PI, 1), (PI, 2), (q2(0, 1), 1), (q2(0, 1), 2),
+    (QuadInt(1, 1, 1), 1), (QuadInt(1, 1, 1), 2), (QuadInt(1, 1, 1), 3),
+    (q2(1, 0), 1), (q2(3, 0), 1), (QuadInt(1, 1, 3), 1), (QuadInt(1, 1, 5), 1),
+    (QuadInt(2, 1, 7), 2),
+]
+
+
+@pytest.mark.parametrize("pi, n", REFERENCE_LEVELS,
+                         ids=[f"{pi.a},{pi.b},d={pi.d}^{n}" for pi, n in REFERENCE_LEVELS])
+def test_enumeration_equals_the_two_pass_reference(pi, n):
+    level = CongruenceLevel(pi, n)
+    for height in range(5):
+        got = enumerate_congruence_elements(level, height)
+        want = _reference_enumeration(level, height)
+        assert ([tuple(x for e in m.entries() for x in (e.a, e.b)) for m in got]
+                == [tuple(x for e in m.entries() for x in (e.a, e.b)) for m in want])
+        assert got == want
+
+
+def test_enumeration_shares_one_entry_per_coordinate_pair():
+    mats = enumerate_congruence_elements(CongruenceLevel(PI, 1), 3)
+    entries = [e for m in mats for e in m.entries()]
+    assert len({id(e) for e in entries}) == len({(e.a, e.b) for e in entries}) <= 2 * 7**2
+
+
+@pytest.mark.parametrize("pi, n", [(PI, 1), (q2(0, 1), 2), (q2(1, 0), 1), (QuadInt(1, 1, 1), 1)])
+def test_classify_exact_agrees_with_the_trace(pi, n):
+    def by_trace(m):
+        if m.is_identity_up_to_sign():
+            return ElementClass.IDENTITY
+        t = m.trace()
+        if t.b == 0 and abs(t.a) < 2:
+            return ElementClass.ELLIPTIC
+        if t.b == 0 and abs(t.a) == 2:
+            return ElementClass.PARABOLIC
+        return ElementClass.LOXODROMIC
+
+    mats = enumerate_congruence_elements(CongruenceLevel(pi, n), 3)
+    kinds = [m.classify_exact() for m in mats]
+    assert kinds == [by_trace(m) for m in mats]
+    if pi == q2(1, 0):  # the whole group has every class
+        assert set(kinds) == set(ElementClass)
 
 
 def test_enumeration_deterministic():

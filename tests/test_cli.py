@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import sysbound
-from sysbound import bounds, certify
+from sysbound import bianchi, bounds, certify
 from sysbound.cli import _fmt, _write_csv, _write_margins, main
 
 
@@ -386,6 +386,22 @@ def test_bianchi_census_height_check(capsys):
     assert "loxodromic" in err
 
 
+@pytest.mark.parametrize("pi, largest", [("3,1", 23), ("1,1", 17)])
+def test_census_height_is_refused_just_past_the_memory_budget(pi, largest, monkeypatch, capsys):
+    # The largest height within the budget reaches the enumeration (stubbed
+    # here: the real one takes seconds there); the next one is refused.
+    heights = []
+    monkeypatch.setattr(bianchi, "enumerate_congruence_elements",
+                        lambda level, height: heights.append(height) or [])
+    argv = ["bianchi", "census", "--d", "2", "--pi", pi, "--n-max", "1", "--height"]
+    assert run(capsys, argv + [str(largest)])[0] == 0
+    code, out, err = run(capsys, argv + [str(largest + 1)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage error: --height must keep the census within 1024 MiB, "
+                          f"got {largest + 1} for N(pi) = ")
+    assert heights == [largest]
+
+
 def test_bianchi_census_needs_covolume_for_other_rings(capsys):
     code, _, err = run(capsys, ["bianchi", "census", "--d", "1", "--pi", "1,1", "--n-max", "1"])
     assert code == 2
@@ -457,6 +473,10 @@ def test_non_finite_input_is_one_line_usage_error(argv, tmp_path, capsys):
         (["bianchi", "census", "--d", "2", "--pi", "3,1", "--height", "-1"], "--height must be"),
         (["bianchi", "census", "--d", "2", "--pi", "3,1", "--height", str(10**20)],
          "--height must be"),
+        (["bianchi", "census", "--d", "2", "--pi", "3,1", "--height", "24"],
+         "--height must keep the census within 1024 MiB, got 24 for N(pi) = 11\n"),
+        (["bianchi", "census", "--d", "2", "--pi", "1,1", "--height", str(2**62)],
+         f"--height must keep the census within 1024 MiB, got {2**62} for N(pi) = 3\n"),
         (["bianchi", "index", "--d", "2", "--pi", "3,1", "--n", "2000"], "--n must"),
         (["bianchi", "index", "--d", "2", "--pi", "3,1", "--n", "10000000"], "--n must"),
         (["bianchi", "ideals", "--d", "2", "--max-modulus", "1e308"], "--max-modulus must"),
@@ -600,6 +620,8 @@ HUGE = str(10**20)
 BAD_REALS = ["nan", "inf", "-inf", "0", "-1", "1e308", "1e-320", "1" + "0" * 400]
 BAD_JSON_REALS = ["NaN", "Infinity", "-Infinity", "0", "-1", "1e308", "1e-320", "1" + "0" * 400]
 BAD_COUNTS = ["0", "-1", "-7", HUGE]
+# Census heights the boundary accepts as integers but refuses for memory.
+CENSUS_HEIGHTS = [str(10**8), str(2**61), str(2**62)]
 
 
 def _real(*valid):
@@ -667,7 +689,7 @@ def _bianchi_argv(draw):
     if action == "census":
         argv.append(f"--n-max={draw(_count('1', '2'))}")
         if draw(st.booleans()):
-            argv.append(f"--height={draw(_count('1', '2'))}")
+            argv.append(f"--height={draw(_count('1', '2', *CENSUS_HEIGHTS))}")
         if draw(st.booleans()):
             argv.append(f"--base-covolume={draw(_real('0.3053', '1'))}")
     if action == "ideals":
@@ -697,6 +719,9 @@ _ARGV = st.tuples(
 @example(argv=["lattice", "waist", "--lattice=[[1e308,0],[0,1e308]]"])
 @example(argv=["bianchi", "census", "--d=2", "--pi=3,1", "--n-max=1", "--height=-1"])
 @example(argv=["bianchi", "census", "--d=2", "--pi=3,1", "--n-max=1", f"--height={HUGE}"])
+@example(argv=["bianchi", "census", "--d=2", "--pi=3,1", "--n-max=1", f"--height={10**8}"])
+@example(argv=["bianchi", "census", "--d=2", "--pi=3,1", "--n-max=2", f"--height={2**61}"])
+@example(argv=["bianchi", "census", "--d=2", "--pi=1,1", "--n-max=1", f"--height={2**62}"])
 @example(argv=["bianchi", "index", "--d=2", "--pi=3,1", "--n=2000"])
 @example(argv=["bianchi", "index", "--d=2", "--pi=3,1", "--n=10000000"])
 @example(argv=["bianchi", "split", "--d=2", f"--p={LARGE_NON_SPLIT_PRIME}"])
