@@ -14,9 +14,14 @@ at double precision, and checks the frozen values against them:
   * the exact Adams-Reid translation length Re(2 arccosh((2 + 4 pi^2 i)/2)).
 """
 
+import sys
+from pathlib import Path
+
 import mpmath as mp
 
-from sysbound import bianchi, bounds
+# This checkout's package, whether or not one is installed or on PYTHONPATH.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from sysbound import bianchi, bounds  # noqa: E402
 
 mp.mp.dps = 40
 

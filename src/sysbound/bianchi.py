@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .mobius import ElementClass
 
@@ -214,7 +213,7 @@ def split_prime(p: int, d: int) -> QuadInt | None:
     if p == 2 or d % p == 0:
         # Then b = 1: p | d forces p | a, so a = 0 and d = p; and at p = 2, d*b^2 <= 2.
         a = math.isqrt(max(p - d, 0))
-        return QuadInt(a, 1, d) if a * a + d == p else None
+        return _quad(a, 1, d) if a * a + d == p else None
     r = _sqrt_mod(-d % p, p)
     if r is None:
         return None
@@ -226,7 +225,7 @@ def split_prime(p: int, d: int) -> QuadInt | None:
     b = math.isqrt(rest // d)
     if rest % d or d * b * b != rest:
         return None
-    return QuadInt(min(a, b), max(a, b), d) if d == 1 else QuadInt(a, b, d)
+    return _quad(min(a, b), max(a, b), d) if d == 1 else _quad(a, b, d)
 
 
 @dataclass(frozen=True)
@@ -267,10 +266,7 @@ def newman_index(level: CongruenceLevel) -> int:
     q = level.pi.norm
     if q % 2 == 0 or not _is_prime(q):
         raise ValueError(f"index formula requires an odd prime norm, got N(pi) = {q}")
-    value = Fraction(q ** (3 * level.n), 2) * (1 - Fraction(1, q * q))
-    if value.denominator != 1:
-        raise ValueError("index formula did not produce an integer")
-    return int(value)
+    return q ** (3 * level.n - 2) * (q * q - 1) // 2
 
 
 def level_volume(level: CongruenceLevel, base_covolume: float) -> float:
@@ -291,7 +287,7 @@ def min_loxodromic_trace_lower_bound(level: CongruenceLevel) -> int:
     Traces have the form s*pi^(2n) + 2 with s in (pi^n) nonzero for a
     loxodromic, so |trace| >= |pi^(2n)| - 2 by the triangle inequality.
     """
-    return max(0, level.pi.norm**level.n - 2)
+    return max(0, level.norm - 2)
 
 
 @dataclass(frozen=True)
@@ -493,6 +489,6 @@ def elements_of_bounded_modulus(d: int, bound: float) -> list[QuadInt]:
         for b in range(-bmax, bmax + 1):
             norm = a * a + d * b * b
             if 0 < norm <= b2:
-                out.append(QuadInt(a, b, d))
+                out.append(_quad(a, b, d))
     out.sort(key=lambda x: (x.norm, x.a, x.b))
     return out

@@ -293,13 +293,12 @@ class BoundProfile:
         v = float(v)
         _require(v >= 0, "volume must be nonnegative, got {}", v)
         vc = CUSP_DENSITY_BOUND * v
-        max_waist = max_waist_for_cusp_volume(vc) if vc > 0 else 0.0
-        cusped = max(ADAMS_REID_LENGTH, math.log(2 * vc ** (4 / 3) + 8))
         return cls(
             volume=v,
             cusp_volume=vc,
-            max_waist=max_waist,
-            cusped_bound=cusped,
+            max_waist=max_waist_for_cusp_volume(vc) if vc > 0 else 0.0,
+            # At v = 0 the formula's log 8 is below ADAMS_REID_LENGTH.
+            cusped_bound=cusped_systole_bound(v) if v > 0 else ADAMS_REID_LENGTH,
             link_bound=link_systole_bound(v),
             crossing=crossing_volume(v),
         )

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import bounds
+from . import bounds, cusp
 from .mobius import MoebiusElement, NonLoxodromicError, trace_translation_length
 
 DEFAULT_SEED = 42
@@ -176,7 +176,7 @@ def certify_cusp_trace_bound(
             # The bound must agree with the Adams-Reid value at the peak slope.
             relerr = abs(bound - bounds.adams_reid_trace_bound(w_peak)) / bound
             worst.add_gate(IDENTITY_REL_TOL - relerr, (vc,), points=0)
-        ell_hi = math.sqrt(4 * vc / math.sqrt(3))
+        ell_hi = cusp.max_waist_for_cusp_volume(vc)
         if ell_hi < two_pi:
             continue  # empty waist interval: nothing to certify at this volume
         try:

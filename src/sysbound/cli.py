@@ -245,10 +245,7 @@ def _cmd_verify(args) -> _Output:
         raise _UsageError(f"cannot write --margins-csv: {exc}") from None
     with fh:
         rows: list | None = [] if args.margins_csv else None
-        try:
-            report = claim.run({**params, "probe": args.probe}, rows)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
+        report = _call(_UsageError, claim.run, {**params, "probe": args.probe}, rows)
         if rows is not None:
             _write_margins(fh, claim.header, rows)
     worst_point = [_fmt(x) for x in report.worst_point]
@@ -276,7 +273,6 @@ def _cmd_verify(args) -> _Output:
 # ---------------------------------------------------------------------------
 
 _MAX_INDEX_DIGITS = 4300  # CPython's default limit on int-to-str conversion
-_MAX_MODULUS = math.isqrt(sys.maxsize) // 2
 # A census --height h holds about (2h+1)^2 parameter pairs and, at n = 1, about
 # (2h+1)^4 / N(pi) index entries with the matrices they yield.  Each costs
 # under 2 KiB: traced peaks of the height check were 0.8-1.7 KiB per pair
@@ -284,6 +280,11 @@ _MAX_MODULUS = math.isqrt(sys.maxsize) // 2
 # N(pi) = 11, 23, peaked at 0.5 GB resident.  Heights past the budget are refused.
 _CENSUS_BYTES = 1 << 30
 _CENSUS_ITEM_BYTES = 2048
+# It also looks up all (2h+1)^4 products b*c per level, whatever N(pi), about
+# 0.6 us each (N(pi) = 1e18, Python 3.11, 2-vCPU x86-64): past 30 s, refused.
+_CENSUS_LOOKUPS = 50_000_000
+# bianchi ideals --format json peaked at 1.0-1.1 KiB resident per candidate walked (d = 1).
+_IDEALS_ITEM_BYTES = 1200
 
 
 def _parse_pi(args) -> bianchi.QuadInt:
@@ -296,13 +297,12 @@ def _parse_pi(args) -> bianchi.QuadInt:
     return _call(_UsageError, bianchi.QuadInt, a, b, args.d)
 
 
-def _census_height_check(pi, n_max, height) -> bool:
+def _census_height_check(pi, table, height) -> bool:
     ok = True
-    for n in range(1, n_max + 1):
-        level = bianchi.CongruenceLevel(pi, n)
-        mats = bianchi.enumerate_congruence_elements(level, height)
+    for row in table:
+        n, lb = row.n, row.trace_lb
+        mats = bianchi.enumerate_congruence_elements(bianchi.CongruenceLevel(pi, n), height)
         lox = [m for m in mats if m.classify_exact().value == "loxodromic"]
-        lb = bianchi.min_loxodromic_trace_lower_bound(level)
         if not lox:
             print(f"n={n}: {len(mats)} elements in box, no loxodromic", file=sys.stderr)
             continue
@@ -361,7 +361,10 @@ def _bianchi_census(args) -> _Output:
         if _CENSUS_ITEM_BYTES * (pairs + pairs * pairs // pi.norm) > _CENSUS_BYTES:
             raise _UsageError(f"--height must keep the census within {_CENSUS_BYTES >> 20} MiB, "
                               f"got {args.height} for N(pi) = {pi.norm}")
-    ok = args.height is None or _census_height_check(pi, args.n_max, args.height)
+        if args.n_max * pairs * pairs > _CENSUS_LOOKUPS:
+            raise _UsageError(f"--height must keep the census within {_CENSUS_LOOKUPS} lookups, "
+                              f"got {args.height} for --n-max {args.n_max}")
+    ok = args.height is None or _census_height_check(pi, table, args.height)
     header = ["n", "index", "volume", "trace_lb", "systole_lb", "ratio"]
     rows = [[r.n, r.index, _fmt(r.volume), r.trace_lb, _fmt(r.systole_lb), _fmt(r.ratio)]
             for r in table]
@@ -381,10 +384,13 @@ def _bianchi_census(args) -> _Output:
 
 
 def _bianchi_ideals(args) -> _Output:
-    # About (2 * max_modulus)^2 candidates are walked: more than a C ssize_t can count is refused.
-    if args.max_modulus > _MAX_MODULUS:
-        raise _UsageError(f"--max-modulus must be at most {_MAX_MODULUS}, got {args.max_modulus}")
-    elements = _call(_UsageError, bianchi.elements_of_bounded_modulus, args.d, args.max_modulus)
+    m, d = args.max_modulus, args.d
+    if m >= 1 and d >= 1:  # else the library refuses them
+        walked = (2 * math.floor(m) + 1) * (2 * math.floor(m / math.sqrt(d)) + 3)
+        if _IDEALS_ITEM_BYTES * walked > _CENSUS_BYTES:
+            raise _UsageError(f"--max-modulus must keep the ideals within "
+                              f"{_CENSUS_BYTES >> 20} MiB, got {m} for d = {d}")
+    elements = _call(_UsageError, bianchi.elements_of_bounded_modulus, d, m)
     return _Output(
         {
             "d": args.d,

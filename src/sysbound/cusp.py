@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 from .mobius import _as_finite_complex
 
-TAU_NUM = 1e-9
-
 # Relative area threshold below which a lattice is considered degenerate.
 _TAU_AREA = 1e-12
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import mpmath as mp
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from sysbound import bianchi
 from sysbound.bianchi import (
     PSL2_O2_COVOLUME,
     _is_squarefree,
@@ -245,6 +247,18 @@ def test_newman_index_ratio_exact():
         current = newman_index(CongruenceLevel(PI, n))
         assert current == previous * 1331
         previous = current
+
+
+def test_newman_index_equals_the_printed_formula():
+    # (N^(3n)/2) * (1 - 1/N^2) in exact rationals, with N = N(sqrt(-q)) = q.
+    primes = [q for q in range(3, 400, 2) if all(q % p for p in range(3, q, 2))]
+    assert len(primes) == 77
+    for q in primes:
+        pi = QuadInt(0, 1, q)
+        for n in range(1, 61):
+            value = Fraction(q ** (3 * n), 2) * (1 - Fraction(1, q * q))
+            assert value.denominator == 1
+            assert newman_index(CongruenceLevel(pi, n)) == value, (q, n)
 
 
 def test_newman_index_gates():
@@ -554,6 +568,25 @@ def test_bounded_modulus_monotone_and_finite():
     assert counts == sorted(counts)
     with pytest.raises(ValueError):
         elements_of_bounded_modulus(2, 0.5)
+
+
+LARGE_PRIME_D = 4611686018427388039  # _is_squarefree takes about 0.3 s on it
+
+
+def test_ring_results_check_the_ring_once(monkeypatch):
+    calls = []
+    squarefree = bianchi._is_squarefree
+    monkeypatch.setattr(bianchi, "_is_squarefree", lambda n: calls.append(n) or squarefree(n))
+    d = LARGE_PRIME_D
+    results = [elements_of_bounded_modulus(d, 3.0), [split_prime(d, d)],
+               [split_prime(32 * 32 + d, d)]]
+    assert calls == [d, d, d]
+    # The same elements as the public constructor builds, its check waived.
+    monkeypatch.setattr(bianchi, "_is_squarefree", lambda n: True)
+    assert results == [[QuadInt(a, 0, d) for a in (-1, 1, -2, 2, -3, 3)], [QuadInt(0, 1, d)],
+                       [QuadInt(32, 1, d)]]
+    assert all(type(x) is QuadInt and vars(x) == {"a": x.a, "b": x.b, "d": d}
+               for xs in results for x in xs)
 
 
 def test_quad_matrix_validation():

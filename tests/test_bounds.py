@@ -2,7 +2,11 @@ import ast
 import cmath
 import inspect
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -371,6 +375,27 @@ def test_bound_profile_reproducible_from_volume():
     assert profile.crossing == bounds.crossing_volume(10.0)
 
 
+def _inline_cusped_bound(v):
+    # The profile's cusped bound as it was written inline before it called
+    # cusped_systole_bound: the reference for the call.
+    vc = bounds.CUSP_DENSITY_BOUND * v
+    return max(bounds.ADAMS_REID_LENGTH, math.log(2 * vc ** (4 / 3) + 8))
+
+
+def test_bound_profile_cusped_bound_is_the_inline_formula():
+    overflows = 0
+    for v in [0.0, 5e-324, *np.logspace(-300, 300, 2001).tolist(), 1.7e308]:
+        try:
+            expected = _inline_cusped_bound(v)
+        except OverflowError:
+            overflows += 1
+            with pytest.raises(OverflowError):
+                bounds.BoundProfile.from_volume(v)
+            continue
+        assert bounds.BoundProfile.from_volume(v).cusped_bound == expected, v
+    assert 0 < overflows < 2001
+
+
 def test_bound_profile_zero_volume():
     profile = bounds.BoundProfile.from_volume(0.0)
     assert profile.cusp_volume == 0
@@ -427,3 +452,13 @@ def test_guard_messages_are_formatted_only_on_failure():
     assert len(calls) >= 17
     eager = [node.lineno for node in calls if isinstance(node.args[1], ast.JoinedStr)]
     assert eager == [], f"_require calls with an f-string message at bounds.py lines {eager}"
+
+
+def test_compute_constants_runs_from_a_bare_checkout(tmp_path):
+    pytest.importorskip("mpmath")
+    script = Path(__file__).resolve().parent.parent / "scripts" / "compute_constants.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    result = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.endswith("all frozen constants agree with the high-precision oracles\n")

@@ -402,6 +402,21 @@ def test_census_height_is_refused_just_past_the_memory_budget(pi, largest, monke
     assert heights == [largest]
 
 
+@pytest.mark.parametrize("n_max, largest", [("1", 41), ("5", 27)])
+def test_census_height_is_refused_just_past_the_lookup_budget(n_max, largest, monkeypatch, capsys):
+    # At N(pi) = 1000000190000009027 the memory budget would take heights up
+    # to 361; the lookups, n_max * (2h + 1)^4, refuse them long before.
+    heights = []
+    monkeypatch.setattr(bianchi, "enumerate_congruence_elements",
+                        lambda level, height: heights.append(height) or [])
+    argv = ["bianchi", "census", "--d", "2", "--pi", "1000000095,1", "--n-max", n_max, "--height"]
+    assert run(capsys, argv + [str(largest)])[0] == 0
+    assert run(capsys, argv + [str(largest + 1)]) == (
+        2, "", f"usage error: --height must keep the census within 50000000 lookups, "
+               f"got {largest + 1} for --n-max {n_max}\n")
+    assert heights == [largest] * int(n_max)
+
+
 def test_bianchi_census_needs_covolume_for_other_rings(capsys):
     code, _, err = run(capsys, ["bianchi", "census", "--d", "1", "--pi", "1,1", "--n-max", "1"])
     assert code == 2
@@ -423,6 +438,19 @@ def test_bianchi_ideals(capsys):
     payload = json.loads(out)
     assert payload["count"] == 2
     assert payload["elements"] == [{"a": -1, "b": 0, "norm": 1}, {"a": 1, "b": 0, "norm": 1}]
+
+
+def test_ideals_modulus_is_refused_just_past_the_memory_budget(monkeypatch, capsys):
+    # At d = 1 the walk visits (2m + 1)(2m + 3) candidates for --max-modulus m.
+    moduli = []
+    monkeypatch.setattr(bianchi, "elements_of_bounded_modulus",
+                        lambda d, bound: moduli.append(bound) or [])
+    argv = ["bianchi", "ideals", "--d", "1", "--max-modulus"]
+    assert run(capsys, argv + ["471.99"])[0] == 0
+    assert run(capsys, argv + ["472"]) == (
+        2, "", "usage error: --max-modulus must keep the ideals within 1024 MiB, "
+               "got 472.0 for d = 1\n")
+    assert moduli == [471.99]
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +711,8 @@ def _bianchi_argv(draw):
     if action == "split":
         argv.append(f"--p={draw(_count('11', '5', '2'))}")
     if action in ("index", "census"):
-        argv.append(f"--pi={draw(st.sampled_from(['3,1', '1,1', '0,1', '0,0', 'three']))}")
+        pis = ['3,1', '1,1', '0,1', '0,0', 'three', '1000000095,1']
+        argv.append(f"--pi={draw(st.sampled_from(pis))}")
     if action == "index":
         argv.append(f"--n={draw(_count('1', '2', '2000', '10000000'))}")
     if action == "census":
