@@ -22,28 +22,7 @@ from .bianchi import (
     split_prime,
     systole_growth_table,
 )
-from .bounds import (
-    ADAMS_REID_LENGTH,
-    CUSP_DENSITY_BOUND,
-    CUSP_VOLUME_THRESHOLD,
-    IDEAL_TETRAHEDRON_VOLUME,
-    MIN_CUSP_VOLUME_AT_WAIST_2PI,
-    BoundProfile,
-    adams_reid_length_bound,
-    adams_reid_trace_bound,
-    crossing_volume,
-    cusp_volume_trace_bound,
-    cusped_systole_bound,
-    drilled_trace_bound,
-    filling_slope_trace_bound,
-    fkp_min_slope_bound,
-    link_systole_bound,
-    lobachevsky,
-    loxodromic_length_bound,
-    min_trace_bound,
-    shifted_parabolic_trace_bound,
-    torus_diameter_trace_bound,
-)
+from .bounds import *  # noqa: F403 -- the names in bounds.__all__
 from .certify import (
     CertificateReport,
     GridSpec,

@@ -146,10 +146,6 @@ class QuadInt:
     def norm(self) -> int:
         return self.a * self.a + self.d * self.b * self.b
 
-    @property
-    def modulus(self) -> float:
-        return math.sqrt(self.norm)
-
     def conjugate(self) -> "QuadInt":
         return _quad(self.a, -self.b, self.d)
 
@@ -309,10 +305,6 @@ class QuadMatrix:
     def entries(self) -> tuple[QuadInt, QuadInt, QuadInt, QuadInt]:
         return (self.m11, self.m12, self.m21, self.m22)
 
-    @property
-    def d(self) -> int:
-        return self.m11.d
-
     def det(self) -> QuadInt:
         return self.m11 * self.m22 - self.m12 * self.m21
 
@@ -351,16 +343,6 @@ def _matrix(m11: QuadInt, m12: QuadInt, m21: QuadInt, m22: QuadInt,
     return m
 
 
-def _canonical_sign_key(coords: tuple[int, ...]) -> tuple[int, ...]:
-    # Identify a matrix with its negative: flip so the first nonzero entry
-    # has positive a-coordinate (or a = 0 and positive b), that is, so the
-    # first nonzero coordinate is positive.
-    for x in coords:
-        if x:
-            return tuple(-y for y in coords) if x < 0 else coords
-    return coords
-
-
 def enumerate_congruence_elements(level: CongruenceLevel, height: int) -> list[QuadMatrix]:
     """All matrices (a*pi^n + 1, b*pi^n; c*pi^n, d*pi^n + 1) of determinant 1
     whose parameter coordinates lie in [-height, height]^8, deduplicated up
@@ -375,9 +357,8 @@ def enumerate_congruence_elements(level: CongruenceLevel, height: int) -> list[Q
     at a time, and looks b*c up in that index; every matrix found is checked
     against the determinant exactly.  Representatives are kept in the
     congruence form (diagonal = 1 mod pi^n) so the exact trace
-    s*pi^(2n) + 2 stays recoverable; the sign-canonical coordinate tuple is
-    used only as the deduplication key.  A matrix and its negative both lie
-    in the box only when pi^n divides 2; of such a pair the lexicographically
+    s*pi^(2n) + 2 stays recoverable.  A matrix and its negative both lie in
+    the box only when pi^n divides 2; of such a pair the lexicographically
     smaller coordinate tuple is kept.  The matrices share their entries: one
     ``QuadInt`` per distinct coordinate pair, built once.
     """
@@ -407,7 +388,7 @@ def enumerate_congruence_elements(level: CongruenceLevel, height: int) -> list[Q
                 index.setdefault(bc, []).append((ea1 + 1, ea2, ed1 + 1, ed2))
     del groups
 
-    found: dict[tuple[int, ...], tuple[int, ...]] = {}
+    found: list[tuple[int, ...]] = []
     for ba, bb, _, _, b1, b2 in params:
         products = [(ba * ca - d * bb * cb, ba * cb + bb * ca) for ca, cb, *_ in params]
         for c, diagonals in zip(params, map(index.get, products)):
@@ -419,17 +400,18 @@ def enumerate_congruence_elements(level: CongruenceLevel, height: int) -> list[Q
             for x1, x2, y1, y2 in diagonals:
                 if x1 * y1 - d * x2 * y2 - off_a != 1 or x1 * y2 + x2 * y1 != off_b:
                     raise RuntimeError("enumerated matrix failed the exact determinant check")
-                coords = (x1, x2, b1, b2, c1, c2, y1, y2)
-                key = _canonical_sign_key(coords)
-                found[key] = min(found.get(key, coords), coords)
+                found.append((x1, x2, b1, b2, c1, c2, y1, y2))
     del index
+    members = set(found)
+    found = sorted(c for c in found if (neg := tuple(-x for x in c)) > c or neg not in members)
+    del members
 
     entries = {}
     for *_, e1, e2 in params:
         entries[e1, e2] = _quad(e1, e2, d)
         entries[e1 + 1, e2] = _quad(e1 + 1, e2, d)
     return [_matrix(entries[c[0], c[1]], entries[c[2], c[3]], entries[c[4], c[5]],
-                    entries[c[6], c[7]]) for c in sorted(found.values())]
+                    entries[c[6], c[7]]) for c in found]
 
 
 @dataclass(frozen=True)
@@ -450,7 +432,8 @@ def systole_growth_table(
 ) -> list[GrowthRow]:
     """Census of the congruence tower: per level n, the index, cover volume,
     trace lower bound N(pi)^n - 2, the systole lower bound
-    log(max(1, N(pi)^n - 2)^2 / 4), and its ratio to log(volume)."""
+    log(max(1, N(pi)^n - 2)^2 / 4), and its ratio to log(volume).  A level
+    whose volume is not above 1 is refused: there log(volume) is not positive."""
     if not isinstance(n_max, int) or n_max < 1:
         raise ValueError(f"n_max must be a positive int, got {n_max!r}")
     rows = []
@@ -458,6 +441,9 @@ def systole_growth_table(
         level = CongruenceLevel(pi, n)
         index = newman_index(level)
         volume = level_volume(level, base_covolume)
+        if not volume > 1:
+            raise ValueError(f"level n = {n} has volume {volume}; the ratio to "
+                             "log(volume) needs a volume above 1")
         trace_lb = min_loxodromic_trace_lower_bound(level)
         systole_lb = math.log(max(1, trace_lb) ** 2 / 4)
         rows.append(

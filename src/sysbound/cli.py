@@ -13,9 +13,11 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import itertools
 import json
 import math
 import sys
+from collections.abc import Iterable
 from contextlib import nullcontext
 from pathlib import Path
 from typing import NamedTuple
@@ -34,12 +36,13 @@ class _Failure(Exception):
 
 
 class _Output(NamedTuple):
-    """What a command prints in each format, and its exit code."""
+    """What a command prints in each format, and its exit code.  The views may
+    be lazy: only the printed one is consumed, once."""
 
     record: dict
     header: list
-    rows: list
-    human: list
+    rows: Iterable
+    human: Iterable
     code: int = 0
 
 
@@ -64,7 +67,13 @@ def _write_margins(fh, header, rows) -> None:
 
 def _emit(fmt: str, out: _Output) -> None:
     if fmt == "json":
-        print(json.dumps(out.record, sort_keys=True, indent=2))
+        # Written 2^14 encoder chunks at a time, so that neither the chunks nor
+        # the whole text of a large record are held at once; default=list
+        # renders a record's lazy sequences as JSON lists.
+        chunks = json.JSONEncoder(sort_keys=True, indent=2, default=list).iterencode(out.record)
+        for batch in iter(lambda: "".join(itertools.islice(chunks, 1 << 14)), ""):
+            sys.stdout.write(batch)
+        sys.stdout.write("\n")
     elif fmt == "csv":
         _write_csv(sys.stdout, out.header, out.rows)
     else:
@@ -396,11 +405,11 @@ def _bianchi_ideals(args) -> _Output:
             "d": args.d,
             "max_modulus": _fmt(args.max_modulus),
             "count": len(elements),
-            "elements": [{"a": x.a, "b": x.b, "norm": x.norm} for x in elements],
+            "elements": ({"a": x.a, "b": x.b, "norm": x.norm} for x in elements),
         },
         ["a", "b", "norm"],
-        [[x.a, x.b, x.norm] for x in elements],
-        [f"{x}  (norm {x.norm})" for x in elements] + [f"count: {len(elements)}"],
+        ([x.a, x.b, x.norm] for x in elements),
+        itertools.chain((f"{x}  (norm {x.norm})" for x in elements), [f"count: {len(elements)}"]),
     )
 
 

@@ -548,6 +548,15 @@ def test_growth_table_asymptotic_slopes():
         systole_growth_table(PI, 0, 1.0)
 
 
+@pytest.mark.parametrize("base", [0.08333333333333333, 0.08333333333333331])
+def test_growth_table_refuses_a_level_volume_not_above_one(base):
+    # pi = 1 + sqrt(-2) has norm 3, so index 12 at n = 1; 12 * base is
+    # 1.0 and 0.9999999999999998, where log(volume) is not positive.
+    with pytest.raises(ValueError, match=r"level n = 1 has volume .*above 1"):
+        systole_growth_table(q2(1, 1), 1, base)
+    assert systole_growth_table(q2(1, 1), 1, 0.0834)[0].volume > 1
+
+
 # ---------------------------------------------------------------------------
 # bounded-modulus enumeration
 # ---------------------------------------------------------------------------

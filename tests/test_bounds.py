@@ -12,6 +12,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import sysbound
 from sysbound import bounds
 from sysbound.cusp import CuspLattice, max_waist_for_cusp_volume
 from sysbound.mobius import MoebiusElement
@@ -452,6 +453,11 @@ def test_guard_messages_are_formatted_only_on_failure():
     assert len(calls) >= 17
     eager = [node.lineno for node in calls if isinstance(node.args[1], ast.JoinedStr)]
     assert eager == [], f"_require calls with an f-string message at bounds.py lines {eager}"
+
+
+def test_the_package_reexports_every_public_bound():
+    for name in bounds.__all__:
+        assert getattr(sysbound, name) is getattr(bounds, name), name
 
 
 def test_compute_constants_runs_from_a_bare_checkout(tmp_path):

@@ -440,6 +440,22 @@ def test_bianchi_ideals(capsys):
     assert payload["elements"] == [{"a": -1, "b": 0, "norm": 1}, {"a": 1, "b": 0, "norm": 1}]
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+def test_bianchi_ideals_prints_every_element_in_each_format(fmt, capsys):
+    # Long enough for the JSON writer to flush many batches.
+    elements = bianchi.elements_of_bounded_modulus(1, 60)
+    if fmt == "json":
+        record = {"count": len(elements), "d": 1, "max_modulus": "60",
+                  "elements": [{"a": x.a, "b": x.b, "norm": x.norm} for x in elements]}
+        expected = json.dumps(record, sort_keys=True, indent=2) + "\n"
+    elif fmt == "csv":
+        expected = "a,b,norm\n" + "".join(f"{x.a},{x.b},{x.norm}\n" for x in elements)
+    else:
+        expected = "".join(f"{x}  (norm {x.norm})\n" for x in elements) + f"count: {len(elements)}\n"
+    argv = ["bianchi", "ideals", "--d", "1", "--max-modulus", "60", "--format", fmt]
+    assert run(capsys, argv) == (0, expected, "")
+
+
 def test_ideals_modulus_is_refused_just_past_the_memory_budget(monkeypatch, capsys):
     # At d = 1 the walk visits (2m + 1)(2m + 3) candidates for --max-modulus m.
     moduli = []
@@ -751,6 +767,8 @@ _ARGV = st.tuples(
 @example(argv=["bianchi", "census", "--d=2", "--pi=3,1", "--n-max=1", f"--height={10**8}"])
 @example(argv=["bianchi", "census", "--d=2", "--pi=3,1", "--n-max=2", f"--height={2**61}"])
 @example(argv=["bianchi", "census", "--d=2", "--pi=1,1", "--n-max=1", f"--height={2**62}"])
+@example(argv=["bianchi", "census", "--d=2", "--pi=1,1", "--n-max=1",
+               "--base-covolume=0.08333333333333333"])
 @example(argv=["bianchi", "index", "--d=2", "--pi=3,1", "--n=2000"])
 @example(argv=["bianchi", "index", "--d=2", "--pi=3,1", "--n=10000000"])
 @example(argv=["bianchi", "split", "--d=2", f"--p={LARGE_NON_SPLIT_PRIME}"])
