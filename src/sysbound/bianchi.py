@@ -309,7 +309,8 @@ class QuadMatrix:
         return self.m11 * self.m22 - self.m12 * self.m21
 
     def trace(self) -> QuadInt:
-        return self.m11 + self.m22
+        m11, m22 = self.m11, self.m22
+        return _quad(m11.a + m22.a, m11.b + m22.b, m11.d)
 
     def is_identity_up_to_sign(self) -> bool:
         m11 = self.m11
@@ -318,15 +319,14 @@ class QuadMatrix:
 
     def classify_exact(self) -> ElementClass:
         """Conjugacy type from the exact trace (determinant must be 1)."""
-        if self.is_identity_up_to_sign():
-            return ElementClass.IDENTITY
         m11, m22 = self.m11, self.m22
         if m11.b + m22.b == 0:  # the trace, read from coordinates
             t = abs(m11.a + m22.a)
             if t < 2:
                 return ElementClass.ELLIPTIC
-            if t == 2:
-                return ElementClass.PARABOLIC
+            if t == 2:  # the trace of +/-I
+                return (ElementClass.IDENTITY if self.is_identity_up_to_sign()
+                        else ElementClass.PARABOLIC)
         return ElementClass.LOXODROMIC
 
 
@@ -353,14 +353,16 @@ def enumerate_congruence_elements(level: CongruenceLevel, height: int) -> list[Q
     under the product b*c it forces.  It groups the box's pairs x by the
     residue of x*conj(w) mod N(w), taken componentwise: w divides a+d exactly
     when the residues of a and d sum to (0, 0), so each a meets only the d it
-    admits, for any nonzero w.  Pass 2 walks every (b, c) in the box, one b
-    at a time, and looks b*c up in that index; every matrix found is checked
-    against the determinant exactly.  Representatives are kept in the
-    congruence form (diagonal = 1 mod pi^n) so the exact trace
-    s*pi^(2n) + 2 stays recoverable.  A matrix and its negative both lie in
-    the box only when pi^n divides 2; of such a pair the lexicographically
-    smaller coordinate tuple is kept.  The matrices share their entries: one
-    ``QuadInt`` per distinct coordinate pair, built once.
+    admits, for any nonzero w.  Pass 2 looks b*c up in that index once per
+    orbit of (b, c) under swapping b and c and negating both, which leave
+    b*c unchanged, and checks each distinct (b, c) of the orbit against the
+    determinant exactly.  Representatives are kept in the congruence form
+    (diagonal = 1 mod pi^n) so the exact trace s*pi^(2n) + 2 stays
+    recoverable.  A matrix and its negative both lie in the box only when
+    pi^n divides 2: -(a*pi^n + 1) = a'*pi^n + 1 gives (a + a')*pi^n = -2.
+    Only then is the +/- filter run, keeping of such a pair the
+    lexicographically smaller coordinate tuple.  The matrices share their
+    entries: one ``QuadInt`` per distinct coordinate pair, built once.
     """
     if not isinstance(height, int) or height < 0:
         raise ValueError(f"height must be a nonnegative int, got {height!r}")
@@ -388,23 +390,32 @@ def enumerate_congruence_elements(level: CongruenceLevel, height: int) -> list[Q
                 index.setdefault(bc, []).append((ea1 + 1, ea2, ed1 + 1, ed2))
     del groups
 
+    # params is ordered over a symmetric box, so negation maps params[k] to
+    # params[last - k]; each orbit has one index pair with i <= j, i + j <= last
     found: list[tuple[int, ...]] = []
-    for ba, bb, _, _, b1, b2 in params:
-        products = [(ba * ca - d * bb * cb, ba * cb + bb * ca) for ca, cb, *_ in params]
-        for c, diagonals in zip(params, map(index.get, products)):
+    last = len(params) - 1
+    for i in range(last // 2 + 1):
+        ba, bb = params[i][:2]
+        products = [(ba * ca - d * bb * cb, ba * cb + bb * ca)
+                    for ca, cb, *_ in params[i:last - i + 1]]
+        for j, diagonals in enumerate(map(index.get, products), i):
             if diagonals is None:
                 continue
-            c1, c2 = c[4], c[5]
-            off_a = b1 * c1 - d * b2 * c2
-            off_b = b1 * c2 + b2 * c1
-            for x1, x2, y1, y2 in diagonals:
-                if x1 * y1 - d * x2 * y2 - off_a != 1 or x1 * y2 + x2 * y1 != off_b:
-                    raise RuntimeError("enumerated matrix failed the exact determinant check")
-                found.append((x1, x2, b1, b2, c1, c2, y1, y2))
+            for p, q in {(i, j), (j, i), (last - i, last - j), (last - j, last - i)}:
+                b1, b2, c1, c2 = params[p][4], params[p][5], params[q][4], params[q][5]
+                off_a = b1 * c1 - d * b2 * c2
+                off_b = b1 * c2 + b2 * c1
+                for x1, x2, y1, y2 in diagonals:
+                    if x1 * y1 - d * x2 * y2 - off_a != 1 or x1 * y2 + x2 * y1 != off_b:
+                        raise RuntimeError("enumerated matrix failed the exact determinant check")
+                    found.append((x1, x2, b1, b2, c1, c2, y1, y2))
     del index
-    members = set(found)
-    found = sorted(c for c in found if (neg := tuple(-x for x in c)) > c or neg not in members)
-    del members
+    if (2 * w1) % nw == 0 and (2 * w2) % nw == 0:  # pi^n divides 2
+        members = set(found)
+        found = sorted(c for c in found if (neg := tuple(-x for x in c)) > c or neg not in members)
+        del members
+    else:
+        found.sort()
 
     entries = {}
     for *_, e1, e2 in params:
@@ -432,8 +443,9 @@ def systole_growth_table(
 ) -> list[GrowthRow]:
     """Census of the congruence tower: per level n, the index, cover volume,
     trace lower bound N(pi)^n - 2, the systole lower bound
-    log(max(1, N(pi)^n - 2)^2 / 4), and its ratio to log(volume).  A level
-    whose volume is not above 1 is refused: there log(volume) is not positive."""
+    log(max(2, N(pi)^n - 2)^2 / 4) (the trivial 0 when N(pi)^n <= 4), and its
+    ratio to log(volume).  A level whose volume is not above 1 is refused:
+    there log(volume) is not positive."""
     if not isinstance(n_max, int) or n_max < 1:
         raise ValueError(f"n_max must be a positive int, got {n_max!r}")
     rows = []
@@ -445,7 +457,7 @@ def systole_growth_table(
             raise ValueError(f"level n = {n} has volume {volume}; the ratio to "
                              "log(volume) needs a volume above 1")
         trace_lb = min_loxodromic_trace_lower_bound(level)
-        systole_lb = math.log(max(1, trace_lb) ** 2 / 4)
+        systole_lb = math.log(max(2, trace_lb) ** 2 / 4)
         rows.append(
             GrowthRow(
                 n=n,

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from . import bianchi, bounds, certify
 from .cusp import CuspLattice
-from .mobius import MoebiusElement
+from .mobius import ElementClass, MoebiusElement
 
 
 class _UsageError(Exception):
@@ -289,8 +289,9 @@ _MAX_INDEX_DIGITS = 4300  # CPython's default limit on int-to-str conversion
 # N(pi) = 11, 23, peaked at 0.5 GB resident.  Heights past the budget are refused.
 _CENSUS_BYTES = 1 << 30
 _CENSUS_ITEM_BYTES = 2048
-# It also looks up all (2h+1)^4 products b*c per level, whatever N(pi), about
-# 0.6 us each (N(pi) = 1e18, Python 3.11, 2-vCPU x86-64): past 30 s, refused.
+# It also looks up products b*c per level, whatever N(pi), about 0.6 us each
+# (N(pi) = 1e18, Python 3.11, 2-vCPU x86-64): past 30 s, refused.  Counting all
+# (2h+1)^4 ordered pairs (b, c), the estimate is conservative by about 4x.
 _CENSUS_LOOKUPS = 50_000_000
 # bianchi ideals --format json peaked at 1.0-1.1 KiB resident per candidate walked (d = 1).
 _IDEALS_ITEM_BYTES = 1200
@@ -311,7 +312,7 @@ def _census_height_check(pi, table, height) -> bool:
     for row in table:
         n, lb = row.n, row.trace_lb
         mats = bianchi.enumerate_congruence_elements(bianchi.CongruenceLevel(pi, n), height)
-        lox = [m for m in mats if m.classify_exact().value == "loxodromic"]
+        lox = [m for m in mats if m.classify_exact() is ElementClass.LOXODROMIC]
         if not lox:
             print(f"n={n}: {len(mats)} elements in box, no loxodromic", file=sys.stderr)
             continue

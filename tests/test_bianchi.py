@@ -479,6 +479,19 @@ def test_enumeration_equals_the_two_pass_reference(pi, n):
         assert got == want
 
 
+@pytest.mark.parametrize("n, elements, loxodromic, min_trace_norm",
+                         [(1, 42457, 38216, 97), (2, 6089, 1848, 14553)])
+def test_benchmark_size_census(n, elements, loxodromic, min_trace_norm):
+    # The height-10 census of `bianchi census --height 10`, where the orbit
+    # walk and the sort do far more work than at the reference heights 0-4.
+    mats = enumerate_congruence_elements(CongruenceLevel(PI, n), 10)
+    coords = [tuple(x for e in m.entries() for x in (e.a, e.b)) for m in mats]
+    assert coords == sorted(set(coords))
+    lox = [m for m in mats if m.classify_exact() is ElementClass.LOXODROMIC]
+    assert (len(mats), len(lox), min(m.trace().norm for m in lox)) == (
+        elements, loxodromic, min_trace_norm)
+
+
 def test_enumeration_shares_one_entry_per_coordinate_pair():
     mats = enumerate_congruence_elements(CongruenceLevel(PI, 1), 3)
     entries = [e for m in mats for e in m.entries()]
@@ -498,6 +511,9 @@ def test_classify_exact_agrees_with_the_trace(pi, n):
         return ElementClass.LOXODROMIC
 
     mats = enumerate_congruence_elements(CongruenceLevel(pi, n), 3)
+    for m in mats:  # trace() reads the coordinates; the ring sum is the reference
+        t, want = m.trace(), m.m11 + m.m22
+        assert type(t) is QuadInt and vars(t) == vars(want) == {"a": want.a, "b": want.b, "d": pi.d}
     kinds = [m.classify_exact() for m in mats]
     assert kinds == [by_trace(m) for m in mats]
     if pi == q2(1, 0):  # the whole group has every class
@@ -555,6 +571,17 @@ def test_growth_table_refuses_a_level_volume_not_above_one(base):
     with pytest.raises(ValueError, match=r"level n = 1 has volume .*above 1"):
         systole_growth_table(q2(1, 1), 1, base)
     assert systole_growth_table(q2(1, 1), 1, 0.0834)[0].volume > 1
+
+
+def test_growth_table_bound_is_zero_where_the_trace_bound_is_at_most_two():
+    # pi = 1 + sqrt(-2) has norm 3, so trace_lb = 1 at n = 1, where
+    # log(1^2 / 4) < 0 bounds nothing; the trivial bound there is 0.
+    first, second = systole_growth_table(q2(1, 1), 2, 0.0834)
+    assert first.trace_lb == 1
+    assert first.systole_lb == 0.0 == first.ratio
+    assert second.trace_lb == 7
+    assert second.systole_lb == math.log(7**2 / 4)
+    assert second.ratio == second.systole_lb / math.log(second.volume)
 
 
 # ---------------------------------------------------------------------------

@@ -374,6 +374,16 @@ def test_bianchi_census_json_mirror(capsys):
     assert float(payload["rows"][1]["volume"]) / float(row["volume"]) == pytest.approx(1331)
 
 
+def test_census_bound_is_zero_where_the_trace_bound_is_at_most_two(capsys):
+    # N(pi) = 3: trace_lb is 1 at n = 1, so the systole bound and ratio are
+    # the trivial 0, not log(1/4); the n = 2 row keeps its bytes.
+    assert run(capsys, ["bianchi", "census", "--d", "2", "--pi", "1,1", "--n-max", "2",
+                        "--base-covolume", "0.0834", "--format", "csv"]) == (0, (
+        "n,index,volume,trace_lb,systole_lb,ratio\n"
+        "1,12,1.0007999999999999,1,0,0\n"
+        "2,324,27.021599999999999,7,2.5055259369907361,0.76002492294696922\n"), "")
+
+
 def test_bianchi_census_height_check(capsys):
     code, out, err = run(
         capsys,
@@ -769,6 +779,8 @@ _ARGV = st.tuples(
 @example(argv=["bianchi", "census", "--d=2", "--pi=1,1", "--n-max=1", f"--height={2**62}"])
 @example(argv=["bianchi", "census", "--d=2", "--pi=1,1", "--n-max=1",
                "--base-covolume=0.08333333333333333"])
+@example(argv=["bianchi", "census", "--d=2", "--pi=1,1", "--n-max=2", "--base-covolume=0.0834",
+               "--format=csv"])
 @example(argv=["bianchi", "index", "--d=2", "--pi=3,1", "--n=2000"])
 @example(argv=["bianchi", "index", "--d=2", "--pi=3,1", "--n=10000000"])
 @example(argv=["bianchi", "split", "--d=2", f"--p={LARGE_NON_SPLIT_PRIME}"])
