@@ -380,11 +380,9 @@ def enumerate_congruence_elements(level: CongruenceLevel, height: int) -> list[Q
     # forced b*c -> the diagonal entries (a*pi^n + 1, d*pi^n + 1) that force it
     index: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
     for (k1, k2), admitted in groups.items():
-        partners = groups.get((-k1 % nw, -k2 % nw))
-        if partners is None:
-            continue
+        # the box is symmetric and -x has residue (-k1, -k2): the partner group exists
         for aa, ab, ua1, ua2, ea1, ea2 in admitted:
-            for da, db, ud1, ud2, ed1, ed2 in partners:
+            for da, db, ud1, ud2, ed1, ed2 in groups[-k1 % nw, -k2 % nw]:
                 bc = (aa * da - d * ab * db + (ua1 + ud1) // nw,
                       aa * db + ab * da + (ua2 + ud2) // nw)
                 index.setdefault(bc, []).append((ea1 + 1, ea2, ed1 + 1, ed2))

@@ -248,7 +248,7 @@ def _crossing_trace_bounds(xs, v: float):
     time, because numpy's power differs from it in the last bit on a few
     percent of lanes, and ``d * d`` differs from ``d**2`` on some.
     """
-    import numpy as np  # here, so that importing the package's bounds loads no numpy
+    import numpy as np  # here, so that sysbound.certify stays the one module that loads numpy
 
     v = float(v)
     _require(v >= 0, "closed volume must be nonnegative, got {}", v)

@@ -5,14 +5,13 @@ Exit codes: 0 success/pass, 1 mathematical failure (certification fail,
 non-loxodromic length, a prime that does not split under --require-split),
 2 usage error.  JSON and CSV output render every real as a decimal string
 with 17 significant digits and are byte-stable for identical invocations;
-human output rounds to 6 significant digits.
+human output rounds to 6 significant digits.  No format prints -0.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
-import csv
 import itertools
 import json
 import math
@@ -47,22 +46,15 @@ class _Output(NamedTuple):
 
 
 def _fmt(x, spec=".17g") -> str:
-    """``x`` as a decimal string in ``spec``; zero is never rendered as -0."""
-    x = float(x)
-    return format(x if x else 0.0, spec)
+    """``x`` as a decimal string in ``spec``; ``+ 0.0`` turns -0 into 0."""
+    return format(float(x) + 0.0, spec)
 
 
-def _write_csv(fh, header, rows) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-def _write_margins(fh, header, rows) -> None:
-    """``_write_csv`` of ``_fmt``-ed rows of reals, one format per row (``+ 0.0`` drops -0)."""
+def _write_csv(fh, header, rows, cell="%s") -> None:
+    """The header, then each row as its fields in ``cell``, comma-separated."""
     fh.write(",".join(header) + "\n")
-    line = ",".join(["%.17g"] * len(header)) + "\n"
-    fh.writelines(line % tuple(x + 0.0 for x in row) for row in rows)
+    line = ",".join([cell] * len(header)) + "\n"
+    fh.writelines(line % tuple(row) for row in rows)
 
 
 def _emit(fmt: str, out: _Output) -> None:
@@ -206,7 +198,7 @@ def _cmd_element(args) -> _Output:
         {"action": "sphere", "center": center, "radius": _fmt(sphere.radius)},
         ["center_re", "center_im", "radius"],
         [[*center, _fmt(sphere.radius)]],
-        [f"center {_fmt(sphere.center.real, '.6g')}{sphere.center.imag:+.6g}i "
+        [f"center {_fmt(sphere.center.real, '.6g')}{_fmt(sphere.center.imag, '+.6g')}i "
          f"radius {_fmt(sphere.radius, '.6g')}"],
     )
 
@@ -221,8 +213,8 @@ def _cmd_lattice(args) -> _Output:
             {"ell": fields[0], "z": fields[1:3], "area": fields[3]},
             ["ell", "z_re", "z_im", "area"],
             [fields],
-            [f"ell = {_fmt(rb.ell, '.6g')}  z = {_fmt(rb.z.real, '.6g')}{rb.z.imag:+.6g}i  "
-             f"area = {_fmt(rb.area, '.6g')}"],
+            [f"ell = {_fmt(rb.ell, '.6g')}  z = {_fmt(rb.z.real, '.6g')}"
+             f"{_fmt(rb.z.imag, '+.6g')}i  area = {_fmt(rb.area, '.6g')}"],
         )
     value = rb.ell if args.action == "waist" else lattice.torus_diameter()
     return _Output({args.action: _fmt(value)}, [args.action], [[_fmt(value)]], [_fmt(value, ".6g")])
@@ -256,7 +248,7 @@ def _cmd_verify(args) -> _Output:
         rows: list | None = [] if args.margins_csv else None
         report = _call(_UsageError, claim.run, {**params, "probe": args.probe}, rows)
         if rows is not None:
-            _write_margins(fh, claim.header, rows)
+            _write_csv(fh, claim.header, (tuple(x + 0.0 for x in row) for row in rows), "%.17g")
     worst_point = [_fmt(x) for x in report.worst_point]
     record = {
         "claim_id": report.claim_id,
@@ -321,7 +313,7 @@ def _census_height_check(pi, table, height) -> bool:
         ok = ok and holds
         print(
             f"n={n}: {len(mats)} elements in box, {len(lox)} loxodromic, "
-            f"min |trace| = {math.sqrt(attained_norm):.6g} vs bound {lb} "
+            f"min |trace| = {_fmt(math.sqrt(attained_norm), '.6g')} vs bound {lb} "
             f"[{'ok' if holds else 'VIOLATION'}]",
             file=sys.stderr,
         )
@@ -387,8 +379,8 @@ def _bianchi_census(args) -> _Output:
         header,
         rows,
         ["  n        index           volume   trace_lb   systole_lb    ratio"]
-        + [f"{r.n:3d} {r.index:12d} {r.volume:16.6g} {r.trace_lb:10d} "
-           f"{r.systole_lb:12.6g} {r.ratio:8.6f}" for r in table],
+        + [f"{r.n:3d} {r.index:12d} {_fmt(r.volume, '16.6g')} {r.trace_lb:10d} "
+           f"{_fmt(r.systole_lb, '12.6g')} {_fmt(r.ratio, '8.6f')}" for r in table],
         0 if ok else 1,
     )
 

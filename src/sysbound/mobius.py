@@ -73,8 +73,9 @@ def _normalized(a, b, c, d) -> list[complex]:
     return entries
 
 
-def _classify(a, b, c, d, tol: float) -> ElementClass:
+def _classify(a, b, c, d) -> ElementClass:
     """Conjugacy type of the normalized matrix (a b; c d); see MoebiusElement.classify."""
+    tol = TAU_CLASS
     for sign in (1, -1):
         if abs(a - sign) <= tol and abs(b) <= tol and abs(c) <= tol and abs(d - sign) <= tol:
             return ElementClass.IDENTITY
@@ -102,7 +103,7 @@ def trace_translation_length(trace) -> float | None:
     """``MoebiusElement.from_trace(trace).translation_length()`` bit for bit; None if not loxodromic."""
     lam = _eigenvalue(_as_finite_complex(trace, "trace"))
     a, b, c, d = _normalized(lam, 0, 0, 1 / lam)
-    if _classify(a, b, c, d, TAU_CLASS) is not ElementClass.LOXODROMIC:
+    if _classify(a, b, c, d) is not ElementClass.LOXODROMIC:
         return None
     return _length(a + d)
 
@@ -195,25 +196,25 @@ class MoebiusElement:
             self.c * other.b + self.d * other.d,
         )
 
-    def classify(self, tol: float = TAU_CLASS) -> ElementClass:
+    def classify(self) -> ElementClass:
         """Conjugacy type from the trace, up to sign.
 
-        Traces within `tol` of the real axis are treated as real, and real
-        traces within `tol` of +/-2 as parabolic.  Exact-arithmetic callers
+        Traces within TAU_CLASS of the real axis are treated as real, and real
+        traces within TAU_CLASS of +/-2 as parabolic.  Exact-arithmetic callers
         should classify with exact predicates instead of this.
         """
-        return _classify(self.a, self.b, self.c, self.d, tol)
+        return _classify(self.a, self.b, self.c, self.d)
 
-    def translation_length(self, tol: float = TAU_CLASS) -> float:
+    def translation_length(self) -> float:
         """Distance the element moves points on its axis.
 
         Computed as |Re(2*arccosh(trace/2))| on the principal branch, which
         equals 2*log|lam| for the eigenvalue with |lam| >= 1.  Raises
-        NonLoxodromicError for any other conjugacy type: the quantity is not
-        defined for parabolics and would be 0 for elliptics, so callers that
-        want 0 must check the class first.
+        NonLoxodromicError for any other conjugacy type, as classified with
+        TAU_CLASS: the quantity is not defined for parabolics and would be 0
+        for elliptics, so callers that want 0 must check the class first.
         """
-        kind = self.classify(tol)
+        kind = self.classify()
         if kind is not ElementClass.LOXODROMIC:
             raise NonLoxodromicError(f"element is {kind.value}, not loxodromic")
         return _length(self.trace)

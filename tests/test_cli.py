@@ -1,5 +1,6 @@
 import cmath
 import contextlib
+import csv
 import io
 import json
 import math
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 
 import sysbound
 from sysbound import bianchi, bounds, certify
-from sysbound.cli import _fmt, _write_csv, _write_margins, main
+from sysbound.cli import _fmt, _write_csv, main
 
 
 def run(capsys, argv):
@@ -256,14 +257,30 @@ def test_verify_margins_csv(tmp_path, capsys):
 
 
 def test_margin_writer_gives_the_bytes_of_csv_writer_and_fmt():
+    def written(header, rows, *cell):
+        fh = io.StringIO()
+        _write_csv(fh, header, rows, *cell)
+        return fh.getvalue()
+
+    def csv_writer(header, rows):
+        fh = io.StringIO()
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return fh.getvalue()
+
+    # margin rows of reals, as verify --margins-csv writes them
     header = ("vc", "x", "margin")
     rows = [(math.nan, math.inf, -math.inf), (-0.0, 5e-324, 1e308), (3, -2.5, 0.0),
             (-1e-300, 1 / 3, 10**20), (-5e-324, -1e308, 0)]
-    want, got = io.StringIO(), io.StringIO()
-    _write_csv(want, header, (map(_fmt, row) for row in rows))
-    _write_margins(got, header, rows)
-    assert got.getvalue() == want.getvalue()
-    assert "-0," not in got.getvalue()
+    got = written(header, (tuple(x + 0.0 for x in row) for row in rows), "%.17g")
+    assert got == csv_writer(header, (map(_fmt, row) for row in rows))
+    assert "-0," not in got
+    # stdout rows of strings and ints, as the csv format prints them
+    header = ["p", "d", "split", "a", "b", "norm"]
+    rows = [[5, 1, "true", 1, 2, 5], [7, 1, "false", "", "", ""],
+            [10**3999, -(10**3999), "true", -3, "", "1.2345678901234567e-300"]]
+    assert written(header, rows) == csv_writer(header, rows)
 
 
 def test_verify_config_defaults_and_flag_override(tmp_path, capsys):
@@ -610,6 +627,12 @@ def test_out_of_range_flag_is_named_in_a_usage_error(argv, message, monkeypatch,
         (["verify", "cubic", "--vc-min", "1e-200", "--vc-max", "1e-170", "--vc-points", "3"],
          2, "usage error: cubic claims need 4*vc^2 normal and the cubic finite, "
             "got vc = 1e-200\n"),
+        # x**3 raises OverflowError at the root bound, where 4*x**3 would be inf.
+        (["verify", "cubic", "--vc-min", "1e160", "--vc-max", "2e160", "--vc-points", "2"],
+         2, "usage error: cubic claims need 4*vc^2 normal and the cubic finite, "
+            "got vc = 1e+160\n"),
+        (["verify", "length-lemma", "--r-max", "-1"],
+         2, "usage error: r_max must be nonnegative, got -1.0\n"),
     ],
 )
 def test_sweeps_at_extreme_parameters(argv, code, err, capsys):

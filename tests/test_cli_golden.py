@@ -47,7 +47,8 @@ M_LOX = "[[2,1],[0,0],[0,0],[0.4,-0.2]]"
 M_PAR = "[[1,0],[1,0],[0,0],[1,0]]"
 M_ELL = "[[0.5,0],[-0.75,0],[1,0],[0.5,0]]"
 M_SPH = "[[1,1],[2,0],[1,0],[3,1]]"
-M_NEG_ZERO = "[[0,0],[-1,0],[1,0],[-0.0,0]]"  # sphere centre 0-0i
+M_NEG_ZERO = "[[0,0],[-1,0],[1,0],[-0.0,0]]"  # sphere centre 0, imaginary part -0
+M_NEG_ZERO_IM = "[[0,0],[-1,0],[1,0],[-3,0]]"  # sphere centre 3, imaginary part -0
 
 TECHLEM2 = ["verify", "techlem2", "--vc-min", "17.1", "--vc-max", "100",
             "--vc-points", "4", "--ell-points", "50"]
@@ -81,6 +82,7 @@ CASES = [
         ["element", "length", "--matrix", M_LOX],
         ["element", "sphere", "--matrix", M_SPH],
         ["element", "sphere", "--matrix", M_NEG_ZERO],
+        ["element", "sphere", "--matrix", M_NEG_ZERO_IM],
     ),
     ["element", "length", "--matrix", M_PAR],
     ["element", "length", "--matrix", M_ELL, "--format", "json"],
