@@ -24,14 +24,15 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bounds, cusp
-from .mobius import MoebiusElement, NonLoxodromicError, trace_translation_length
+from .mobius import MoebiusElement, NonLoxodromicError, trace_translation_lengths
 
 DEFAULT_SEED = 42
 CROSSING_REL_TOL = 1e-10
 IDENTITY_REL_TOL = 1e-12
 
 _BISECTION_MAX_STEPS = 200
-# Uniform pairs per draw: the stream of scalar draws, at a call per block and flat memory.
+# Uniform pairs per draw, and traces per kernel call: the stream of scalar draws,
+# at a call per block and flat memory.
 _DRAW_BLOCK = 4096
 _SCALES = ("linear", "log")
 
@@ -82,7 +83,8 @@ class CertificateReport:
 class _Worst:
     """The worst (smallest) margin of a claim's inequality and of its gates,
     each with the point where it occurred, the number of points checked, and
-    the margin rows, kept only when constructed with a list.
+    the margin rows, kept only when constructed with a list, as 2-D float
+    arrays of shape (rows, columns).
 
     Updates are strict, so the first of equal margins is kept and a NaN
     margin never replaces a number.
@@ -96,9 +98,20 @@ class _Worst:
     def add_ineq(self, margin, point, points=1, row=None) -> None:
         self.points += points
         if row is not None and self.rows is not None:
-            self.rows.append(row)
+            self.rows.append(np.array([row], dtype=float))
         if margin < self.ineq[0]:
             self.ineq = (margin, point)
+
+    def add_ineqs(self, margins, *coords) -> None:
+        """The inequality's margins at the points with coordinate arrays
+        ``coords``, lane for lane as ``add_ineq`` would take them, rows being
+        the coordinates and the margin."""
+        self.points += len(margins)
+        if self.rows is not None:
+            self.rows.append(np.column_stack((*coords, margins)))
+        if len(margins):
+            i = int(np.argmin(np.where(np.isnan(margins), math.inf, margins)))
+            self.add_ineq(float(margins[i]), tuple(float(c[i]) for c in coords), points=0)
 
     def add_gate(self, margin, point, points=1) -> None:
         self.points += points
@@ -272,11 +285,14 @@ def certify_length_lemma(
 ) -> CertificateReport:
     """Certify translation_length <= log(r_max^2 + 4) on random loxodromics.
 
-    Traces are drawn with modulus uniform on (0, r_max] and uniform argument
-    and measured by ``trace_translation_length``.  Through MoebiusElement,
-    the purely-imaginary trace family, where the eigenvalue bound
-    (r + sqrt(r^2 + 4))/2 is attained, is checked as a gate to a relative
-    IDENTITY_REL_TOL, as is the pinned worst-case trace 2 + (2*pi)^2 i.
+    Traces are drawn with modulus uniform on (0, r_max] and uniform argument,
+    _DRAW_BLOCK pairs at a time from the stream of scalar draws, and measured
+    by ``mobius.trace_translation_lengths``, which gives each the length of
+    its ``MoebiusElement.from_trace`` bit for bit; the margin rows come in one
+    block per draw.  Through MoebiusElement, the purely-imaginary trace
+    family, where the eigenvalue bound (r + sqrt(r^2 + 4))/2 is attained, is
+    checked as a gate to a relative IDENTITY_REL_TOL, as is the pinned
+    worst-case trace 2 + (2*pi)^2 i.
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
@@ -286,6 +302,8 @@ def certify_length_lemma(
         raise ValueError(f"r_max must be nonnegative, got {r_max}")
     if not math.isfinite(r_max * r_max):
         raise OverflowError(f"r_max^2 is not finite for r_max = {r_max}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     worst = _Worst(margin_rows)
     claim_id = f"length-lemma:seed={seed}"
     if r_max == 0:
@@ -294,14 +312,15 @@ def certify_length_lemma(
     rng = np.random.default_rng(seed)
     bound = bounds.loxodromic_length_bound(r_max)
     for start in range(0, samples, _DRAW_BLOCK):
-        u = rng.uniform(size=2 * min(_DRAW_BLOCK, samples - start)).tolist()
-        for u_r, u_theta in zip(u[::2], u[1::2]):
-            r, theta = r_max * u_r, 2 * math.pi * u_theta
-            x, y = r * math.cos(theta), r * math.sin(theta)
-            length = trace_translation_length(complex(x, y))
-            if length is not None:
-                m = bound - length
-                worst.add_ineq(m, (x, y), row=(x, y, m))
+        u = rng.uniform(size=2 * min(_DRAW_BLOCK, samples - start))
+        r, theta = r_max * u[::2], (2 * math.pi * u[1::2]).tolist()
+        # cos and sin through math (libm), as the scalar draws take them: numpy's own
+        # vectorized ones, on CPUs that have them, need not agree in the last bit.
+        x = r * np.array([math.cos(a) for a in theta])
+        y = r * np.array([math.sin(a) for a in theta])
+        lengths, nonlox = trace_translation_lengths(x, y)
+        lox = ~nonlox
+        worst.add_ineqs(bound - lengths[lox], x[lox], y[lox])
 
     for r in np.geomspace(min(0.1, r_max), r_max, sharpness_points).tolist():
         try:

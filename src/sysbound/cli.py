@@ -248,7 +248,8 @@ def _cmd_verify(args) -> _Output:
         rows: list | None = [] if args.margins_csv else None
         report = _call(_UsageError, claim.run, {**params, "probe": args.probe}, rows)
         if rows is not None:
-            _write_csv(fh, claim.header, (tuple(x + 0.0 for x in row) for row in rows), "%.17g")
+            _write_csv(fh, claim.header, (row for block in rows for row in (block + 0.0).tolist()),
+                       "%.17g")
     worst_point = [_fmt(x) for x in report.worst_point]
     record = {
         "claim_id": report.claim_id,

@@ -60,7 +60,8 @@ def test_worst_keeps_rows_only_when_given_a_list():
     worst.add_ineq(2.0, (1.0,))
     worst.add_gate(3.0, (2.0,))
     worst.add_ineq(-1.0, (3.0,), points=0, row=(3.0, -1.0))
-    assert rows == [(0.0, 1.0), (3.0, -1.0)]
+    assert [block.shape for block in rows] == [(1, 2), (1, 2)]
+    assert np.vstack(rows).tolist() == [[0.0, 1.0], [3.0, -1.0]]
     unkept = _Worst()
     unkept.add_ineq(1.0, (0.0,), row=(0.0, 1.0))
     assert unkept.report("c").worst_margin == 1.0
@@ -77,6 +78,38 @@ def test_worst_keeps_the_first_of_equal_margins_and_never_takes_nan():
     first_nan.add_ineq(math.nan, (1.0,))
     first_nan.add_ineq(0.25, (2.0,))
     assert first_nan.report("c").worst_point == (2.0,)
+
+
+def test_worst_blocks_keep_the_first_of_equal_margins_and_never_take_nan():
+    rows = []
+    worst = _Worst(rows)
+    worst.add_ineqs(np.array([math.nan, 0.5, 0.25, 0.25]), np.array([1.0, 2.0, 3.0, 4.0]))
+    assert worst.report("c").worst_point == (3.0,)  # the first 0.25 within the block
+    worst.add_ineqs(np.array([0.25, math.nan]), np.array([5.0, 6.0]))
+    worst.add_ineqs(np.array([]), np.array([]))
+    worst.add_ineqs(np.array([math.nan]), np.array([7.0]))
+    report = worst.report("c")
+    assert (report.worst_margin, report.worst_point) == (0.25, (3.0,))  # across blocks too
+    assert report.points_checked == 4 + 2 + 0 + 1
+    assert [block.shape for block in rows] == [(4, 2), (2, 2), (0, 2), (1, 2)]
+    assert np.vstack(rows)[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+    only_nan = _Worst()
+    only_nan.add_ineqs(np.array([math.nan, math.nan]), np.array([1.0, 2.0]))
+    assert only_nan.report("c").worst_point == ()
+
+
+def test_worst_blocks_agree_with_one_margin_at_a_time():
+    # Ties, NaNs, infinities and -0 over blocks of uneven sizes, two coordinates each.
+    rng = np.random.default_rng(3)
+    margins = rng.choice([math.nan, -math.inf, -1.0, -0.0, 0.0, 0.5, 2.0, math.inf], size=500)
+    xs, ys = rng.uniform(size=500), rng.uniform(size=500)
+    cuts = [0, 1, 1, 7, 64, 65, 300, 500]
+    blocks, scalar = _Worst(), _Worst()
+    for lo, hi in zip(cuts, cuts[1:]):
+        blocks.add_ineqs(margins[lo:hi], xs[lo:hi], ys[lo:hi])
+        for m, x, y in zip(margins[lo:hi].tolist(), xs[lo:hi].tolist(), ys[lo:hi].tolist()):
+            scalar.add_ineq(m, (x, y))
+    assert repr(blocks.report("c")) == repr(scalar.report("c"))
 
 
 def test_worst_surfaces_a_gate_only_when_negative():
@@ -103,6 +136,7 @@ def test_report_status_matches_margin_sign():
 def test_cusp_trace_bound_passes_on_small_grid():
     rows = []
     report = certify_cusp_trace_bound(SMALL_VC_GRID, 400, margin_rows=rows)
+    rows = np.vstack(rows)
     assert report.passed
     assert report.worst_margin > 0
     assert report.points_checked == 30 * 400
@@ -142,7 +176,7 @@ def test_cusp_trace_bound_deterministic():
     r1 = certify_cusp_trace_bound(SMALL_VC_GRID, 200, margin_rows=rows1)
     r2 = certify_cusp_trace_bound(SMALL_VC_GRID, 200, margin_rows=rows2)
     assert r1 == r2
-    assert rows1 == rows2
+    assert np.vstack(rows1).tolist() == np.vstack(rows2).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +186,7 @@ def test_cusp_trace_bound_deterministic():
 def test_crossing_passes():
     rows = []
     report = certify_crossing(GridSpec(0.1, 1e3, 20, "log"), monotonic_samples=200, margin_rows=rows)
+    rows = np.vstack(rows)
     assert report.passed
     assert len(rows) == 20
     for v, closed, margin in rows:
@@ -170,7 +205,7 @@ def test_crossing_deterministic():
     r1 = certify_crossing(grid, monotonic_samples=100, margin_rows=rows1)
     r2 = certify_crossing(grid, monotonic_samples=100, margin_rows=rows2)
     assert r1 == r2
-    assert rows1 == rows2
+    assert np.vstack(rows1).tolist() == np.vstack(rows2).tolist()
 
 
 def test_crossing_rejects_nonpositive_volumes():
@@ -344,12 +379,13 @@ def test_length_lemma_rows_are_those_of_scalar_draws_and_elements(samples):
         expected.append((trace.real, trace.imag, m))
     rows = []
     certify_length_lemma(samples, 40.0, seed=9, sharpness_points=2, margin_rows=rows)
-    assert rows == expected
+    assert [tuple(row) for row in np.vstack(rows).tolist()] == expected
 
 
 def test_length_lemma_margin_rows():
     rows = []
     report = certify_length_lemma(200, 30.0, seed=5, sharpness_points=50, margin_rows=rows)
+    rows = np.vstack(rows)
     assert report.passed
     assert len(rows) > 150
     for re, im, margin in rows:

@@ -11,7 +11,7 @@ from sysbound.mobius import (
     ElementClass,
     MoebiusElement,
     NonLoxodromicError,
-    trace_translation_length,
+    trace_translation_lengths,
 )
 
 finite = st.floats(-30, 30, allow_nan=False, allow_infinity=False)
@@ -152,8 +152,16 @@ def _element_length(trace):
         return None
 
 
+def _kernel_lengths(traces):
+    """The kernel's lengths of ``traces`` in one call, None where not loxodromic."""
+    lengths, nonlox = trace_translation_lengths([t.real for t in traces], [t.imag for t in traces])
+    return [None if skip else length for length, skip in zip(lengths.tolist(), nonlox.tolist())]
+
+
 # Parabolic and identity traces, the real-axis and +/-2 tolerances on either
-# side, tiny and huge moduli, and eigenvalues within 1e-9 of +/-1 or of the unit circle.
+# side, tiny and huge moduli, and eigenvalues within 1e-9 of +/-1 or of the
+# unit circle; signed zeros, and traces on which CPython's complex square root
+# scales subnormal parts or meets zero.
 EDGE_TRACES = [
     2, -2, 2 + 1e-10, 2 - 1e-10, -2 + 1e-10, -2 - 1e-10, complex(2, 2e-9), complex(2, 5e-10),
     0, complex(0, 1e-300), 1.5, -1.99999999995, complex(1e150, 1e150), complex(-1e150, 1e150),
@@ -161,15 +169,20 @@ EDGE_TRACES = [
       for sign in (1, -1)
       for lam in (1 + 1e-9, 1 + 5e-10, 1 - 1e-9, complex(1, 1e-9), complex(1, 4e-10),
                   cmath.exp(complex(1e-9, 1e-9)), cmath.exp(complex(3e-10, 1.0)))),
+    *(complex(re, im) for re in (0.0, -0.0, 3.0, -3.0, 2.0, -2.0) for im in (0.0, -0.0)),
+    *(complex(re, im) for re in (0.0, -0.0) for im in (1e-320, -1e-320, 3.0, -3.0)),
+    complex(2, 1e-320), complex(-2, -1e-320), complex(2, 2e-308), complex(1e-320, 1e-320),
+    complex(-1e-320, 1e150), complex(1e150, -1e-320), complex(-1e150, 0.0), complex(0.0, -1e150),
 ]
 
 
 @pytest.mark.parametrize("trace", EDGE_TRACES)
-def test_trace_translation_length_is_the_elements_at_edge_traces(trace):
-    assert repr(trace_translation_length(trace)) == repr(_element_length(trace))
+def test_trace_translation_lengths_is_the_elements_at_edge_traces(trace):
+    trace = complex(trace)
+    assert repr(_kernel_lengths([trace])) == repr([_element_length(trace)])
 
 
-def test_trace_translation_length_is_the_elements_on_seeded_traces():
+def test_trace_translation_lengths_is_the_elements_on_seeded_traces():
     rng = np.random.default_rng(2024)
     n = 50_000
     # Uniform in the disc of radius 100, as the length-lemma sweep draws, and
@@ -181,21 +194,39 @@ def test_trace_translation_length_is_the_elements_on_seeded_traces():
     traces = [complex(r * math.cos(t), r * math.sin(t))
               for r, t in zip(moduli.tolist(), args.tolist())]
     traces += [complex(x, y) for x, y in zip(real.tolist(), imag.tolist())]
-    nones = 0
+    # Moduli from 1e-320 to 1e150 at every argument, and parts of either sign
+    # or a signed zero.  Of these, the finite traces whose element raises
+    # (such as -1e-292 + 1e24i, whose eigenvalue cancels to a subnormal) are left out.
+    moduli = 10 ** rng.uniform(-320, 150, size=n)
+    args = 2 * math.pi * rng.uniform(size=n)
+    traces += [complex(r * math.cos(t), r * math.sin(t))
+               for r, t in zip(moduli.tolist(), args.tolist())]
+    signs = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(2, n))
+    parts = signs * 10 ** rng.uniform(-320, 150, size=(2, n))
+    traces += [complex(x, y) for x, y in zip(*parts.tolist())]
+    expected = []
     for trace in traces:
-        got = trace_translation_length(trace)
-        assert repr(got) == repr(_element_length(trace)), trace
-        nones += got is None
-    assert 0 < nones < n
+        try:
+            expected.append((trace, _element_length(trace)))
+        except ValueError:
+            continue
+    got = _kernel_lengths([trace for trace, _ in expected])
+    for (trace, want), length in zip(expected, got):
+        assert repr(length) == repr(want), trace
+    nones = got.count(None)
+    assert len(traces) - 100 < len(expected)
+    assert n < nones < len(expected) - n
 
 
-@pytest.mark.parametrize("trace", [math.nan, complex(0, math.inf), 1e300])
-def test_trace_translation_length_raises_as_the_element_does(trace):
-    # At 1e300 the eigenvalue overflows, and the element refuses it.
+@pytest.mark.parametrize("trace", [math.nan, complex(0, math.inf), 1e300, complex(-1e-292, 1e24)])
+def test_trace_translation_lengths_raises_as_the_element_does(trace):
+    # At 1e300 the eigenvalue overflows, and at -1e-292 + 1e24i its inverse
+    # does; the element refuses both.  The first refused lane is reported.
+    trace = complex(trace)
     with pytest.raises(ValueError) as element_error:
         MoebiusElement.from_trace(trace)
     with pytest.raises(ValueError) as error:
-        trace_translation_length(trace)
+        _kernel_lengths([complex(3, 1), trace, complex(0, 5), complex(math.nan, 1)])
     assert str(error.value) == str(element_error.value)
 
 
