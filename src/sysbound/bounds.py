@@ -159,6 +159,15 @@ def min_trace_bound(ell: float, vc: float) -> float:
     Equal, bit for bit and error for error, to
     ``min(torus_diameter_trace_bound(ell, vc), adams_reid_trace_bound(ell))``,
     evaluated in one frame because the techlem2 sweep calls it once per point.
+
+    The Adams-Reid power is skipped where the torus term is below
+    ``ell*ell * (1 - 1e-15)``.  That skip is exact: with libm's ``pow`` and a
+    correctly rounded ``sqrt``, each within about one ulp,
+    ``sqrt(ell**4 + 4) >= ell^2 * (1 - 4.5e-16)``, while the rounded
+    ``ell*ell * (1 - 1e-15)`` is at most ``ell^2 * (1 - 7e-16)``; so on a
+    skipped point the Adams-Reid term could never be the minimum.  Below
+    ``ell = 1e77`` the power cannot overflow, so no OverflowError is skipped
+    either.  The rest is ``min()``'s rule: the first argument on a tie or NaN.
     """
     ell, vc = float(ell), float(vc)
     if not (ell > 2 and vc > 0):
@@ -166,7 +175,12 @@ def min_trace_bound(ell: float, vc: float) -> float:
         _require(ell > 0, "waist size must be positive, got {}", ell)
         _require(vc > 0, "cusp volume must be positive, got {}", vc)
         _require(ell > 2, "slope length must exceed 2, got {}", ell)
-    return min(math.sqrt(ell * ell / 4 + vc * vc / (ell * ell)), math.sqrt(ell**4 + 4))
+    e2 = ell * ell
+    torus = math.sqrt(e2 / 4 + vc * vc / e2)
+    if torus < e2 * (1 - 1e-15) and ell < 1e77:
+        return torus
+    ar = math.sqrt(ell**4 + 4)
+    return ar if ar < torus else torus
 
 
 def cusp_volume_trace_bound(vc: float, enforce_domain: bool = True) -> float:

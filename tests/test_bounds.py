@@ -175,16 +175,85 @@ def _composed_min_trace_bound(ell, vc):
     return min(bounds.torus_diameter_trace_bound(ell, vc), bounds.adams_reid_trace_bound(ell))
 
 
+def _same(a, b):
+    # Bit for bit: equal values with equal signs, or both NaN.
+    return a == b and math.copysign(1, a) == math.copysign(1, b) or (a != a and b != b)
+
+
 def test_min_trace_bound_is_bit_identical_to_the_composition():
-    # The first grid-sweep slice of the benchmark: the default techlem2 grid's
-    # first 10 cusp volumes, each on its default 10 000-point waist grid.
+    # The first grid-sweep slice of the benchmark (the default techlem2 grid's
+    # first 10 cusp volumes), where the Adams-Reid term never wins, and every
+    # 10th volume of the default grid, where it wins on some lanes; each
+    # volume on its default 10 000-point waist grid.
     vc_min = bounds.MIN_CUSP_VOLUME_AT_WAIST_2PI
     step = math.log(1e6 / vc_min) / 199
-    for vc in np.geomspace(vc_min, vc_min * math.exp(9 * step), 10):
-        vc = float(vc)
-        for ell in np.linspace(2 * math.pi, math.sqrt(4 * vc / math.sqrt(3)), 10000):
-            ell = float(ell)
-            assert bounds.min_trace_bound(ell, vc) == _composed_min_trace_bound(ell, vc), (ell, vc)
+    first_slice = np.geomspace(vc_min, vc_min * math.exp(9 * step), 10).tolist()
+    every_10th = np.geomspace(vc_min, 1e6, 200)[::10].tolist()
+    adams_reid_wins = 0
+    for vc in first_slice + every_10th:
+        for ell in np.linspace(2 * math.pi, math.sqrt(4 * vc / math.sqrt(3)), 10000).tolist():
+            got = bounds.min_trace_bound(ell, vc)
+            assert _same(got, _composed_min_trace_bound(ell, vc)), (ell, vc)
+            adams_reid_wins += got < bounds.torus_diameter_trace_bound(ell, vc)
+    assert adams_reid_wins > 0
+
+
+def _near_tie_lanes():
+    # vc = ell * sqrt(ell^4 - ell^2/4) puts the torus term at ell^2, the edge
+    # of min_trace_bound's skip, with vc moved by up to 6 ulps either way.
+    for ell in np.geomspace(2.001, 1e70, 4000).tolist():
+        vc = ell * math.sqrt(ell**4 - ell * ell / 4)
+        for k in range(-6, 7):
+            yield ell, vc + k * math.ulp(vc)
+
+
+def test_min_trace_bound_matches_the_composition_at_the_skip_edge():
+    lanes = list(_near_tie_lanes())
+    for ell, vc in lanes:
+        assert _same(bounds.min_trace_bound(ell, vc), _composed_min_trace_bound(ell, vc)), (ell, vc)
+    assert any(
+        bounds.adams_reid_trace_bound(ell) < bounds.torus_diameter_trace_bound(ell, vc) for ell, vc in lanes
+    )
+
+
+def _min_trace_bound_with_loose_skip(ell, vc):
+    # min_trace_bound with its skip moved from e2 * (1 - 1e-15) to e2 * (1 + 1e-12).
+    e2 = ell * ell
+    torus = math.sqrt(e2 / 4 + vc * vc / e2)
+    if torus < e2 * (1 + 1e-12) and ell < 1e77:
+        return torus
+    return min(torus, math.sqrt(ell**4 + 4))
+
+
+def test_a_looser_skip_changes_results_on_the_near_tie_lanes():
+    # The skip is exact because sqrt(fl(ell**4) + 4) is within about one ulp
+    # of sqrt(ell^4 + 4) >= ell^2, so at least ell^2 * (1 - 4.5e-16), while
+    # the rounded e2 * (1 - 1e-15) is at most ell^2 * (1 - 7e-16).  Past
+    # ell^2 there is no such margin: once ell is large, sqrt(ell**4 + 4)
+    # rounds to within an ulp of ell^2, and a torus term a few ulps above it
+    # loses to it.  A filter that skips up to e2 * (1 + 1e-12) returns the
+    # torus term there, so the near-tie lanes must catch it.
+    differ = sum(
+        not _same(_min_trace_bound_with_loose_skip(ell, vc), _composed_min_trace_bound(ell, vc))
+        for ell, vc in _near_tie_lanes()
+    )
+    assert differ > 0
+
+
+def test_min_trace_bound_overflows_like_the_composition():
+    with pytest.raises(OverflowError) as composed:
+        _composed_min_trace_bound(1e78, 5.0)
+    with pytest.raises(OverflowError) as fused:
+        bounds.min_trace_bound(1e78, 5.0)
+    assert str(fused.value) == str(composed.value)
+
+
+@pytest.mark.parametrize(
+    "ell, vc",
+    [(math.inf, 5.0), (math.inf, math.inf), (5.0, math.inf), (9.9e76, 5.0), (1.1e77, 5.0), (1.1e77, 1e150)],
+)
+def test_min_trace_bound_at_the_edges_of_its_domain_is_the_composition(ell, vc):
+    assert _same(bounds.min_trace_bound(ell, vc), _composed_min_trace_bound(ell, vc))
 
 
 @pytest.mark.parametrize("vc", [math.nan, -1.0, 0.0, 5.0])
