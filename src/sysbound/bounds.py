@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -142,7 +143,10 @@ def torus_diameter_trace_bound(ell: float, vc: float) -> float:
     ell, vc = float(ell), float(vc)
     _require(ell > 0, "waist size must be positive, got {}", ell)
     _require(vc > 0, "cusp volume must be positive, got {}", vc)
-    return math.sqrt(ell * ell / 4 + vc * vc / (ell * ell))
+    e2, v2 = ell * ell, vc * vc
+    if min(e2, v2) >= sys.float_info.min and (torus := math.sqrt(e2 / 4 + v2 / e2)) < math.inf:
+        return torus
+    return math.hypot(ell / 2, vc / ell)  # a square not normal, or a term that overflows
 
 
 def shifted_parabolic_trace_bound(ell: float) -> float:
@@ -179,6 +183,7 @@ def min_trace_bound(ell: float, vc: float) -> float:
     torus = math.sqrt(e2 / 4 + vc * vc / e2)
     if torus < e2 * (1 - 1e-15) and ell < 1e77:
         return torus
+    torus = torus if torus < math.inf else math.hypot(ell / 2, vc / ell)  # vc*vc overflows
     ar = math.sqrt(ell**4 + 4)
     return ar if ar < torus else torus
 
@@ -188,7 +193,7 @@ def cusp_volume_trace_bound(vc: float, enforce_domain: bool = True) -> float:
 
     Dominates min_trace_bound over the whole waist interval once
     vc >= CUSP_VOLUME_THRESHOLD.  Pass enforce_domain=False to evaluate the
-    bare formula below the threshold (used by probe-mode certification).
+    bare formula at any positive volume (drilled_trace_bound and techlem2 do).
     """
     vc = float(vc)
     _require(vc > 0, "cusp volume must be positive, got {}", vc)
@@ -206,7 +211,13 @@ def cusped_systole_bound(v: float) -> float:
     v = float(v)
     _require(v > 0, "volume must be positive, got {}", v)
     vc = CUSP_DENSITY_BOUND * v
-    return max(ADAMS_REID_LENGTH, math.log(2 * vc ** (4 / 3) + 8))
+    try:
+        bound = math.log(2 * vc ** (4 / 3) + 8)
+    except OverflowError:
+        bound = math.inf
+    if bound == math.inf:  # 2*vc^(4/3) overflows (v above about 1.8e231), and swamps the 8
+        bound = math.log(2) + (4 / 3) * math.log(vc)
+    return max(ADAMS_REID_LENGTH, bound)
 
 
 def link_systole_bound(v: float) -> float:
@@ -216,7 +227,11 @@ def link_systole_bound(v: float) -> float:
     v = float(v)
     _require(v >= 0, "volume must be nonnegative, got {}", v)
     vc = CUSP_DENSITY_BOUND * v
-    return math.log((math.sqrt(2) * vc ** (2 / 3) + 4 * math.pi**2) ** 2 + 8)
+    w = math.sqrt(2) * vc ** (2 / 3) + 4 * math.pi**2
+    try:
+        return math.log(w**2 + 8)
+    except OverflowError:  # w^2 overflows (v above about 1.1e231), and swamps the 8
+        return 2 * math.log(w)
 
 
 def fkp_min_slope_bound(v: float, x: float) -> float:

@@ -10,6 +10,11 @@ reported as the negative worst margin, while a clean run reports the
 inequality's own worst margin, which is the informative one for plotting
 tightness.
 
+Every claim reduces its margin arrays with ``_worst``, hands its gates and
+inequalities to ``_report`` as (margin, point) candidates, and keeps its margin
+rows, if ``margin_rows`` is a list, as one (rows, 3) float block (one per draw
+block for ``length-lemma``).
+
 Reports are deterministic given a grid and a seed; the seed of a randomized
 sweep is recorded in the claim id.
 """
@@ -80,54 +85,30 @@ class CertificateReport:
         return self.status == "pass"
 
 
-class _Worst:
-    """The worst (smallest) margin of a claim's inequality and of its gates,
-    each with the point where it occurred, the number of points checked, and
-    the margin rows, kept only when constructed with a list, as 2-D float
-    arrays of shape (rows, columns).
+def _worst(margins, *coords) -> tuple[float, tuple[float, ...]]:
+    """The first smallest of the 1-d float array ``margins``, with its point:
+    the entries of the coordinate arrays ``coords`` there.  A NaN or an inf
+    margin never wins; with no margin below inf this is ``(inf, ())``."""
+    if len(margins):
+        i = int(np.argmin(np.where(np.isnan(margins), math.inf, margins)))
+        if margins[i] < math.inf:
+            return float(margins[i]), tuple(float(c[i]) for c in coords)
+    return math.inf, ()
 
-    Updates are strict, so the first of equal margins is kept and a NaN
-    margin never replaces a number.
-    """
 
-    def __init__(self, margin_rows: list | None = None):
-        self.ineq = self.gate = (math.inf, ())
-        self.points = 0
-        self.rows = margin_rows
-
-    def add_ineq(self, margin, point, points=1, row=None) -> None:
-        self.points += points
-        if row is not None and self.rows is not None:
-            self.rows.append(np.array([row], dtype=float))
-        if margin < self.ineq[0]:
-            self.ineq = (margin, point)
-
-    def add_ineqs(self, margins, *coords) -> None:
-        """The inequality's margins at the points with coordinate arrays
-        ``coords``, lane for lane as ``add_ineq`` would take them, rows being
-        the coordinates and the margin."""
-        self.points += len(margins)
-        if self.rows is not None:
-            self.rows.append(np.column_stack((*coords, margins)))
-        if len(margins):
-            i = int(np.argmin(np.where(np.isnan(margins), math.inf, margins)))
-            self.add_ineq(float(margins[i]), tuple(float(c[i]) for c in coords), points=0)
-
-    def add_gate(self, margin, point, points=1) -> None:
-        self.points += points
-        if margin < self.gate[0]:
-            self.gate = (margin, point)
-
-    def report(self, claim_id: str) -> CertificateReport:
-        """A violated gate is reported in place of the inequality's margin."""
-        margin, point = self.gate if self.gate[0] < 0 else self.ineq
-        return CertificateReport(
-            claim_id=claim_id,
-            status="pass" if margin >= 0 else "fail",
-            worst_margin=float(margin),
-            worst_point=tuple(float(x) for x in point),
-            points_checked=int(self.points),
-        )
+def _report(claim_id: str, points: int, ineqs, gates) -> CertificateReport:
+    """The report from a claim's (margin, point) candidates, each list folded in
+    order by strict < from inf as in ``_worst``, so that a NaN or an inf never
+    wins: the first worst gate if negative, else the first worst inequality."""
+    worst = []
+    for candidates in (gates, ineqs):
+        worst.append((math.inf, ()))
+        for candidate in candidates:
+            if candidate[0] < worst[-1][0]:
+                worst[-1] = candidate
+    margin, point = worst[0] if worst[0][0] < 0 else worst[1]
+    return CertificateReport(claim_id, "pass" if margin >= 0 else "fail", float(margin),
+                             tuple(map(float, point)), int(points))
 
 
 def _bisect(f, lo, hi, floor):
@@ -152,7 +133,6 @@ def certify_cusp_trace_bound(
     vc_grid: GridSpec,
     ell_points: int = 10000,
     *,
-    probe: bool = False,
     bound_scale: float = 1.0,
     margin_rows: list | None = None,
 ) -> CertificateReport:
@@ -163,21 +143,18 @@ def certify_cusp_trace_bound(
     ``cusp_volume_trace_bound(vc) - min_trace_bound(ell, vc)`` is evaluated on
     a uniform grid of ``ell_points`` slopes.  The closed-form identity
     relating the bound to the Adams-Reid value at the peak slope is checked
-    as a gate.  ``probe=True`` waives the domain precondition and reports
-    observed behavior below the threshold (where the waist interval is empty,
-    nothing is evaluated).  ``bound_scale`` is a self-test hook that
-    multiplies the certified bound; anything but 1.0 must flip the gate.
+    as a gate.  A grid starting below the threshold is refused; below
+    sqrt(3)*pi^2 the waist interval is empty and nothing is checked.
+    ``bound_scale`` is a self-test hook that multiplies the certified bound;
+    anything but 1.0 must flip the gate.
     """
     if ell_points < 2:
         raise ValueError(f"need at least 2 slope points, got {ell_points}")
-    if not probe and vc_grid.lo < bounds.CUSP_VOLUME_THRESHOLD:
-        raise ValueError(
-            f"grid starts below the trace-bound threshold "
-            f"{bounds.CUSP_VOLUME_THRESHOLD}; use probe=True to explore it"
-        )
+    if vc_grid.lo < bounds.CUSP_VOLUME_THRESHOLD:
+        raise ValueError(f"grid starts below the trace-bound threshold {bounds.CUSP_VOLUME_THRESHOLD}")
     two_pi = 2 * math.pi
     trace_bound = bounds.min_trace_bound
-    worst = _Worst(margin_rows)
+    gates = []
     # Every volume is gated and checked before any is swept, so that a refusal
     # costs no slope loop.
     sweeps = []
@@ -188,7 +165,7 @@ def certify_cusp_trace_bound(
         if w_peak > 2:
             # The bound must agree with the Adams-Reid value at the peak slope.
             relerr = abs(bound - bounds.adams_reid_trace_bound(w_peak)) / bound
-            worst.add_gate(IDENTITY_REL_TOL - relerr, (vc,), points=0)
+            gates.append((IDENTITY_REL_TOL - relerr, (vc,)))
         ell_hi = cusp.max_waist_for_cusp_volume(vc)
         if ell_hi < two_pi:
             continue  # empty waist interval: nothing to certify at this volume
@@ -197,14 +174,20 @@ def certify_cusp_trace_bound(
         except OverflowError:
             raise ValueError(f"techlem2 needs every slope's ell^4 finite, got vc = {vc}") from None
         sweeps.append((vc, bound, ell_hi))
+    rows = []
     for vc, bound, ell_hi in sweeps:
-        worst_vc, worst_ell = math.inf, two_pi
+        # A scalar fold by _worst's rule: an array of the margins costs 5-12% more.
+        worst, worst_ell = math.inf, two_pi
         for ell in np.linspace(two_pi, ell_hi, ell_points).tolist():
             m = bound - trace_bound(ell, vc)
-            if m < worst_vc:
-                worst_vc, worst_ell = m, ell
-        worst.add_ineq(worst_vc, (vc, worst_ell), ell_points, (vc, worst_ell, worst_vc))
-    return worst.report("techlem2")
+            if m < worst:
+                worst, worst_ell = m, ell
+        rows.append((vc, worst_ell, worst))
+    block = np.array(rows, dtype=float).reshape(-1, 3)
+    if margin_rows is not None:
+        margin_rows.append(block)
+    return _report("techlem2", len(sweeps) * ell_points,
+                   [_worst(block[:, 2], block[:, 0], block[:, 1])], gates)
 
 
 # ---------------------------------------------------------------------------
@@ -258,17 +241,19 @@ def certify_crossing(
     for v, closed in zip(vs, closeds):
         if not closed > v:  # the closed form rounds to v or below from about 1e24 on
             raise ValueError(f"crossing needs crossing_volume(v) > v in doubles, got v = {v}")
-    worst = _Worst(margin_rows)
+    rows, gates = [], []
     for v, closed in zip(vs, closeds):
         root = _bisect_crossing(v)
-        margin = -math.inf if root is None else rel_tol - abs(root - closed) / closed
-        worst.add_ineq(margin, (v,), row=(v, closed, margin))
+        rows.append((v, closed, -math.inf if root is None else rel_tol - abs(root - closed) / closed))
         xs = np.geomspace(max(v * (1 + 1e-6), math.nextafter(v, math.inf)), 100 * closed,
                           monotonic_samples)
         f1, f2 = bounds._crossing_trace_bounds(xs, v)
-        g = min(float(np.min(np.diff(f1))), float(np.min(-np.diff(f2))))
-        worst.add_gate(g, (v,), 2 * monotonic_samples)
-    return worst.report("crossing")
+        gates.append(min(float(np.min(np.diff(f1))), float(np.min(-np.diff(f2)))))
+    block = np.array(rows, dtype=float)
+    if margin_rows is not None:
+        margin_rows.append(block)
+    return _report("crossing", len(vs) * (1 + 2 * monotonic_samples),
+                   [_worst(block[:, 2], block[:, 0])], [_worst(np.array(gates), block[:, 0])])
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +289,13 @@ def certify_length_lemma(
         raise OverflowError(f"r_max^2 is not finite for r_max = {r_max}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    worst = _Worst(margin_rows)
     claim_id = f"length-lemma:seed={seed}"
     if r_max == 0:
-        return worst.report(claim_id)
+        return _report(claim_id, 0, [], [])
 
     rng = np.random.default_rng(seed)
     bound = bounds.loxodromic_length_bound(r_max)
+    ineqs, gates, points = [], [], 0
     for start in range(0, samples, _DRAW_BLOCK):
         u = rng.uniform(size=2 * min(_DRAW_BLOCK, samples - start))
         r, theta = r_max * u[::2], (2 * math.pi * u[1::2]).tolist()
@@ -319,8 +304,11 @@ def certify_length_lemma(
         x = r * np.array([math.cos(a) for a in theta])
         y = r * np.array([math.sin(a) for a in theta])
         lengths, nonlox = trace_translation_lengths(x, y)
-        lox = ~nonlox
-        worst.add_ineqs(bound - lengths[lox], x[lox], y[lox])
+        block = np.column_stack((x, y, bound - lengths)).compress(~nonlox, axis=0)
+        if margin_rows is not None:
+            margin_rows.append(block)
+        ineqs.append(_worst(block[:, 2], block[:, 0], block[:, 1]))
+        points += len(block)
 
     for r in np.geomspace(min(0.1, r_max), r_max, sharpness_points).tolist():
         try:
@@ -328,13 +316,13 @@ def certify_length_lemma(
         except NonLoxodromicError:
             continue
         expected = (r + math.sqrt(r * r + 4)) / 2
-        worst.add_gate(IDENTITY_REL_TOL - abs(lam - expected) / expected, (0.0, r))
+        gates.append((IDENTITY_REL_TOL - abs(lam - expected) / expected, (0.0, r)))
 
     pinned_len = MoebiusElement.from_trace(complex(2, (2 * math.pi) ** 2)).translation_length()
     pin_m = min(math.log(bounds.adams_reid_trace_bound(2 * math.pi) ** 2 + 4) - pinned_len,
                 1e-5 - abs(pinned_len - 7.35534))
-    worst.add_gate(pin_m, (2.0, (2 * math.pi) ** 2))
-    return worst.report(claim_id)
+    gates.append((pin_m, (2.0, (2 * math.pi) ** 2)))
+    return _report(claim_id, points + len(gates), ineqs, gates)
 
 
 # ---------------------------------------------------------------------------
@@ -374,37 +362,35 @@ def certify_cubic_claims(
         if vc > 0 and not (4 * vc * vc >= sys.float_info.min and math.isfinite(m_claim)):
             raise ValueError(f"cubic claims need 4*vc^2 normal and the cubic finite, got vc = {vc}")
         claims.append((vc, x_star, m_claim))
-    worst = _Worst(margin_rows)
-
-    # f'(x) = 12x^2 - 2x + 16 > 0: discriminant and a direct sweep.
-    worst.add_ineq(4 * 12 * 16 - (-2) ** 2, (0.0,), points=0)
-    for x in np.linspace(-1e3, 1e3, 20001).tolist():
-        worst.add_ineq(12 * x * x - 2 * x + 16, (x,))
-
+    # f'(x) = 12x^2 - 2x + 16 > 0: discriminant and a direct sweep.  Then
     # (8 - 2*sqrt(2)) z^2 - sqrt(2) z + 16 > 0: negative discriminant.
-    worst.add_ineq(4 * (8 - 2 * math.sqrt(2)) * 16 - 2, (0.0,))
-
+    xs = np.linspace(-1e3, 1e3, 20001)
+    ineqs = [(4 * 12 * 16 - (-2) ** 2, (0.0,)), _worst(12 * xs * xs - 2 * xs + 16, xs),
+             (4 * (8 - 2 * math.sqrt(2)) * 16 - 2, (0.0,))]
+    gates = []
+    points = len(xs) + 1 + len(claims)
     for vc, x_star, m_claim in claims:
-        worst.add_ineq(m_claim, (vc, x_star), row=(vc, x_star, m_claim))
-
+        ineqs.append((m_claim, (vc, x_star)))
         # Bisect the root, then compare 4x^2 + 16 values.  [0, x_star] is a bracket iff
         # f(x_star) > 0: f(0) = -4*vc^2 < 0 at every volume but 0, where x_star = 0.
         if not m_claim > 0:
-            worst.add_ineq(-math.inf, (vc, x_star), points=0)  # no bracket: the claim fails
+            ineqs.append((-math.inf, (vc, x_star)))  # no bracket: the claim fails
             continue
         x0 = _bisect(lambda x: _cubic(x, vc), 0.0, x_star, 1.0)
-        worst.add_ineq((4 * x_star * x_star + 16) - (4 * x0 * x0 + 16), (vc, x0))
-
+        ineqs.append(((4 * x_star * x_star + 16) - (4 * x0 * x0 + 16), (vc, x0)))
         # Endpoint identity t(4*vc/sqrt(3)) = 7*vc/sqrt(3).
         endpoint = 4 * vc / math.sqrt(3)
         t_end = endpoint + 4 * vc * vc / endpoint
         expected = 7 * vc / math.sqrt(3)
-        worst.add_gate(IDENTITY_REL_TOL - abs(t_end - expected) / expected, (vc, endpoint))
-
+        gates.append((IDENTITY_REL_TOL - abs(t_end - expected) / expected, (vc, endpoint)))
+        points += 2
         if vc >= bounds.CUSP_VOLUME_THRESHOLD:
-            worst.add_ineq((8 * vc ** (4 / 3) + 16) - expected, (vc, endpoint))
+            ineqs.append(((8 * vc ** (4 / 3) + 16) - expected, (vc, endpoint)))
+            points += 1
 
-    return worst.report("cubic")
+    if margin_rows is not None:
+        margin_rows.append(np.array(claims, dtype=float))
+    return _report("cubic", points, ineqs, gates)
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +409,8 @@ class Param(NamedTuple):
 
 class Claim(NamedTuple):
     """A verifiable claim: the header of its margin CSV, its parameters, and
-    ``run(params, margin_rows)``, which takes the parameters by name (those of
-    the claim and of COMMON_PARAMS, and optionally ``probe``).
+    ``run(params, margin_rows)``, which takes the parameters by name, those of
+    the claim and of COMMON_PARAMS, and no others.
 
     Runners call the ``certify_*`` sweeps through this module's globals at
     call time, so a wrapper installed on the module attribute sees the call.
@@ -461,9 +447,8 @@ CLAIMS = {
         ("vc", "worst_ell", "margin"),
         (*_grid_params(_VC_GRID, bounds.MIN_CUSP_VOLUME_AT_WAIST_2PI, 200),
          Param("ell-points", int, 10000)),
-        lambda p, rows: certify_cusp_trace_bound(
-            _grid(p, _VC_GRID), p["ell-points"], probe=p.get("probe", False), margin_rows=rows,
-        ),
+        lambda p, rows: certify_cusp_trace_bound(_grid(p, _VC_GRID), p["ell-points"],
+                                                 margin_rows=rows),
     ),
     "crossing": Claim(
         ("v", "crossing_volume", "margin"),

@@ -246,7 +246,7 @@ def _cmd_verify(args) -> _Output:
         raise _UsageError(f"cannot write --margins-csv: {exc}") from None
     with fh:
         rows: list | None = [] if args.margins_csv else None
-        report = _call(_UsageError, claim.run, {**params, "probe": args.probe}, rows)
+        report = _call(_UsageError, claim.run, params, rows)
         if rows is not None:
             _write_csv(fh, claim.header, (row for block in rows for row in (block + 0.0).tolist()),
                        "%.17g")
@@ -449,8 +449,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("claim", choices=list(certify.CLAIMS))
     for param in (*_VERIFY_PARAMS.values(), *certify.COMMON_PARAMS):
         p_verify.add_argument(f"--{param.name}", type=param.cast, choices=param.choices)
-    p_verify.add_argument("--probe", action="store_true",
-                          help="waive domain preconditions and just report margins")
     p_verify.add_argument("--config", help="key=value file presetting grid defaults")
     p_verify.add_argument("--margins-csv", help="write per-point margins to this CSV")
     p_verify.set_defaults(handler=_cmd_verify)

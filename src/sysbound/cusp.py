@@ -34,7 +34,8 @@ def max_waist_for_cusp_volume(vc: float) -> float:
     vc = float(vc)
     if not (vc > 0 and math.isfinite(vc)):
         raise ValueError(f"cusp volume must be positive, got {vc}")
-    return math.sqrt(4 * vc / math.sqrt(3))
+    waist = math.sqrt(4 * vc / math.sqrt(3))
+    return waist if waist < math.inf else 2 * math.sqrt(vc / math.sqrt(3))  # 4*vc overflows
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 from sysbound import bounds, certify
 from sysbound.certify import (
     GridSpec,
-    _Worst,
+    _report,
+    _worst,
     certify_crossing,
     certify_cubic_claims,
     certify_cusp_trace_bound,
@@ -42,60 +45,84 @@ def test_grid_spec_values():
     assert list(log) == pytest.approx([1, 10, 100])
 
 
-def test_worst_counts_every_points_argument():
-    worst = _Worst()
-    worst.add_ineq(1.0, (0.0,))
-    worst.add_ineq(2.0, (1.0,), points=0)
-    worst.add_ineq(3.0, (2.0,), points=5)
-    worst.add_gate(4.0, (3.0,))
-    worst.add_gate(5.0, (4.0,), points=0)
-    worst.add_gate(6.0, (5.0,), points=7)
-    assert worst.report("c").points_checked == 1 + 0 + 5 + 1 + 0 + 7
+def _fold(candidates):
+    """The reference rule: a strict-< fold from inf, so the first of equal
+    margins is kept and neither NaN nor inf ever wins."""
+    worst = (math.inf, ())
+    for margin, point in candidates:
+        if margin < worst[0]:
+            worst = (margin, point)
+    return worst
 
 
-def test_worst_keeps_rows_only_when_given_a_list():
+def test_report_passes_on_the_points_it_is_given():
+    assert _report("c", 7, [], []).points_checked == 7
+    report = _report("c", 0, [], [])
+    assert (report.status, report.worst_margin, report.worst_point) == ("pass", math.inf, ())
+
+
+def test_cubic_counts_every_point_it_checks():
+    # 20001 derivative points and one discriminant, then per volume the claim,
+    # and where the root is bracketed the bisection and the endpoint gate, and
+    # above the threshold the endpoint bound.  vc = 0 has no bracket.
+    grid = GridSpec(0.0, 10.0, 6, "linear")
+    vcs = grid.values().tolist()
+    expected = 20001 + 1 + sum(1 + (2 + (vc >= bounds.CUSP_VOLUME_THRESHOLD) if vc > 0 else 0)
+                               for vc in vcs)
+    assert certify_cubic_claims(grid).points_checked == expected
+
+
+CLAIM_RUNS = {
+    "techlem2": (lambda rows: certify_cusp_trace_bound(SMALL_VC_GRID, 40, margin_rows=rows), [30]),
+    "crossing": (lambda rows: certify_crossing(GridSpec(0.5, 50, 7, "log"), monotonic_samples=20,
+                                               margin_rows=rows), [7]),
+    "length-lemma": (lambda rows: certify_length_lemma(5000, 20.0, seed=4, sharpness_points=5,
+                                                       margin_rows=rows), [4096, 904]),
+    "cubic": (lambda rows: certify_cubic_claims(GridSpec(2.0, 100.0, 9, "log"), margin_rows=rows),
+              [9]),
+}
+
+
+@pytest.mark.parametrize("claim", CLAIM_RUNS)
+def test_claims_keep_rows_only_when_given_a_list(claim):
+    run, sizes = CLAIM_RUNS[claim]
     rows = []
-    worst = _Worst(rows)
-    worst.add_ineq(1.0, (0.0,), row=(0.0, 1.0))
-    worst.add_ineq(2.0, (1.0,))
-    worst.add_gate(3.0, (2.0,))
-    worst.add_ineq(-1.0, (3.0,), points=0, row=(3.0, -1.0))
-    assert [block.shape for block in rows] == [(1, 2), (1, 2)]
-    assert np.vstack(rows).tolist() == [[0.0, 1.0], [3.0, -1.0]]
-    unkept = _Worst()
-    unkept.add_ineq(1.0, (0.0,), row=(0.0, 1.0))
-    assert unkept.report("c").worst_margin == 1.0
+    report = run(rows)
+    # One float block per claim, and one per draw block for length-lemma; a
+    # lane of length-lemma that is not loxodromic has no row.
+    assert all(block.dtype == float and block.shape[1] == 3 for block in rows)
+    assert len(rows) == len(sizes)
+    assert all(0 < len(block) <= size for block, size in zip(rows, sizes))
+    assert run(None) == report
+    # Each row's margin is an inequality candidate, so none is below the
+    # reported margin of a passing claim, and the first smallest is reported.
+    margins = np.vstack(rows)[:, 2]
+    assert report.passed and report.worst_margin <= margins.min()
 
 
-def test_worst_keeps_the_first_of_equal_margins_and_never_takes_nan():
-    worst = _Worst()
-    worst.add_ineq(0.5, (1.0,))
-    worst.add_ineq(0.5, (2.0,))
-    worst.add_ineq(math.nan, (3.0,))
-    report = worst.report("c")
+def test_report_keeps_the_first_of_equal_margins_and_never_takes_nan_or_inf():
+    report = _report("c", 3, [(0.5, (1.0,)), (0.5, (2.0,)), (math.nan, (3.0,))], [])
     assert (report.worst_margin, report.worst_point) == (0.5, (1.0,))
-    first_nan = _Worst()
-    first_nan.add_ineq(math.nan, (1.0,))
-    first_nan.add_ineq(0.25, (2.0,))
-    assert first_nan.report("c").worst_point == (2.0,)
+    report = _report("c", 2, [(math.nan, (1.0,)), (math.inf, (2.0,)), (0.25, (3.0,))], [])
+    assert report.worst_point == (3.0,)
+    report = _report("c", 2, [(math.nan, (1.0,)), (math.inf, (2.0,))], [])
+    assert (report.worst_margin, report.worst_point) == (math.inf, ())
 
 
-def test_worst_blocks_keep_the_first_of_equal_margins_and_never_take_nan():
-    rows = []
-    worst = _Worst(rows)
-    worst.add_ineqs(np.array([math.nan, 0.5, 0.25, 0.25]), np.array([1.0, 2.0, 3.0, 4.0]))
-    assert worst.report("c").worst_point == (3.0,)  # the first 0.25 within the block
-    worst.add_ineqs(np.array([0.25, math.nan]), np.array([5.0, 6.0]))
-    worst.add_ineqs(np.array([]), np.array([]))
-    worst.add_ineqs(np.array([math.nan]), np.array([7.0]))
-    report = worst.report("c")
-    assert (report.worst_margin, report.worst_point) == (0.25, (3.0,))  # across blocks too
-    assert report.points_checked == 4 + 2 + 0 + 1
-    assert [block.shape for block in rows] == [(4, 2), (2, 2), (0, 2), (1, 2)]
-    assert np.vstack(rows)[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
-    only_nan = _Worst()
-    only_nan.add_ineqs(np.array([math.nan, math.nan]), np.array([1.0, 2.0]))
-    assert only_nan.report("c").worst_point == ()
+def test_worst_keeps_the_first_of_equal_margins_and_never_takes_nan_or_inf():
+    xs = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    assert _worst(np.array([math.nan, 0.5, 0.25, 0.25, math.inf]), xs) == (0.25, (3.0,))
+    assert _worst(np.array([0.0, -0.0]), xs[:2]) == (0.0, (1.0,))
+    assert math.copysign(1, _worst(np.array([-0.0, 0.0]), xs[:2])[0]) == -1
+    assert _worst(np.array([math.nan, math.inf, math.nan]), xs[:3]) == (math.inf, ())
+    assert _worst(np.array([]), np.array([])) == (math.inf, ())
+    assert _worst(np.array([math.nan, -math.inf, -math.inf]), xs[:3], -xs[:3]) == (
+        -math.inf, (2.0, -2.0))
+    # Across blocks, through _report: the first 0.25, in the first block.
+    blocks = [np.array([math.nan, 0.5, 0.25]), np.array([0.25, math.nan]), np.array([math.nan])]
+    points = [np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0]), np.array([6.0])]
+    report = _report("c", 6, [_worst(m, x) for m, x in zip(blocks, points)], [])
+    assert (report.worst_margin, report.worst_point) == (0.25, (3.0,))
 
 
 def test_worst_blocks_agree_with_one_margin_at_a_time():
@@ -104,23 +131,42 @@ def test_worst_blocks_agree_with_one_margin_at_a_time():
     margins = rng.choice([math.nan, -math.inf, -1.0, -0.0, 0.0, 0.5, 2.0, math.inf], size=500)
     xs, ys = rng.uniform(size=500), rng.uniform(size=500)
     cuts = [0, 1, 1, 7, 64, 65, 300, 500]
-    blocks, scalar = _Worst(), _Worst()
-    for lo, hi in zip(cuts, cuts[1:]):
-        blocks.add_ineqs(margins[lo:hi], xs[lo:hi], ys[lo:hi])
-        for m, x, y in zip(margins[lo:hi].tolist(), xs[lo:hi].tolist(), ys[lo:hi].tolist()):
-            scalar.add_ineq(m, (x, y))
-    assert repr(blocks.report("c")) == repr(scalar.report("c"))
+    blocks = [_worst(margins[lo:hi], xs[lo:hi], ys[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    scalar = list(zip(margins.tolist(), zip(xs.tolist(), ys.tolist())))
+    report = _report("c", 500, scalar, [])
+    assert repr(_report("c", 500, blocks, [])) == repr(report)
+    assert (report.worst_margin, report.worst_point) == _fold(scalar)
 
 
-def test_worst_surfaces_a_gate_only_when_negative():
-    worst = _Worst()
-    worst.add_ineq(2.0, (1.0,))
-    worst.add_gate(0.0, (2.0,))
-    report = worst.report("c")
+def test_report_surfaces_a_gate_only_when_negative():
+    ineqs = [(2.0, (1.0,))]
+    report = _report("c", 2, ineqs, [(0.0, (2.0,)), (math.nan, (4.0,))])
     assert (report.status, report.worst_margin, report.worst_point) == ("pass", 2.0, (1.0,))
-    worst.add_gate(-1e-3, (3.0,))
-    report = worst.report("c")
+    report = _report("c", 3, ineqs, [(0.0, (2.0,)), (-1e-3, (3.0,)), (-1e-3, (5.0,))])
     assert (report.status, report.worst_margin, report.worst_point) == ("fail", -1e-3, (3.0,))
+
+
+_MARGINS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 0.5]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@given(ineqs=st.lists(_MARGINS, max_size=40), gates=st.lists(_MARGINS, max_size=8),
+       cuts=st.lists(st.integers(0, 40), max_size=6))
+def test_report_is_a_strict_fold_over_blocks_and_candidates(ineqs, gates, cuts):
+    ineq_points = [(float(i), -float(i)) for i in range(len(ineqs))]
+    gate_points = [(float(i),) for i in range(len(gates))]
+    # The inequalities arrive as _worst of arbitrary blocks, the gates one at a time.
+    bounds_ = sorted({0, len(ineqs), *(c for c in cuts if c <= len(ineqs))})
+    margins, coords = np.array(ineqs, dtype=float), np.array(ineq_points).reshape(-1, 2)
+    blocks = [_worst(margins[lo:hi], coords[lo:hi, 0], coords[lo:hi, 1])
+              for lo, hi in zip(bounds_, bounds_[1:])]
+    report = _report("c", len(ineqs), blocks, list(zip(gates, gate_points)))
+    gate = _fold(zip(gates, gate_points))
+    margin, point = gate if gate[0] < 0 else _fold(zip(ineqs, ineq_points))
+    assert (repr(report.worst_margin), report.worst_point) == (repr(float(margin)), point)
+    assert report.status == ("pass" if margin >= 0 else "fail")
 
 
 def test_report_status_matches_margin_sign():
@@ -155,14 +201,6 @@ def test_cusp_trace_bound_perturbation_flips_to_fail():
 def test_cusp_trace_bound_rejects_grid_below_threshold():
     with pytest.raises(ValueError):
         certify_cusp_trace_bound(GridSpec(1.0, 100, 10, "log"), 100)
-
-
-def test_cusp_trace_bound_probe_mode_below_threshold():
-    # below the realizable regime the waist interval is empty, so probing
-    # reports vacuously: nothing is violated, nothing is checked
-    report = certify_cusp_trace_bound(GridSpec(1.0, 2.0, 5, "linear"), 100, probe=True)
-    assert report.passed
-    assert report.points_checked == 0
 
 
 def test_cusp_trace_bound_single_volume():
@@ -312,7 +350,7 @@ def test_refusal_comes_before_any_volume_is_swept(sweep, good_grid, bad_grid, me
 
     module, name = swept
     monkeypatch.setattr(module, name, counted("swept", getattr(module, name)))
-    monkeypatch.setattr(_Worst, "add_ineq", counted("margins", _Worst.add_ineq))
+    monkeypatch.setattr(certify, "_worst", counted("margins", certify._worst))
     sweep(good_grid)
     assert counts["swept"] > 0 and counts["margins"] > 0  # the counters see a sweep
     counts.update(swept=0, margins=0)

@@ -77,6 +77,31 @@ def test_bound_csv_and_human(capsys):
     assert "systole bound (closed-link)" in out
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+@pytest.mark.parametrize("volume, cusped, link", [
+    # The direct formulas overflow from about 1.1e231 on; the bounds are near 900.
+    ("1e300", "921.51562155626641", "921.51562155626641"),
+    ("1.7976931348623157e308", "946.85853488316013", "946.85853488316013"),
+])
+@pytest.mark.parametrize("kind", ["cusped", "closed-link"])
+def test_bound_at_volumes_past_the_overflow_of_the_direct_formula(kind, volume, cusped, link,
+                                                                  fmt, capsys):
+    code, out, err = run(capsys, ["bound", kind, "--volume", volume, "--format", fmt])
+    assert (code, err) == (0, "")
+    bound = cusped if kind == "cusped" else link
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["bound"] == bound
+        assert all(math.isfinite(float(x)) for x in payload["profile"].values())
+    elif fmt == "csv":
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert (row["bound"], row["cusped_bound"], row["link_bound"]) == (bound, cusped, link)
+        assert all(math.isfinite(float(x)) for name, x in row.items() if name != "kind")
+    else:
+        assert out.splitlines()[0] == f"systole bound ({kind}): {float(bound):.6g}"
+        assert "inf" not in out
+
+
 # ---------------------------------------------------------------------------
 # element
 # ---------------------------------------------------------------------------
@@ -317,14 +342,15 @@ def test_verify_bad_grid_is_usage_error(capsys):
     assert "usage error" in err
 
 
-def test_verify_probe_below_threshold(capsys):
-    code, out, _ = run(
-        capsys,
-        ["verify", "techlem2", "--vc-min", "1", "--vc-max", "2", "--vc-points", "3",
-         "--ell-points", "10", "--probe", "--format", "json"],
-    )
-    assert code == 0
-    assert json.loads(out)["points_checked"] == 0
+def test_verify_has_no_probe_flag_and_refuses_a_grid_below_the_threshold(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "techlem2", "--probe"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --probe" in capsys.readouterr().err
+    code, out, err = run(capsys, ["verify", "techlem2", "--vc-min", "1"])
+    assert (code, out) == (2, "")
+    assert err == ("usage error: grid starts below the trace-bound threshold "
+                   f"{bounds.CUSP_VOLUME_THRESHOLD}\n")
 
 
 # ---------------------------------------------------------------------------
