@@ -16,6 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .cusp import max_waist_for_cusp_volume
 
@@ -194,6 +195,8 @@ def cusp_volume_trace_bound(vc: float, enforce_domain: bool = True) -> float:
     Dominates min_trace_bound over the whole waist interval once
     vc >= CUSP_VOLUME_THRESHOLD.  Pass enforce_domain=False to evaluate the
     bare formula at any positive volume (drilled_trace_bound and techlem2 do).
+    Where 2*vc^(4/3) overflows (vc above about 9.2e230; the power raises from
+    about 1.55e231), the 4 is swamped, and it is sqrt(2)*vc^(2/3).
     """
     vc = float(vc)
     _require(vc > 0, "cusp volume must be positive, got {}", vc)
@@ -202,7 +205,9 @@ def cusp_volume_trace_bound(vc: float, enforce_domain: bool = True) -> float:
             vc >= CUSP_VOLUME_THRESHOLD,
             "cusp volume {} below threshold {}", vc, CUSP_VOLUME_THRESHOLD,
         )
-    return math.sqrt(2 * vc ** (4 / 3) + 4)
+    if vc < 1.5e231 and (bound := math.sqrt(2 * vc ** (4 / 3) + 4)) < math.inf:
+        return bound
+    return math.sqrt(2) * vc ** (2 / 3)
 
 
 def cusped_systole_bound(v: float) -> float:
@@ -269,26 +274,28 @@ def filling_slope_trace_bound(x: float, v: float) -> float:
 
 def _crossing_trace_bounds(xs, v: float):
     """Arrays ``drilled_trace_bound(x)`` and ``filling_slope_trace_bound(x, v)``
-    over the 1-d float64 array ``xs`` of complement volumes, each above v.
+    over the 1-d float64 array ``xs`` of complement volumes, each above v and
+    below 1e231, past which the scalar drilled bound leaves its direct formula.
 
     Equal, lane for lane and bit for bit, to the scalar calls.  numpy does
     only sqrt, *, /, + and -, which are correctly rounded as Python's floats
-    are; every power goes through Python's ``**`` (libm pow) one lane at a
-    time, because numpy's power differs from it in the last bit on a few
+    are; every power is Python's float ``pow`` (libm pow), streamed one lane
+    at a time, because numpy's power differs from it in the last bit on a few
     percent of lanes, and ``d * d`` differs from ``d**2`` on some.
     """
     import numpy as np  # here, so that sysbound.certify stays the one module that loads numpy
 
     v = float(v)
     _require(v >= 0, "closed volume must be nonnegative, got {}", v)
-    x_min = float(np.min(xs))
+    x_min, x_max, n = float(np.min(xs)), float(np.max(xs)), len(xs)
     _require(x_min > v, "complement volume {} must exceed closed volume {}", x_min, v)
-    vc = CUSP_DENSITY_BOUND * xs
-    drilled = np.sqrt(2 * np.array([t ** (4 / 3) for t in vc.tolist()]) + 4)
-    denom = 1 - np.array([r ** (2 / 3) for r in (v / xs).tolist()])
+    _require(x_max < 1e231, "complement volume {} must be below 1e231", x_max)
+    vc = (CUSP_DENSITY_BOUND * xs).tolist()
+    drilled = np.sqrt(2 * np.fromiter(map(pow, vc, repeat(4 / 3)), float, n) + 4)
+    denom = 1 - np.fromiter(map(pow, (v / xs).tolist(), repeat(2 / 3)), float, n)
     filling = np.full(xs.shape, math.inf)  # where denom <= 0, as in the scalar bound
     live = denom > 0
-    squares = np.array([d**2 for d in denom[live].tolist()])
+    squares = np.fromiter(map(pow, denom[live].tolist(), repeat(2)), float, int(live.sum()))
     filling[live] = np.sqrt(16 * math.pi**4 / squares + 4)
     return drilled, filling
 

@@ -301,8 +301,8 @@ def certify_length_lemma(
         r, theta = r_max * u[::2], (2 * math.pi * u[1::2]).tolist()
         # cos and sin through math (libm), as the scalar draws take them: numpy's own
         # vectorized ones, on CPUs that have them, need not agree in the last bit.
-        x = r * np.array([math.cos(a) for a in theta])
-        y = r * np.array([math.sin(a) for a in theta])
+        x = r * np.fromiter(map(math.cos, theta), float, len(theta))
+        y = r * np.fromiter(map(math.sin, theta), float, len(theta))
         lengths, nonlox = trace_translation_lengths(x, y)
         block = np.column_stack((x, y, bound - lengths)).compress(~nonlox, axis=0)
         if margin_rows is not None:

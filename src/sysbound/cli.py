@@ -25,6 +25,8 @@ from . import bianchi, bounds, certify
 from .cusp import CuspLattice
 from .mobius import ElementClass, MoebiusElement
 
+_CSV_BLOCK = 4096  # rows per block of the CSV writer: no ``%`` call formats a whole file
+
 
 class _UsageError(Exception):
     """Bad input: reported as ``usage error: ...`` with exit code 2."""
@@ -50,11 +52,13 @@ def _fmt(x, spec=".17g") -> str:
     return format(float(x) + 0.0, spec)
 
 
-def _write_csv(fh, header, rows, cell="%s") -> None:
-    """The header, then each row as its fields in ``cell``, comma-separated."""
+def _write_csv(fh, header, blocks, cell="%s") -> None:
+    """The header, then the rows of each block, a flat list of their fields:
+    each field in ``cell``, comma-separated, a block per ``%`` call, not a row."""
     fh.write(",".join(header) + "\n")
     line = ",".join([cell] * len(header)) + "\n"
-    fh.writelines(line % tuple(row) for row in rows)
+    for cells in blocks:
+        fh.write(line * (len(cells) // len(header)) % tuple(cells))
 
 
 def _emit(fmt: str, out: _Output) -> None:
@@ -67,7 +71,9 @@ def _emit(fmt: str, out: _Output) -> None:
             sys.stdout.write(batch)
         sys.stdout.write("\n")
     elif fmt == "csv":
-        _write_csv(sys.stdout, out.header, out.rows)
+        rows = iter(out.rows)  # a block at a time, so that a lazy view such as the ideals streams
+        _write_csv(sys.stdout, out.header, iter(
+            lambda: [x for row in itertools.islice(rows, _CSV_BLOCK) for x in row], []))
     else:
         for line in out.human:
             print(line)
@@ -248,8 +254,9 @@ def _cmd_verify(args) -> _Output:
         rows: list | None = [] if args.margins_csv else None
         report = _call(_UsageError, claim.run, params, rows)
         if rows is not None:
-            _write_csv(fh, claim.header, (row for block in rows for row in (block + 0.0).tolist()),
-                       "%.17g")
+            _write_csv(fh, claim.header, ((block[i:i + _CSV_BLOCK] + 0.0).ravel().tolist()
+                                          for block in rows
+                                          for i in range(0, len(block), _CSV_BLOCK)), "%.17g")
     worst_point = [_fmt(x) for x in report.worst_point]
     record = {
         "claim_id": report.claim_id,
@@ -305,11 +312,12 @@ def _census_height_check(pi, table, height) -> bool:
     for row in table:
         n, lb = row.n, row.trace_lb
         mats = bianchi.enumerate_congruence_elements(bianchi.CongruenceLevel(pi, n), height)
-        lox = [m for m in mats if m.classify_exact() is ElementClass.LOXODROMIC]
+        lox = [(m.m11.a + m.m22.a) ** 2 + pi.d * (m.m11.b + m.m22.b) ** 2
+               for m in mats if m.classify_exact() is ElementClass.LOXODROMIC]
         if not lox:
             print(f"n={n}: {len(mats)} elements in box, no loxodromic", file=sys.stderr)
             continue
-        attained_norm = min(m.trace().norm for m in lox)
+        attained_norm = min(lox)
         holds = attained_norm >= lb * lb
         ok = ok and holds
         print(

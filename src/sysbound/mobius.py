@@ -180,7 +180,7 @@ def trace_translation_lengths(x, y):
         fast = ~(nonlox | scalar)
         lengths = np.full(x.shape, math.nan)
         args = (s1_re * s2_re + s1_im * s2_im)[fast].tolist()
-        lengths[fast] = np.abs(2.0 * np.array([math.asinh(v) for v in args]))
+        lengths[fast] = np.abs(2.0 * np.fromiter(map(math.asinh, args), float, len(args)))
     for i in np.flatnonzero(scalar).tolist():
         try:
             lengths[i] = MoebiusElement.from_trace(complex(x[i], y[i])).translation_length()

@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import hypothesis.strategies as st
 import numpy as np
@@ -297,6 +299,19 @@ def test_crossing_gate_arrays_keep_the_scalar_domain_guards():
         bounds._crossing_trace_bounds(np.array([3.0, 2.0]), 2.0)
     with pytest.raises(ValueError, match="closed volume must be nonnegative, got -1.0"):
         bounds._crossing_trace_bounds(np.array([3.0]), -1.0)
+
+
+def test_crossing_gate_arrays_stop_where_the_drilled_bound_leaves_its_direct_formula():
+    """Below 1e231 the drilled arrays equal the scalar bound bit for bit; from
+    1e231 on they are refused by name, though the scalar bound is finite
+    there (from about 1.08e231 it is sqrt(2)*vc^(2/3))."""
+    xs = np.geomspace(1e200, math.nextafter(1e231, 0), 1000)
+    drilled, _ = bounds._crossing_trace_bounds(xs, 1.0)
+    assert np.array_equal(drilled, [bounds.drilled_trace_bound(x) for x in xs.tolist()])
+    for x in (1e231, 1.0818688035559486e231, 2e231, sys.float_info.max):
+        assert math.isfinite(bounds.drilled_trace_bound(x))
+        with pytest.raises(ValueError, match=re.escape(f"complement volume {x} must be below 1e231")):
+            bounds._crossing_trace_bounds(np.array([2.0, x]), 1.0)
 
 
 def test_crossing_gate_fails_on_a_filling_bound_that_is_not_monotone(monkeypatch):

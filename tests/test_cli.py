@@ -11,6 +11,7 @@ import warnings
 from pathlib import Path
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
@@ -295,8 +296,11 @@ def test_verify_margins_csv(tmp_path, capsys):
 
 def test_margin_writer_gives_the_bytes_of_csv_writer_and_fmt():
     def written(header, rows, *cell):
+        # two rows to a block, the last block short
         fh = io.StringIO()
-        _write_csv(fh, header, rows, *cell)
+        flat = [x for row in rows for x in row]
+        step = 2 * len(header)
+        _write_csv(fh, header, (flat[i:i + step] for i in range(0, len(flat), step)), *cell)
         return fh.getvalue()
 
     def csv_writer(header, rows):
@@ -318,6 +322,62 @@ def test_margin_writer_gives_the_bytes_of_csv_writer_and_fmt():
     rows = [[5, 1, "true", 1, 2, 5], [7, 1, "false", "", "", ""],
             [10**3999, -(10**3999), "true", -3, "", "1.2345678901234567e-300"]]
     assert written(header, rows) == csv_writer(header, rows)
+    assert written(header, []) == csv_writer(header, [])
+
+
+def _rows_a_call_each(header, rows, cell="%s"):
+    """CSV text with each row formatted in its own ``%`` call: the reference
+    for the writer, which formats a block of rows per call."""
+    line = ",".join([cell] * len(header)) + "\n"
+    return ",".join(header) + "\n" + "".join(line % tuple(row) for row in rows)
+
+
+@pytest.mark.parametrize("r_max", ["100", "1e-12"])
+def test_margin_file_has_the_bytes_of_a_format_call_per_row(r_max, tmp_path, monkeypatch, capsys):
+    """--samples 4097 takes two draw blocks, the second of one pair; at
+    --r-max 1e-12 every lane is elliptic and both blocks are empty.  A block
+    of 4100 rows of extreme reals is appended, which the writer splits at
+    4096 rows; its -0.0 must print as 0."""
+    extremes = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308,
+                -5e-324, 1 / 3, -2.5, 10.0**20, 0.1, -1e-300]
+    appended = np.resize(np.array(extremes), (4100, 3))
+    kept = []
+    run_sweep = certify.certify_length_lemma
+
+    def run_and_append(*args, margin_rows, **kwargs):
+        report = run_sweep(*args, margin_rows=margin_rows, **kwargs)
+        margin_rows.append(appended)
+        kept.append(margin_rows)
+        return report
+
+    monkeypatch.setattr(certify, "certify_length_lemma", run_and_append)
+    path = tmp_path / "margins.csv"
+    code, _, _ = run(capsys, ["verify", "length-lemma", "--samples", "4097", "--r-max", r_max,
+                              "--margins-csv", str(path)])
+    assert code == 0
+    (blocks,) = kept
+    drawn = [len(block) for block in blocks[:-1]]
+    assert drawn == ([0, 0] if r_max == "1e-12" else [4096, 1])
+    rows = [[x + 0.0 for x in row] for block in blocks for row in block.tolist()]
+    got = path.read_text()
+    # as lines, which pytest compares without a diff of the whole text
+    want = _rows_a_call_each(certify.CLAIMS["length-lemma"].header, rows, "%.17g")
+    assert got.splitlines() == want.splitlines() and got.endswith("\n")
+    assert "-0," not in got and "\n0,nan,inf\n" in got
+
+
+def test_csv_stdout_has_the_bytes_of_a_format_call_per_row(capsys):
+    """Int cells over more than one 4096-row batch (5025 ideals), and str cells."""
+    _, out, _ = run(capsys, ["bianchi", "ideals", "--d", "1", "--max-modulus", "40", "--format", "csv"])
+    rows = [[x.a, x.b, x.norm] for x in bianchi.elements_of_bounded_modulus(1, 40.0)]
+    assert len(rows) > 4096 and out.endswith("\n")
+    assert out.splitlines() == _rows_a_call_each(["a", "b", "norm"], rows).splitlines()
+    header = ["p", "d", "split", "a", "b", "norm"]
+    _, out, _ = run(capsys, ["bianchi", "split", "--d", "1", "--p", "7", "--format", "csv"])
+    assert out == _rows_a_call_each(header, [[7, 1, "false", "", "", ""]])
+    _, out, _ = run(capsys, ["bianchi", "split", "--d", "1", "--p", "5", "--format", "csv"])
+    x = bianchi.split_prime(5, 1)
+    assert out == _rows_a_call_each(header, [[5, 1, "true", x.a, x.b, 5]])
 
 
 def test_verify_config_defaults_and_flag_override(tmp_path, capsys):
