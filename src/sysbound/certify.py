@@ -160,19 +160,19 @@ def certify_cusp_trace_bound(
     sweeps = []
     # Python floats, not numpy scalars: the slope loop runs once per point.
     for vc in vc_grid.values().tolist():
+        ell_hi = cusp.max_waist_for_cusp_volume(vc)
+        try:  # before the gate, whose peak slope's w**4 overflows from about vc = 1.2e231
+            ell_hi**4  # the largest ell**4 that min_trace_bound takes at this volume
+        except OverflowError:
+            raise ValueError(f"techlem2 needs every slope's ell^4 finite, got vc = {vc}") from None
         bound = bound_scale * bounds.cusp_volume_trace_bound(vc, enforce_domain=False)
         w_peak = 2**0.25 * vc ** (1 / 3)
         if w_peak > 2:
             # The bound must agree with the Adams-Reid value at the peak slope.
             relerr = abs(bound - bounds.adams_reid_trace_bound(w_peak)) / bound
             gates.append((IDENTITY_REL_TOL - relerr, (vc,)))
-        ell_hi = cusp.max_waist_for_cusp_volume(vc)
         if ell_hi < two_pi:
             continue  # empty waist interval: nothing to certify at this volume
-        try:
-            ell_hi**4  # the largest ell**4 that min_trace_bound takes at this volume
-        except OverflowError:
-            raise ValueError(f"techlem2 needs every slope's ell^4 finite, got vc = {vc}") from None
         sweeps.append((vc, bound, ell_hi))
     rows = []
     for vc, bound, ell_hi in sweeps:
@@ -421,8 +421,8 @@ class Claim(NamedTuple):
     run: Callable[[dict, list | None], CertificateReport]
 
 
-# ``jobs`` is parsed and validated, so old command lines still run; no sweep reads it.
-COMMON_PARAMS = (Param("seed", int, DEFAULT_SEED), Param("jobs", int, 1))
+# Taken by every claim: ``jobs`` is validated so that old command lines run; no sweep reads it.
+COMMON_PARAMS = (Param("jobs", int, 1),)
 
 _VC_GRID = ("vc-min", "vc-max", "vc-points", "vc-scale")
 _V_GRID = ("v-min", "v-max", "points", "scale")
@@ -464,7 +464,8 @@ CLAIMS = {
         ("trace_re", "trace_im", "margin"),
         (Param("samples", int, 100000),
          Param("r-max", float, 100.0),
-         Param("sharpness-points", int, 1000)),
+         Param("sharpness-points", int, 1000),
+         Param("seed", int, DEFAULT_SEED)),
         lambda p, rows: certify_length_lemma(
             p["samples"], p["r-max"], p["seed"],
             sharpness_points=p["sharpness-points"], margin_rows=rows,

@@ -1,6 +1,11 @@
 """Command-line front end: bounds, element geometry, lattice reduction,
 certification sweeps, and the congruence census.
 
+Each command, ``verify`` claim and ``bianchi`` action is an argparse parser
+that takes only the flags its handler reads, after its name and written in
+full; any other flag is an argparse error.  The parser is built on first
+use and kept.
+
 Exit codes: 0 success/pass, 1 mathematical failure (certification fail,
 non-loxodromic length, a prime that does not split under --require-split),
 2 usage error.  JSON and CSV output render every real as a decimal string
@@ -12,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import itertools
 import json
 import math
@@ -230,17 +236,8 @@ def _cmd_lattice(args) -> _Output:
 # verify
 # ---------------------------------------------------------------------------
 
-# The parameters of every claim; each is a verify flag.
-_VERIFY_PARAMS = {p.name: p for claim in certify.CLAIMS.values() for p in claim.params}
-
-
 def _cmd_verify(args) -> _Output:
     claim = certify.CLAIMS[args.claim]
-    own = {p.name for p in claim.params}
-    foreign = [name for name in _VERIFY_PARAMS
-               if name not in own and getattr(args, name.replace("-", "_")) is not None]
-    if foreign:
-        raise _UsageError(f"--{foreign[0]} is not a parameter of {args.claim}")
     config = _load_config(args.config) if args.config else {}
     params = {p.name: _resolve(args, config, p) for p in (*certify.COMMON_PARAMS, *claim.params)}
     if params["jobs"] < 1:
@@ -298,8 +295,6 @@ _IDEALS_ITEM_BYTES = 1200
 
 
 def _parse_pi(args) -> bianchi.QuadInt:
-    if args.pi is None:
-        raise _UsageError(f"{args.action} needs --pi")
     try:
         a, b = (int(p.strip()) for p in args.pi.split(","))
     except ValueError:
@@ -330,8 +325,6 @@ def _census_height_check(pi, table, height) -> bool:
 
 
 def _bianchi_split(args) -> _Output:
-    if args.p is None:
-        raise _UsageError("split needs --p")
     x = _call(_UsageError, bianchi.split_prime, args.p, args.d)
     header = ["p", "d", "split", "a", "b", "norm"]
     if x is None:
@@ -415,68 +408,68 @@ def _bianchi_ideals(args) -> _Output:
     )
 
 
-_BIANCHI_ACTIONS = {
-    "split": _bianchi_split,
-    "index": _bianchi_index,
-    "census": _bianchi_census,
-    "ideals": _bianchi_ideals,
-}
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="sysbound",
-        description="Systole bounds for hyperbolic 3-manifolds, with certification sweeps.",
-    )
+        prog="sysbound", allow_abbrev=False,
+        description="Systole bounds for hyperbolic 3-manifolds, with certification sweeps.")
     sub = parser.add_subparsers(dest="command", required=True)
+    leaves = []
 
-    p_bound = sub.add_parser("bound", help="evaluate a systole bound for a volume")
+    def add(subparsers, name, handler=None, **kwargs):
+        p = subparsers.add_parser(name, allow_abbrev=False, **kwargs)
+        if handler:
+            p.set_defaults(handler=handler)
+            leaves.append(p)
+        return p
+
+    p_bound = add(sub, "bound", _cmd_bound, help="evaluate a systole bound for a volume")
     p_bound.add_argument("kind", choices=["closed-link", "cusped"])
     p_bound.add_argument("--volume", type=float, required=True)
-    p_bound.set_defaults(handler=_cmd_bound)
 
-    p_elem = sub.add_parser("element", help="classify or measure a matrix")
+    p_elem = add(sub, "element", _cmd_element, help="classify or measure a matrix")
     p_elem.add_argument("action", choices=["classify", "length", "sphere"])
-    p_elem.add_argument(
-        "--matrix",
-        required=True,
-        help="row-major JSON [[re,im],[re,im],[re,im],[re,im]] for (a b; c d)",
-    )
-    p_elem.set_defaults(handler=_cmd_element)
+    p_elem.add_argument("--matrix", required=True,
+                        help="row-major JSON [[re,im],[re,im],[re,im],[re,im]] for (a b; c d)")
 
-    p_lat = sub.add_parser("lattice", help="reduce a cusp lattice")
+    p_lat = add(sub, "lattice", _cmd_lattice, help="reduce a cusp lattice")
     p_lat.add_argument("action", choices=["reduce", "waist", "diameter"])
     p_lat.add_argument("--lattice", required=True, help="JSON [[re,im],[re,im]] generators")
-    p_lat.set_defaults(handler=_cmd_lattice)
 
-    p_verify = sub.add_parser("verify", help="run a certification sweep")
-    p_verify.add_argument("claim", choices=list(certify.CLAIMS))
-    for param in (*_VERIFY_PARAMS.values(), *certify.COMMON_PARAMS):
-        p_verify.add_argument(f"--{param.name}", type=param.cast, choices=param.choices)
-    p_verify.add_argument("--config", help="key=value file presetting grid defaults")
-    p_verify.add_argument("--margins-csv", help="write per-point margins to this CSV")
-    p_verify.set_defaults(handler=_cmd_verify)
+    claims = add(sub, "verify", help="run a certification sweep").add_subparsers(
+        dest="claim", required=True)
+    for name, claim in certify.CLAIMS.items():
+        p_claim = add(claims, name, _cmd_verify)
+        for param in (*claim.params, *certify.COMMON_PARAMS):
+            p_claim.add_argument(f"--{param.name}", type=param.cast, choices=param.choices)
+        p_claim.add_argument("--config", help="key=value file presetting grid defaults")
+        p_claim.add_argument("--margins-csv", help="write per-point margins to this CSV")
 
-    p_bi = sub.add_parser("bianchi", help="exact quadratic-order computations")
-    p_bi.add_argument("action", choices=["split", "index", "census", "ideals"])
-    p_bi.add_argument("--d", type=int, required=True)
-    p_bi.add_argument("--p", type=int)
-    p_bi.add_argument("--require-split", action="store_true")
-    p_bi.add_argument("--pi", help="generator as 'a,b' for a + b*sqrt(-d)")
-    p_bi.add_argument("--n", type=int, default=1)
-    p_bi.add_argument("--n-max", type=int, default=5)
-    p_bi.add_argument("--height", type=int,
-                      help="census only: cross-check trace bounds by enumeration up to this height")
-    p_bi.add_argument("--base-covolume", type=float)
-    p_bi.add_argument("--max-modulus", type=float, default=2.0)
-    p_bi.set_defaults(handler=lambda args: _BIANCHI_ACTIONS[args.action](args))
+    actions = add(sub, "bianchi", help="exact quadratic-order computations").add_subparsers(
+        dest="action", required=True)
+    p_split = add(actions, "split", _bianchi_split)
+    p_index = add(actions, "index", _bianchi_index)
+    p_census = add(actions, "census", _bianchi_census)
+    p_ideals = add(actions, "ideals", _bianchi_ideals)
+    for p in (p_split, p_index, p_census, p_ideals):
+        p.add_argument("--d", type=int, required=True)
+    p_split.add_argument("--p", type=int, required=True)
+    p_split.add_argument("--require-split", action="store_true")
+    for p in (p_index, p_census):
+        p.add_argument("--pi", required=True, help="generator as 'a,b' for a + b*sqrt(-d)")
+    p_index.add_argument("--n", type=int, default=1)
+    p_census.add_argument("--n-max", type=int, default=5)
+    p_census.add_argument("--height", type=int,
+                          help="cross-check trace bounds by enumeration up to this height")
+    p_census.add_argument("--base-covolume", type=float)
+    p_ideals.add_argument("--max-modulus", type=float, default=2.0)
 
-    for command in sub.choices.values():
-        command.add_argument("--format", choices=["json", "csv", "human"], default="human")
+    for p in leaves:
+        p.add_argument("--format", choices=["json", "csv", "human"], default="human")
     return parser
 
 

@@ -1,4 +1,5 @@
-"""Accuracy of the closed-form bounds against mpmath at 60 digits.
+"""Accuracy of the closed-form bounds and the torus diameter against mpmath
+at 60 digits.
 
 Each test draws seeded, log-spread inputs, evaluates the mathematical
 function of those exact float inputs with exact constants in mpmath, and
@@ -15,6 +16,7 @@ import mpmath as mp
 import pytest
 
 from sysbound import bounds, mobius
+from sysbound.cusp import CuspLattice
 
 DIGITS = 60
 
@@ -305,3 +307,91 @@ def test_fkp_min_slope_bound_near_its_pole():
     worst = _worst_ulps([(v, x) for x, v in _near_v(27)], bounds.fkp_min_slope_bound,
                         lambda v, x: 2 * mp.pi / mp.sqrt(1 - (mp.mpf(v) / x) ** (mp.mpf(2) / 3)))
     assert worst <= 3, worst
+
+
+def test_shifted_parabolic_trace_bound_is_within_one_ulp():
+    """Budget: 1 ulp.  Measured: 0.73 ulps.
+
+    ell is 0, the largest float whose square is finite, or log-uniform in
+    (1e-300, 1.3e154); ell*ell overflows from about 1.34e154 on.
+    """
+    rng = random.Random(28)
+    draws = [(0.0,), (1.3407807929942596e154,)] + [
+        (_log_uniform(rng, 1e-300, 1.3e154),) for _ in range(5000)]
+    worst = _worst_ulps(draws, bounds.shifted_parabolic_trace_bound,
+                        lambda ell: mp.sqrt(mp.mpf(ell) ** 2 + 4))
+    assert worst <= 1, worst
+
+
+def _exact_torus_diameter(t1, t2):
+    """The covering radius of the lattice of the float generators t1, t2, and
+    its area: Lagrange reduction in mpmath, then the circumradius of the
+    triangle of an obtuse superbasis."""
+    u, v = mp.mpc(t1.real, t1.imag), mp.mpc(t2.real, t2.imag)
+    if abs(u) > abs(v):
+        u, v = v, u
+    while True:
+        v -= mp.nint(mp.re(mp.conj(u) * v) / abs(u) ** 2) * u
+        if abs(v) >= abs(u):
+            break
+        u, v = v, u
+    if mp.re(mp.conj(u) * v) > 0:
+        v = -v
+    area = abs(mp.im(mp.conj(u) * v))
+    return abs(u) * abs(v) * abs(u + v) / (2 * area), area
+
+
+def _lattice_draws(seed, count):
+    """(t1, t2, k): the basis (1, z) of a reduced torus, with Re z uniform in
+    [-1/2, 1/2] and |z| log-uniform in (1, 1e4), changed by the determinant-1
+    matrix (1 + mn, m; n, 1) with m, n drawn from [-k, k], rotated uniformly
+    and scaled by a log-uniform (1e-95, 1e95)."""
+    rng = random.Random(seed)
+    draws = []
+    for i in range(count):
+        k = (0, 1, 3, 100, 1000)[i % 5]
+        m, n = rng.randint(-k, k), rng.randint(-k, k)
+        x = rng.uniform(-0.5, 0.5)
+        z = complex(x, math.sqrt(1 - x * x) * _log_uniform(rng, 1, 1e4))
+        theta = rng.uniform(0, 2 * math.pi)
+        rot = complex(math.cos(theta), math.sin(theta)) * _log_uniform(rng, 1e-95, 1e95)
+        draws.append(((1 + m * n + m * z) * rot, (n + z) * rot, k))
+    return draws
+
+
+def test_torus_diameter_errs_by_the_conditioning_of_its_basis():
+    """Budget: 4 ulps on a reduced basis (k = 0), and 4 + kappa/10 ulps on
+    any basis, where kappa = max(|t1|, |t2|)^2 / area, which CuspLattice
+    keeps below 1e12.  Measured: 3.55 ulps, and 4 + 0.060 kappa.
+
+    The float reduction's steps v - m*u cancel by up to a factor of kappa;
+    a reduced basis takes none.  Draws whose generators CuspLattice refuses
+    as (nearly) dependent are skipped; the scale keeps |u| |v| |u+v| of the
+    reduced basis a normal float (the next test is past it).
+    """
+    reduced, excess, kept = 0.0, 0.0, 0
+    with mp.workdps(DIGITS):
+        for t1, t2, k in _lattice_draws(29, 3000):
+            try:
+                lattice = CuspLattice(t1, t2)
+            except ValueError:
+                continue
+            kept += 1
+            err = _ulps(lattice.torus_diameter(), _exact_torus_diameter(t1, t2)[0])
+            kappa = max(abs(t1), abs(t2)) ** 2 / lattice.area
+            if k == 0:
+                reduced = max(reduced, err)
+            excess = max(excess, (err - 4) / kappa)
+    assert kept >= 2500, kept
+    assert reduced <= 4 and excess <= 0.1, (reduced, excess)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the product |u| |v| |u+v| overflows to inf from a scale of about 5.6e102 on and "
+    "underflows below about 2.8e-103, and the reduction's |u|^2 underflows to 0, "
+    "raising ZeroDivisionError, for |u| below about 1.5e-162"))
+@pytest.mark.parametrize("t1, t2", [(1e120, 1e120j), (1e-150, 1e-150j), (1e-163, 1e-155j)])
+def test_torus_diameter_past_the_range_of_its_product(t1, t2):
+    """Budget: 4 ulps, as on a reduced basis at moderate scales."""
+    with mp.workdps(DIGITS):
+        assert _ulps(CuspLattice(t1, t2).torus_diameter(), _exact_torus_diameter(t1, t2)[0]) <= 4

@@ -1,3 +1,4 @@
+import argparse
 import cmath
 import contextlib
 import csv
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import sysbound
-from sysbound import bianchi, bounds, certify
+from sysbound import bianchi, bounds, certify, cli
 from sysbound.cli import _fmt, _write_csv, main
 
 
@@ -650,9 +651,9 @@ def test_non_finite_input_is_one_line_usage_error(argv, tmp_path, capsys):
         (["bianchi", "index", "--d", "2", "--pi", "3,1", "--n", "10000000"], "--n must"),
         (["bianchi", "ideals", "--d", "2", "--max-modulus", "1e308"], "--max-modulus must"),
         (["verify", "length-lemma", "--seed", str(10**20)], "--seed must"),
-        (["verify", "cubic", "--ell-points", "5", "--samples", "3"],
-         "--ell-points is not a parameter of cubic"),
-        (["verify", "crossing", "--vc-min", "20"], "--vc-min is not a parameter of crossing"),
+        # The ell^4 refusal comes before the peak-slope gate, whose w^4 overflows too.
+        (["verify", "techlem2", "--vc-min", "1.3e231", "--vc-max", "2e231", "--vc-points", "2"],
+         "techlem2 needs every slope's ell^4 finite, got vc = 1.3e+231\n"),
         (["verify", "cubic", "--margins-csv", "/nonexistent/x.csv"], "cannot write --margins-csv"),
         (["verify", "crossing", "--monotonic-samples", "1"],
          "need at least 2 monotonic samples, got 1\n"),
@@ -670,6 +671,68 @@ def test_out_of_range_flag_is_named_in_a_usage_error(argv, message, monkeypatch,
     assert out == ""
     assert err.startswith(f"usage error: {message}")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # A flag of another action or claim.
+        (["bianchi", "split", "--d", "2", "--p", "11", "--height", "3"],
+         "unrecognized arguments: --height 3"),
+        (["bianchi", "index", "--d", "2", "--pi", "3,1", "--n-max", "3"],
+         "unrecognized arguments: --n-max 3"),
+        (["bianchi", "census", "--d", "2", "--pi", "3,1", "--n", "2"],  # not --n-max
+         "unrecognized arguments: --n 2"),
+        (["bianchi", "ideals", "--d", "2", "--pi", "3,1"], "unrecognized arguments: --pi 3,1"),
+        (["verify", "cubic", "--ell-points", "5", "--samples", "3"],
+         "unrecognized arguments: --ell-points 5 --samples 3"),
+        (["verify", "crossing", "--vc-min", "20"], "unrecognized arguments: --vc-min 20"),
+        *((["verify", claim, "--seed", "1"], "unrecognized arguments: --seed 1")
+          for claim in ("techlem2", "crossing", "cubic")),
+        # A flag before the claim or action.
+        (["verify", "--vc-points=3", "cubic"], "unrecognized arguments: --vc-points=3"),
+        (["bianchi", "--d=2", "split", "--p", "5"], "the following arguments are required: --d"),
+        # Written apart from its value, such a flag leaves the value to be read as
+        # the claim, and argparse names the value.
+        (["verify", "--vc-points", "3", "cubic"], "argument claim: invalid choice: '3'"),
+        # An abbreviated flag.
+        (["verify", "techlem2", "--vc-poi", "3"], "unrecognized arguments: --vc-poi 3"),
+        (["bound", "cusped", "--vol", "1"], "the following arguments are required: --volume"),
+        # A flag the action needs.
+        (["bianchi", "split", "--d", "2"], "the following arguments are required: --p"),
+        (["bianchi", "index", "--d", "2"], "the following arguments are required: --pi"),
+        (["bianchi", "census", "--d", "2"], "the following arguments are required: --pi"),
+    ],
+)
+def test_a_flag_the_command_does_not_take_or_needs_is_an_argparse_error(
+        argv, message, monkeypatch, capsys):
+    monkeypatch.setattr(certify, "certify_cubic_claims", None)  # nothing runs
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ")
+    assert f": error: {message}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_main_builds_the_parser_once_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    argv = ["bianchi", "index", "--d", "2", "--pi", "3,1", "--format", "json"]
+    first = run(capsys, argv)
+    assert first[0] == 0 and built[0] == "sysbound"
+    count = len(built)
+    assert run(capsys, argv) == first
+    assert len(built) == count
 
 
 @pytest.mark.parametrize(
@@ -830,8 +893,11 @@ VERIFY_SLOTS = {
     "samples": _count("1", "5"),
     "r-max": _real("30", "5"),
     "sharpness-points": _count("2", "3"),
+    "seed": st.sampled_from(["0", "9", "-1", HUGE]),
 }
 CLAIM_FLAGS = {name: [p.name for p in claim.params] for name, claim in certify.CLAIMS.items()}
+# The flags that every claim takes besides its own.
+VERIFY_FLAGS = {"jobs", "config", "margins-csv", "format"}
 
 
 @st.composite
@@ -840,7 +906,6 @@ def _verify_argv(draw):
     argv = ["verify", claim]
     for name in CLAIM_FLAGS[claim]:
         argv.append(f"--{name}={draw(VERIFY_SLOTS[name])}")
-    argv.append(f"--seed={draw(st.sampled_from(['0', '9', '-1', HUGE]))}")
     argv.append(f"--jobs={draw(_count('1', '2', str(sys.maxsize)))}")
     foreign = sorted(set(VERIFY_SLOTS) - set(CLAIM_FLAGS[claim]))
     if draw(st.booleans()):
@@ -908,18 +973,32 @@ _ARGV = st.tuples(
 @example(argv=["bianchi", "split", "--d=2", f"--p={LARGE_SPLIT_PRIME}"])
 @example(argv=["verify", "cubic", "--vc-points=3", "--margins-csv=/nonexistent/x.csv"])
 @example(argv=["verify", "cubic", "--vc-points=3", "--ell-points=5", "--samples=3"])
+@example(argv=["verify", "techlem2", "--vc-points=2", "--ell-points=2", "--seed=9"])
 def test_any_command_line_exits_0_1_or_2_without_a_traceback(argv):
+    # The grammar draws a flag of another claim only on verify command lines.
+    flags = [a[2:].partition("=")[0] for a in argv[2:] if a.startswith("--")]
+    own = {*CLAIM_FLAGS[argv[1]], *VERIFY_FLAGS} if argv[0] == "verify" else set(flags)
+    foreign = next((f for f in flags if f not in own), None)
     with tempfile.TemporaryDirectory() as tmp:
         argv = [a.replace("{tmp}", tmp) for a in argv]
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
-            code = main(argv)
+            try:
+                code, refused = main(argv), False
+            except SystemExit as exc:
+                code, refused = exc.code, True
     assert code in (0, 1, 2)
     assert not caught, [str(w.message) for w in caught]
     assert "Traceback" not in err.getvalue()
-    if code == 2:
+    # argparse refuses exactly the command lines with a foreign flag, and names it.
+    assert refused == (foreign is not None), err.getvalue()
+    if refused:
+        assert code == 2
+        assert out.getvalue() == ""
+        assert f"unrecognized arguments: --{foreign}=" in err.getvalue()
+    elif code == 2:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("usage error: ")
         assert err.getvalue().count("\n") == 1

@@ -186,7 +186,20 @@ CASES = [
     ["verify", "techlem2", "--vc-points", "x"],
     ["verify", "cubic", "--format", "xml"],
     ["verify", "--help"],
+    ["verify", "length-lemma", "--help"],
     ["bianchi", "split", "--p", "5"],
+    # a flag that the claim or action does not take, before it, or abbreviated
+    *(["verify", claim, "--seed", "1"] for claim in ("techlem2", "crossing", "cubic")),
+    ["verify", "crossing", "--vc-min", "20"],
+    ["bianchi", "split", "--d", "2", "--p", "11", "--height", "3"],
+    ["bianchi", "index", "--d", "2", "--pi", "3,1", "--n-max", "3"],
+    CENSUS + ["--n", "2"],
+    ["bianchi", "ideals", "--d", "2", "--pi", "3,1"],
+    ["verify", "--vc-points", "3", "cubic"],
+    ["verify", "--vc-points=3", "cubic"],
+    ["bianchi", "--d=2", "split", "--p", "5"],
+    ["bound", "cusped", "--vol", "1"],
+    ["verify", "techlem2", "--vc-poi", "3"],
 ]
 
 # argparse's own messages differ between Python minor versions; for cases
