@@ -11,7 +11,6 @@ a silent NaN).
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from fractions import Fraction
 from itertools import repeat
 
 from .cusp import max_waist_for_cusp_volume
+from .mobius import _length
 
 __all__ = [
     "IDEAL_TETRAHEDRON_VOLUME",
@@ -127,7 +127,7 @@ def adams_reid_length_bound(w: float) -> float:
     length w > 2 (the exact translation length of the worst-case trace)."""
     w = float(w)
     _require(w > 2, "slope length must exceed 2, got {}", w)
-    return abs((2 * cmath.acosh(complex(2, w * w) / 2)).real)
+    return _length(complex(2, w * w))
 
 
 def loxodromic_length_bound(r: float) -> float:

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bounds, cusp
-from .mobius import MoebiusElement, NonLoxodromicError, trace_translation_lengths
+from .mobius import trace_translation_lengths
 
 DEFAULT_SEED = 42
 CROSSING_REL_TOL = 1e-10
@@ -274,10 +274,10 @@ def certify_length_lemma(
     _DRAW_BLOCK pairs at a time from the stream of scalar draws, and measured
     by ``mobius.trace_translation_lengths``, which gives each the length of
     its ``MoebiusElement.from_trace`` bit for bit; the margin rows come in one
-    block per draw.  Through MoebiusElement, the purely-imaginary trace
-    family, where the eigenvalue bound (r + sqrt(r^2 + 4))/2 is attained, is
-    checked as a gate to a relative IDENTITY_REL_TOL, as is the pinned
-    worst-case trace 2 + (2*pi)^2 i.
+    block per draw.  The same kernel measures the gates: the purely-imaginary
+    trace family, where the eigenvalue bound (r + sqrt(r^2 + 4))/2 is
+    attained, checked to a relative IDENTITY_REL_TOL at its loxodromic
+    traces, and the pinned worst-case trace 2 + (2*pi)^2 i.
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
@@ -295,7 +295,7 @@ def certify_length_lemma(
 
     rng = np.random.default_rng(seed)
     bound = bounds.loxodromic_length_bound(r_max)
-    ineqs, gates, points = [], [], 0
+    ineqs, points = [], 0
     for start in range(0, samples, _DRAW_BLOCK):
         u = rng.uniform(size=2 * min(_DRAW_BLOCK, samples - start))
         r, theta = r_max * u[::2], (2 * math.pi * u[1::2]).tolist()
@@ -310,19 +310,18 @@ def certify_length_lemma(
         ineqs.append(_worst(block[:, 2], block[:, 0], block[:, 1]))
         points += len(block)
 
-    for r in np.geomspace(min(0.1, r_max), r_max, sharpness_points).tolist():
-        try:
-            lam = math.exp(MoebiusElement.from_trace(complex(0, r)).translation_length() / 2)
-        except NonLoxodromicError:
-            continue
-        expected = (r + math.sqrt(r * r + 4)) / 2
-        gates.append((IDENTITY_REL_TOL - abs(lam - expected) / expected, (0.0, r)))
-
-    pinned_len = MoebiusElement.from_trace(complex(2, (2 * math.pi) ** 2)).translation_length()
+    # The sharpness traces r*i, then the pinned trace as one more lane; a NaN length
+    # (not loxodromic) never wins.  exp is math's: numpy's differs in the last bit.
+    r, pin = np.geomspace(min(0.1, r_max), r_max, sharpness_points), (2 * math.pi) ** 2
+    lengths, nonlox = trace_translation_lengths(np.append(0 * r, 2.0), np.append(r, pin))
+    lam = np.fromiter(map(math.exp, (lengths[:-1] / 2).tolist()), float, len(r))
+    expected = (r + np.sqrt(r * r + 4)) / 2
+    pinned_len = float(lengths[-1])
     pin_m = min(math.log(bounds.adams_reid_trace_bound(2 * math.pi) ** 2 + 4) - pinned_len,
                 1e-5 - abs(pinned_len - 7.35534))
-    gates.append((pin_m, (2.0, (2 * math.pi) ** 2)))
-    return _report(claim_id, points + len(gates), ineqs, gates)
+    gates = [_worst(IDENTITY_REL_TOL - np.abs(lam - expected) / expected, 0 * r, r),
+             (pin_m, (2.0, pin))]
+    return _report(claim_id, points + int(np.count_nonzero(~nonlox)), ineqs, gates)
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +408,8 @@ class Param(NamedTuple):
 
 class Claim(NamedTuple):
     """A verifiable claim: the header of its margin CSV, its parameters, and
-    ``run(params, margin_rows)``, which takes the parameters by name, those of
-    the claim and of COMMON_PARAMS, and no others.
+    ``run(params, margin_rows)``, which takes the claim's parameters by name
+    and no others.
 
     Runners call the ``certify_*`` sweeps through this module's globals at
     call time, so a wrapper installed on the module attribute sees the call.
@@ -420,9 +419,6 @@ class Claim(NamedTuple):
     params: tuple[Param, ...]
     run: Callable[[dict, list | None], CertificateReport]
 
-
-# Taken by every claim: ``jobs`` is validated so that old command lines run; no sweep reads it.
-COMMON_PARAMS = (Param("jobs", int, 1),)
 
 _VC_GRID = ("vc-min", "vc-max", "vc-points", "vc-scale")
 _V_GRID = ("v-min", "v-max", "points", "scale")

@@ -3,8 +3,8 @@ certification sweeps, and the congruence census.
 
 Each command, ``verify`` claim and ``bianchi`` action is an argparse parser
 that takes only the flags its handler reads, after its name and written in
-full; any other flag is an argparse error.  The parser is built on first
-use and kept.
+full; any other flag is an argparse error, under that parser's usage.  The
+parser is built on first use and kept.
 
 Exit codes: 0 success/pass, 1 mathematical failure (certification fail,
 non-loxodromic length, a prime that does not split under --require-split),
@@ -218,8 +218,8 @@ def _cmd_element(args) -> _Output:
 def _cmd_lattice(args) -> _Output:
     t1, t2 = _parse_complex_pairs(args.lattice, 2, "lattice")
     lattice = _call(_Failure, CuspLattice, t1, t2)
-    rb = lattice.reduce()
     if args.action == "reduce":
+        rb = lattice.reduce()
         fields = [_fmt(rb.ell), _fmt(rb.z.real), _fmt(rb.z.imag), _fmt(rb.area)]
         return _Output(
             {"ell": fields[0], "z": fields[1:3], "area": fields[3]},
@@ -228,7 +228,7 @@ def _cmd_lattice(args) -> _Output:
             [f"ell = {_fmt(rb.ell, '.6g')}  z = {_fmt(rb.z.real, '.6g')}"
              f"{_fmt(rb.z.imag, '+.6g')}i  area = {_fmt(rb.area, '.6g')}"],
         )
-    value = rb.ell if args.action == "waist" else lattice.torus_diameter()
+    value = lattice.waist_size() if args.action == "waist" else lattice.torus_diameter()
     return _Output({args.action: _fmt(value)}, [args.action], [[_fmt(value)]], [_fmt(value, ".6g")])
 
 
@@ -239,9 +239,9 @@ def _cmd_lattice(args) -> _Output:
 def _cmd_verify(args) -> _Output:
     claim = certify.CLAIMS[args.claim]
     config = _load_config(args.config) if args.config else {}
-    params = {p.name: _resolve(args, config, p) for p in (*certify.COMMON_PARAMS, *claim.params)}
-    if params["jobs"] < 1:
-        raise _UsageError(f"jobs must be at least 1, got {params['jobs']}")
+    params = {p.name: _resolve(args, config, p) for p in claim.params}
+    if args.jobs < 1:
+        raise _UsageError(f"jobs must be at least 1, got {args.jobs}")
     # Opened before the sweep, so that an unwritable path costs no sweep.
     try:
         fh = open(args.margins_csv, "w", newline="") if args.margins_csv else nullcontext()
@@ -423,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(subparsers, name, handler=None, **kwargs):
         p = subparsers.add_parser(name, allow_abbrev=False, **kwargs)
         if handler:
-            p.set_defaults(handler=handler)
+            p.set_defaults(handler=handler, parser=p)
             leaves.append(p)
         return p
 
@@ -444,8 +444,9 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="claim", required=True)
     for name, claim in certify.CLAIMS.items():
         p_claim = add(claims, name, _cmd_verify)
-        for param in (*claim.params, *certify.COMMON_PARAMS):
+        for param in claim.params:
             p_claim.add_argument(f"--{param.name}", type=param.cast, choices=param.choices)
+        p_claim.add_argument("--jobs", type=int, default=1)
         p_claim.add_argument("--config", help="key=value file presetting grid defaults")
         p_claim.add_argument("--margins-csv", help="write per-point margins to this CSV")
 
@@ -474,7 +475,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, extra = _build_parser().parse_known_args(argv)
+    if extra:  # reported by the command's own parser, with its own usage
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         for name, value in vars(args).items():
             _checked(f"--{name.replace('_', '-')}", value)

@@ -386,12 +386,11 @@ def test_torus_diameter_errs_by_the_conditioning_of_its_basis():
     assert reduced <= 4 and excess <= 0.1, (reduced, excess)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the product |u| |v| |u+v| overflows to inf from a scale of about 5.6e102 on and "
-    "underflows below about 2.8e-103, and the reduction's |u|^2 underflows to 0, "
-    "raising ZeroDivisionError, for |u| below about 1.5e-162"))
-@pytest.mark.parametrize("t1, t2", [(1e120, 1e120j), (1e-150, 1e-150j), (1e-163, 1e-155j)])
+@pytest.mark.parametrize("t1, t2", [(1e120, 1e120j), (1e-150, 1e-150j), (1e-163, 1e-155j),
+                                    (1e155, 1e153j)])
 def test_torus_diameter_past_the_range_of_its_product(t1, t2):
-    """Budget: 4 ulps, as on a reduced basis at moderate scales."""
+    """Budget: 4 ulps, as on a reduced basis at moderate scales.  Unscaled,
+    |u| |v| |u+v| would be inf, 0 and inf/inf = NaN at the first, second and
+    last, and |u|^2 would underflow to 0 in the reduction at the third."""
     with mp.workdps(DIGITS):
         assert _ulps(CuspLattice(t1, t2).torus_diameter(), _exact_torus_diameter(t1, t2)[0]) <= 4

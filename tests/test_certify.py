@@ -406,12 +406,46 @@ def test_length_lemma_sharpness_gate_is_relative(monkeypatch):
     assert certify_length_lemma(3, 1e154, sharpness_points=2).passed
     # A relative error of 5e-12 in the eigenvalue must fail the gate, also
     # where the absolute error (about 2.5e-10 at r = 50) is small.
-    original = MoebiusElement.translation_length
-    monkeypatch.setattr(MoebiusElement, "translation_length", lambda g: original(g) + 1e-11)
+    original = certify.trace_translation_lengths
+
+    def longer(x, y):
+        lengths, nonlox = original(x, y)
+        return lengths + 1e-11, nonlox
+
+    monkeypatch.setattr(certify, "trace_translation_lengths", longer)
     report = certify_length_lemma(3, 50.0, sharpness_points=10)
     assert not report.passed
     assert -1e-11 < report.worst_margin < 0
     assert report.worst_point[0] == 0.0  # a purely imaginary sharpness trace
+
+
+@pytest.mark.parametrize("sharpness_points", [0, 1, 2, 1000])
+@pytest.mark.parametrize("r_max", [1e-12, 1e-3, 0.05, 100.0, 1e6, 1e150, 1.3e154])
+def test_length_lemma_gates_are_those_of_elements(r_max, sharpness_points, monkeypatch):
+    # The reference measures each gate trace through MoebiusElement and skips
+    # the traces that are not loxodromic (every one at r_max = 1e-12).
+    sharpness, count = (math.inf, ()), 0
+    for r in np.geomspace(min(0.1, r_max), r_max, sharpness_points).tolist():
+        try:
+            lam = math.exp(MoebiusElement.from_trace(complex(0, r)).translation_length() / 2)
+        except NonLoxodromicError:
+            continue
+        count += 1
+        expected = (r + math.sqrt(r * r + 4)) / 2
+        m = certify.IDENTITY_REL_TOL - abs(lam - expected) / expected
+        if m < sharpness[0]:
+            sharpness = (m, (0.0, r))
+    pin = (2 * math.pi) ** 2
+    pinned = MoebiusElement.from_trace(complex(2, pin)).translation_length()
+    pin_m = min(math.log(bounds.adams_reid_trace_bound(2 * math.pi) ** 2 + 4) - pinned,
+                1e-5 - abs(pinned - 7.35534))
+    seen = []
+    monkeypatch.setattr(certify, "_report", lambda *args: seen.append(args))
+    rows = []
+    certify_length_lemma(3, r_max, sharpness_points=sharpness_points, margin_rows=rows)
+    (_, points, _, gates), = seen
+    assert gates == [sharpness, (pin_m, (2.0, pin))]
+    assert points == len(np.vstack(rows)) + count + 1
 
 
 @pytest.mark.parametrize("samples", [1, 4096, 4097, 10_000])

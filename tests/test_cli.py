@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 import sysbound
 from sysbound import bianchi, bounds, certify, cli
 from sysbound.cli import _fmt, _write_csv, main
+from sysbound.cusp import CuspLattice
 
 
 def run(capsys, argv):
@@ -183,6 +184,25 @@ def test_lattice_waist_and_diameter(capsys):
     code, out, _ = run(capsys, ["lattice", "diameter", "--lattice", "[[1,0],[0,1]]", "--format", "json"])
     assert code == 0
     assert float(json.loads(out)["diameter"]) == pytest.approx(math.sqrt(2) / 2)
+
+
+@pytest.mark.parametrize("lattice, waist, diameter", [
+    ("[[1e-163,0],[0,1e-155]]", 1e-163, 5e-156),  # |u|^2 underflows unscaled
+    ("[[1e120,0],[0,1e120]]", 1e120, 1e120 / math.sqrt(2)),  # the product overflows
+    ("[[1e-150,0],[0,1e-150]]", 1e-150, 1e-150 / math.sqrt(2)),  # the product underflows
+    ("[[1e155,0],[0,1e153]]", 1e153, 5.0002499937503125e154),  # inf/inf unscaled
+])
+def test_lattice_at_every_accepted_scale_reduces_once(lattice, waist, diameter, monkeypatch,
+                                                      capsys):
+    calls = []
+    scaled = CuspLattice._scaled_reduction
+    monkeypatch.setattr(CuspLattice, "_scaled_reduction", lambda g: calls.append(g) or scaled(g))
+    for action, value in [("waist", waist), ("diameter", diameter), ("reduce", waist)]:
+        code, out, err = run(capsys, ["lattice", action, "--lattice", lattice, "--format", "json"])
+        assert (code, err) == (0, "")
+        got = json.loads(out)["ell" if action == "reduce" else action]
+        assert float(got) == pytest.approx(value, rel=1e-15)
+    assert len(calls) == 3
 
 
 def test_lattice_degenerate(capsys):
@@ -806,16 +826,24 @@ def test_sweeps_at_extreme_parameters(argv, code, err, capsys):
     assert (out == "") == (code == 2)
 
 
-@pytest.mark.parametrize("how", ["--jobs 0", "--jobs -5", "config"])
+@pytest.mark.parametrize("how", ["--jobs 0", "--jobs -5"])
 @pytest.mark.parametrize("claim", ["techlem2", "cubic"])
-def test_verify_rejects_jobs_below_one(claim, how, tmp_path, capsys):
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("jobs = 0\nvc-min = 17.1\nvc-max = 100\nvc-points = 2\nell-points = 10\n")
-    extra = ["--config", str(cfg)] if how == "config" else how.split()
-    code, out, err = run(capsys, ["verify", claim] + extra)
+def test_verify_rejects_jobs_below_one(claim, how, capsys):
+    code, out, err = run(capsys, ["verify", claim] + how.split())
     assert code == 2
     assert out == ""
     assert err.startswith("usage error: jobs must be at least 1")
+
+
+@pytest.mark.parametrize("claim", ["techlem2", "cubic"])
+def test_verify_ignores_a_jobs_config_line(claim, tmp_path, capsys):
+    # jobs is no claim's parameter, so its config line is ignored, as another claim's key is.
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("vc-min = 17.1\nvc-max = 100\nvc-points = 2\nell-points = 10\n")
+    plain = run(capsys, ["verify", claim, "--config", str(cfg), "--format", "json"])
+    cfg.write_text("jobs = 0\n" + cfg.read_text())
+    assert plain[0] == 0
+    assert run(capsys, ["verify", claim, "--config", str(cfg), "--format", "json"]) == plain
 
 
 def test_verify_accepts_and_ignores_jobs(capsys):
