@@ -9,9 +9,10 @@ For each workload that BENCHMARK.json declares, this runs
 ``perfbench/run.py --trace 0`` (the end-to-end metrics) and then
 ``--trace 1`` (the per-layer ones), and writes one JSON object to ``--out``:
 the commit (``git rev-parse HEAD``), whether the working tree had
-uncommitted changes, the arguments, and per run its exit code, the
-``facts:`` line (machine, Python, numpy, load) and the final JSON line
-(``correct``, ``attempted``, ``failed``, ``metrics``).
+uncommitted changes, the arguments, the line count of each
+``src/sysbound/*.py`` and their total (``src_lines``), and per run its exit
+code, the ``facts:`` line (machine, Python, numpy, load) and the final JSON
+line (``correct``, ``attempted``, ``failed``, ``metrics``).
 
 It measures the checkout it is started in, so a ledger for another commit
 comes from running this script in a clean clone of that commit.  The exit
@@ -34,6 +35,12 @@ def git(*args: str) -> str | None:
     except (OSError, subprocess.CalledProcessError):
         return None
     return proc.stdout
+
+
+def src_lines() -> dict:
+    """Newlines per ``src/sysbound/*.py``, and their total, as ``wc -l`` counts them."""
+    files = {path.name: path.read_bytes().count(b"\n") for path in sorted(Path("src/sysbound").glob("*.py"))}
+    return {"files": files, "total": sum(files.values())}
 
 
 def run_workload(workload: str, trace: int, args) -> dict:
@@ -68,6 +75,7 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "seconds": args.seconds,
         "tiny": args.tiny,
+        "src_lines": src_lines(),
         "runs": [],
     }
     for workload in workloads:

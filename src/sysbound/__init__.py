@@ -32,12 +32,6 @@ from .certify import (
     certify_length_lemma,
 )
 from .cusp import CuspLattice, ReducedBasis, max_waist_for_cusp_volume
-from .mobius import (
-    INFINITY,
-    ElementClass,
-    IsometricSphere,
-    MoebiusElement,
-    NonLoxodromicError,
-)
+from .mobius import ElementClass, IsometricSphere, MoebiusElement, NonLoxodromicError
 
 __version__ = "0.1.0"

@@ -98,26 +98,6 @@ class QuadInt:
             return other
         return None
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return _quad(self.a + other.a, self.b + other.b, self.d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _quad(-self.a, -self.b, self.d)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return _quad(self.a - other.a, self.b - other.b, self.d)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -151,17 +131,6 @@ class QuadInt:
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    def try_divide(self, other: "QuadInt") -> "QuadInt | None":
-        """Exact quotient self/other in the ring, or None if not divisible."""
-        other = self._coerce(other)
-        if other is None or other.is_zero():
-            raise ValueError("division by zero or incompatible element")
-        num = self * other.conjugate()
-        n = other.norm
-        if num.a % n or num.b % n:
-            return None
-        return _quad(num.a // n, num.b // n, self.d)
 
 
 def _quad(a: int, b: int, d: int, _new=object.__new__, _cls=QuadInt) -> QuadInt:
@@ -247,10 +216,6 @@ class CongruenceLevel:
     def norm(self) -> int:
         return self.pi.norm**self.n
 
-    @property
-    def modulus(self) -> float:
-        return self.pi.norm ** (self.n / 2)
-
 
 def newman_index(level: CongruenceLevel) -> int:
     """Index of the principal congruence subgroup at pi^n in PSL2 of the
@@ -296,21 +261,11 @@ class QuadMatrix:
     m22: QuadInt
 
     def __post_init__(self):
-        entries = self.entries()
+        entries = (self.m11, self.m12, self.m21, self.m22)
         if not all(isinstance(e, QuadInt) for e in entries):
             raise TypeError("matrix entries must be QuadInt")
         if len({e.d for e in entries}) != 1:
             raise ValueError("matrix entries must share one ring")
-
-    def entries(self) -> tuple[QuadInt, QuadInt, QuadInt, QuadInt]:
-        return (self.m11, self.m12, self.m21, self.m22)
-
-    def det(self) -> QuadInt:
-        return self.m11 * self.m22 - self.m12 * self.m21
-
-    def trace(self) -> QuadInt:
-        m11, m22 = self.m11, self.m22
-        return _quad(m11.a + m22.a, m11.b + m22.b, m11.d)
 
     def is_identity_up_to_sign(self) -> bool:
         m11 = self.m11

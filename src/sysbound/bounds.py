@@ -12,7 +12,6 @@ a silent NaN).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -30,13 +29,10 @@ __all__ = [
     "adams_reid_trace_bound",
     "adams_reid_length_bound",
     "loxodromic_length_bound",
-    "torus_diameter_trace_bound",
-    "shifted_parabolic_trace_bound",
     "min_trace_bound",
     "cusp_volume_trace_bound",
     "cusped_systole_bound",
     "link_systole_bound",
-    "fkp_min_slope_bound",
     "drilled_trace_bound",
     "filling_slope_trace_bound",
     "crossing_volume",
@@ -106,7 +102,8 @@ IDEAL_TETRAHEDRON_VOLUME = 1.0149416064096537
 CUSP_DENSITY_BOUND = math.sqrt(3.0) / (2.0 * IDEAL_TETRAHEDRON_VOLUME)
 
 # Smallest cusp volume for which the cusp-volume trace bound dominates the
-# shifted-parabolic bound: 8/(3*sqrt(3)), about 1.5396.
+# shifted-parabolic bound sqrt(ell^2 + 4) at the largest waist ell:
+# 8/(3*sqrt(3)), about 1.5396.
 CUSP_VOLUME_THRESHOLD = 8.0 / (3.0 * math.sqrt(3.0))
 
 # Smallest volume of a maximal cusp whose waist size is at least 2*pi:
@@ -137,33 +134,14 @@ def loxodromic_length_bound(r: float) -> float:
     return math.log(r * r + 4)
 
 
-def torus_diameter_trace_bound(ell: float, vc: float) -> float:
-    """sqrt(ell^2/4 + vc^2/ell^2): trace bound via the diameter of a cusp
-    torus of waist ell and area 2*vc (half-diagonal of the extremal
-    rectangle)."""
-    ell, vc = float(ell), float(vc)
-    _require(ell > 0, "waist size must be positive, got {}", ell)
-    _require(vc > 0, "cusp volume must be positive, got {}", vc)
-    e2, v2 = ell * ell, vc * vc
-    if min(e2, v2) >= sys.float_info.min and (torus := math.sqrt(e2 / 4 + v2 / e2)) < math.inf:
-        return torus
-    return math.hypot(ell / 2, vc / ell)  # a square not normal, or a term that overflows
-
-
-def shifted_parabolic_trace_bound(ell: float) -> float:
-    """sqrt(ell^2 + 4): trace bound for a trace-2 parabolic composed with the
-    minimal cusp translation of length ell.  Within 1 ulp (0.73 measured
-    against mpmath) up to ell = 1.34e154; past it ell*ell overflows to inf."""
-    ell = float(ell)
-    _require(ell >= 0, "translation length must be nonnegative, got {}", ell)
-    return math.sqrt(ell * ell + 4)
-
-
 def min_trace_bound(ell: float, vc: float) -> float:
     """Pointwise best of the torus-diameter and Adams-Reid trace bounds.
 
-    Equal, bit for bit and error for error, to
-    ``min(torus_diameter_trace_bound(ell, vc), adams_reid_trace_bound(ell))``,
+    The torus term sqrt(ell^2/4 + vc^2/ell^2) bounds the trace through the
+    diameter of a cusp torus of waist ell and area 2*vc (the half-diagonal of
+    the extremal rectangle); where vc*vc overflows it is hypot(ell/2, vc/ell).
+    The result equals, bit for bit and error for error, the minimum of that
+    term, guarded by ell > 0 and vc > 0, and ``adams_reid_trace_bound(ell)``,
     evaluated in one frame because the techlem2 sweep calls it once per point.
 
     The Adams-Reid power is skipped where the torus term is below
@@ -238,19 +216,6 @@ def link_systole_bound(v: float) -> float:
         return math.log(w**2 + 8)
     except OverflowError:  # w^2 overflows (v above about 1.1e231), and swamps the 8
         return 2 * math.log(w)
-
-
-def fkp_min_slope_bound(v: float, x: float) -> float:
-    """2*pi / sqrt(1 - (v/x)^(2/3)): bound on the shortest filling slope when
-    filling a complement of volume x yields a closed manifold of volume v
-    (inverted Futer-Kalfagianni-Purcell volume inequality)."""
-    v, x = float(v), float(x)
-    _require(v > 0, "closed volume must be positive, got {}", v)
-    _require(x > v, "complement volume {} must exceed closed volume {}", x, v)
-    denom = 1 - (v / x) ** (2 / 3)
-    if denom <= 0:
-        return math.inf
-    return 2 * math.pi / math.sqrt(denom)
 
 
 def drilled_trace_bound(x: float) -> float:

@@ -482,7 +482,7 @@ def main(argv=None) -> int:
         for name, value in vars(args).items():
             _checked(f"--{name.replace('_', '-')}", value)
         out = args.handler(args)
-    except _UsageError as exc:
+    except (_UsageError, FloatingPointError) as exc:  # the latter: a lattice area below DBL_MIN
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except _Failure as exc:

@@ -10,6 +10,7 @@ and computes the quantities the trace bounds consume: the waist size
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .mobius import _as_finite_complex
@@ -65,9 +66,6 @@ class ReducedBasis:
         if abs(area - ell * z.imag) > _SLACK * area:
             raise ValueError("area inconsistent with ell * Im(z)")
 
-    def as_lattice(self) -> "CuspLattice":
-        return CuspLattice(complex(self.ell, 0.0), self.z)
-
 
 @dataclass(frozen=True)
 class CuspLattice:
@@ -81,6 +79,8 @@ class CuspLattice:
         object.__setattr__(self, "t2", _as_finite_complex(self.t2, "t2"))
         if not math.isfinite(self.area):
             raise OverflowError("lattice area overflows floating point")
+        if 0 < self.area < sys.float_info.min:  # where reduce's ell * Im(z) loses digits, or is 0
+            raise FloatingPointError("lattice area underflows floating point")
         scale = max(abs(self.t1), abs(self.t2))
         if self.area <= _TAU_AREA * scale * scale:
             raise ValueError("degenerate lattice: generators are (nearly) dependent")
@@ -88,11 +88,6 @@ class CuspLattice:
     @property
     def area(self) -> float:
         return abs((self.t1.conjugate() * self.t2).imag)
-
-    @property
-    def cusp_volume(self) -> float:
-        """Volume of the cusp whose boundary torus this lattice tiles (area/2)."""
-        return self.area / 2
 
     def _scaled_reduction(self) -> tuple[float, complex, int]:
         """The canonical ell and z of this lattice scaled by 2^-k, and k.  The

@@ -22,28 +22,6 @@ from enum import Enum
 TAU_DET = 1e-12
 TAU_CLASS = 1e-9
 
-# Relative threshold below which the denominator of the fractional-linear
-# action is treated as an exact pole.
-_POLE_TOL = 1e-14
-
-
-class _Infinity:
-    """The point at infinity of the Riemann sphere, as an explicit value."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITY"
-
-
-INFINITY = _Infinity()
-
-
 class NonLoxodromicError(ValueError):
     """Translation length requested for an element that is not loxodromic."""
 
@@ -222,10 +200,6 @@ class MoebiusElement:
             object.__setattr__(self, name, z)
 
     @classmethod
-    def identity(cls) -> "MoebiusElement":
-        return cls(1, 0, 0, 1)
-
-    @classmethod
     def from_trace(cls, trace) -> "MoebiusElement":
         """Diagonal representative diag(lam, 1/lam) with lam + 1/lam = trace.
 
@@ -235,48 +209,10 @@ class MoebiusElement:
         lam = _eigenvalue(_as_finite_complex(trace, "trace"))
         return cls(lam, 0, 0, 1 / lam)
 
-    def _entries(self) -> tuple[complex, complex, complex, complex]:
-        return (self.a, self.b, self.c, self.d)
-
-    def __eq__(self, other):
-        if not isinstance(other, MoebiusElement):
-            return NotImplemented
-        mine = self._entries()
-        theirs = other._entries()
-        return mine == theirs or mine == tuple(-z for z in theirs)
-
-    def isclose(self, other: "MoebiusElement", tol: float = TAU_CLASS) -> bool:
-        """Entrywise closeness up to global sign."""
-        mine = self._entries()
-        theirs = other._entries()
-        return max(abs(x - y) for x, y in zip(mine, theirs)) <= tol or max(
-            abs(x + y) for x, y in zip(mine, theirs)
-        ) <= tol
-
-    def __repr__(self):
-        return f"MoebiusElement({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
-
     @property
     def trace(self) -> complex:
         """Trace a + d of the stored sign representative."""
         return self.a + self.d
-
-    @property
-    def determinant(self) -> complex:
-        return self.a * self.d - self.b * self.c
-
-    def inverse(self) -> "MoebiusElement":
-        return MoebiusElement(self.d, -self.b, -self.c, self.a)
-
-    def __matmul__(self, other: "MoebiusElement") -> "MoebiusElement":
-        if not isinstance(other, MoebiusElement):
-            return NotImplemented
-        return MoebiusElement(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
 
     def classify(self) -> ElementClass:
         """Conjugacy type from the trace, up to sign.
@@ -306,16 +242,3 @@ class MoebiusElement:
         if self.c == 0:
             raise ValueError("element fixes infinity (c = 0); no isometric sphere")
         return IsometricSphere(-self.d / self.c, 1 / abs(self.c))
-
-    def apply(self, point):
-        """Fractional-linear action on C union {INFINITY}."""
-        if point is INFINITY:
-            if self.c == 0:
-                return INFINITY
-            return self.a / self.c
-        p = _as_finite_complex(point, "point")
-        den = self.c * p + self.d
-        scale = abs(self.c) * abs(p) + abs(self.d)
-        if den == 0 or abs(den) <= _POLE_TOL * scale:
-            return INFINITY
-        return (self.a * p + self.b) / den

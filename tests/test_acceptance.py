@@ -125,16 +125,18 @@ def test_criterion_9_congruence_trace_oracle():
         level = bianchi.CongruenceLevel(pi, 1)
         mats = bianchi.enumerate_congruence_elements(level, 8)
         assert len(mats) > 1
-        two = bianchi.QuadInt(2, 0, 2)
         pi_sq = pi * pi
         lb = bianchi.min_loxodromic_trace_lower_bound(level)
         assert lb == 9
         saw_loxodromic = False
         for m in mats:
-            assert (m.trace() - two).try_divide(pi_sq) is not None
+            trace = bianchi.QuadInt(m.m11.a + m.m22.a, m.m11.b + m.m22.b, 2)
+            # pi^2 divides trace - 2: N(pi^2) divides (trace - 2) * conj(pi^2)
+            rest = bianchi.QuadInt(trace.a - 2, trace.b, 2) * pi_sq.conjugate()
+            assert rest.a % pi_sq.norm == 0 == rest.b % pi_sq.norm
             if m.classify_exact() is ElementClass.LOXODROMIC:
                 saw_loxodromic = True
-                assert m.trace().norm >= lb * lb
+                assert trace.norm >= lb * lb
         assert saw_loxodromic
         rows = bianchi.systole_growth_table(pi, 10, bianchi.PSL2_O2_COVOLUME)
         assert 0.60 < rows[9].ratio < 2 / 3

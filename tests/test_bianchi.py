@@ -36,6 +36,34 @@ def q2(a, b):
 PI = q2(3, 1)
 
 
+# References for what the census does without: ring addition, subtraction and
+# exact division, and a matrix's entries, determinant and trace.
+def _add(x, y):
+    return QuadInt(x.a + y.a, x.b + y.b, x.d)
+
+
+def _sub(x, y):
+    return QuadInt(x.a - y.a, x.b - y.b, x.d)
+
+
+def _divide(x, y):
+    """x/y in the ring, or None where y does not divide x."""
+    num, n = x * y.conjugate(), y.norm
+    return None if num.a % n or num.b % n else QuadInt(num.a // n, num.b // n, x.d)
+
+
+def _entries(m):
+    return (m.m11, m.m12, m.m21, m.m22)
+
+
+def _det(m):
+    return _sub(m.m11 * m.m22, m.m12 * m.m21)
+
+
+def _trace(m):
+    return _add(m.m11, m.m22)
+
+
 # ---------------------------------------------------------------------------
 # ring arithmetic
 # ---------------------------------------------------------------------------
@@ -62,7 +90,7 @@ def test_rejects_bad_inputs():
     with pytest.raises(TypeError):
         QuadInt(1.5, 0, 2)
     with pytest.raises(ValueError):
-        q2(1, 0) + QuadInt(1, 0, 3)
+        q2(1, 0) * QuadInt(1, 0, 3)
 
 
 def test_ring_arithmetic_equals_the_checked_constructor():
@@ -74,8 +102,7 @@ def test_ring_arithmetic_equals_the_checked_constructor():
             a1, b1, a2, b2 = (int(v) for v in rng.integers(-10**6, 10**6 + 1, 4))
             k = int(rng.integers(-50, 51))
             x, y = QuadInt(a1, b1, d), QuadInt(a2, b2, d)
-            results = [x + y, x - y, -x, x * y, x.conjugate(), x**3, x**0,
-                       x + k, k + x, x - k, k - x, x * k, k * x, (x * y).try_divide(y)]
+            results = [x * y, x.conjugate(), x**3, x**0, x * k, k * x]
             for r in results:
                 checked = QuadInt(r.a, r.b, d)
                 assert type(r) is QuadInt
@@ -130,12 +157,10 @@ def test_squarefree_beyond_the_cube_root(n, expected):
 @given(ints, ints, ints, ints, ints, ints)
 def test_ring_axioms(a1, b1, a2, b2, a3, b3):
     x, y, z = q2(a1, b1), q2(a2, b2), q2(a3, b3)
-    assert (x + y) + z == x + (y + z)
     assert (x * y) * z == x * (y * z)
-    assert x * (y + z) == x * y + x * z
+    assert x * _add(y, z) == _add(x * y, x * z)
     assert x * y == y * x
-    assert x + y == y + x
-    assert x * (y - z) == x * y - x * z
+    assert x * _sub(y, z) == _sub(x * y, x * z)
 
 
 def test_norm_multiplicative_bulk():
@@ -150,13 +175,6 @@ def test_powers_are_exact():
     assert PI**0 == q2(1, 0)
     assert PI**2 == PI * PI
     assert (PI**7).norm == 11**7
-
-
-def test_try_divide():
-    assert (PI * PI).try_divide(PI) == PI
-    assert q2(1, 0).try_divide(PI) is None
-    with pytest.raises(ValueError):
-        PI.try_divide(q2(0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +250,6 @@ def test_level_properties():
     level = CongruenceLevel(PI, 2)
     assert level.level == PI * PI
     assert level.norm == 121
-    assert level.modulus == pytest.approx(11.0)
 
 
 def test_newman_index_values():
@@ -295,7 +312,7 @@ def test_trace_lower_bound():
     assert min_loxodromic_trace_lower_bound(CongruenceLevel(PI, 1)) == 9
     assert min_loxodromic_trace_lower_bound(CongruenceLevel(PI, 2)) == 119
     # a candidate trace with s = -1: |-(7 + 6 sqrt(-2)) + 2| = sqrt(97) >= 9
-    trace = q2(-1, 0) * (PI * PI) + q2(2, 0)
+    trace = _add(q2(-1, 0) * (PI * PI), q2(2, 0))
     assert trace == q2(-5, -6)
     assert trace.norm == 97
     assert trace.norm >= 9 * 9
@@ -322,23 +339,24 @@ def test_enumeration_exact_properties():
     lb = min_loxodromic_trace_lower_bound(level)
     seen_loxodromic = False
     for m in mats:
-        assert m.det() == one
+        assert _det(m) == one
         # parameters are recoverable from the congruence form
-        a = (m.m11 - one).try_divide(pi_n)
-        b = m.m12.try_divide(pi_n)
-        c = m.m21.try_divide(pi_n)
-        d = (m.m22 - one).try_divide(pi_n)
+        a = _divide(_sub(m.m11, one), pi_n)
+        b = _divide(m.m12, pi_n)
+        c = _divide(m.m21, pi_n)
+        d = _divide(_sub(m.m22, one), pi_n)
         assert None not in (a, b, c, d)
         # determinant identity: a + d = (bc - ad) * pi^n
-        assert a + d == (b * c - a * d) * pi_n
+        assert _add(a, d) == _sub(b * c, a * d) * pi_n
         # trace lies in 2 + (pi^(2n))
-        assert (m.trace() - two).try_divide(pi_2n) is not None
+        trace = _trace(m)
+        assert _divide(_sub(trace, two), pi_2n) is not None
         kind = m.classify_exact()
         if kind is ElementClass.PARABOLIC:
-            assert m.trace() == two or m.trace() == -two
+            assert trace in (two, q2(-2, 0))
         if kind is ElementClass.LOXODROMIC:
             seen_loxodromic = True
-            assert m.trace().norm >= lb * lb
+            assert trace.norm >= lb * lb
     assert seen_loxodromic
 
 
@@ -352,10 +370,10 @@ def test_enumeration_deduplicates_sign_pairs():
     # matrix and its negative; they must be identified
     level = CongruenceLevel(q2(0, 1), 2)
     mats = enumerate_congruence_elements(level, 2)
-    coords = {tuple((e.a, e.b) for e in m.entries()) for m in mats}
+    coords = {tuple((e.a, e.b) for e in _entries(m)) for m in mats}
     for m in mats:
-        negated = tuple((-e.a, -e.b) for e in m.entries())
-        assert negated not in coords or negated == tuple((e.a, e.b) for e in m.entries())
+        negated = tuple((-e.a, -e.b) for e in _entries(m))
+        assert negated not in coords or negated == tuple((e.a, e.b) for e in _entries(m))
 
 
 def _brute_force_elements(level, height):
@@ -395,7 +413,7 @@ def _brute_force_elements(level, height):
 )
 def test_enumeration_is_complete(pi, n, height):
     level = CongruenceLevel(pi, n)
-    got = [tuple(x for e in m.entries() for x in (e.a, e.b))
+    got = [tuple(x for e in _entries(m) for x in (e.a, e.b))
            for m in enumerate_congruence_elements(level, height)]
     assert got == _brute_force_elements(level, height)
 
@@ -474,8 +492,8 @@ def test_enumeration_equals_the_two_pass_reference(pi, n):
     for height in range(5):
         got = enumerate_congruence_elements(level, height)
         want = _reference_enumeration(level, height)
-        assert ([tuple(x for e in m.entries() for x in (e.a, e.b)) for m in got]
-                == [tuple(x for e in m.entries() for x in (e.a, e.b)) for m in want])
+        assert ([tuple(x for e in _entries(m) for x in (e.a, e.b)) for m in got]
+                == [tuple(x for e in _entries(m) for x in (e.a, e.b)) for m in want])
         assert got == want
 
 
@@ -485,16 +503,16 @@ def test_benchmark_size_census(n, elements, loxodromic, min_trace_norm):
     # The height-10 census of `bianchi census --height 10`, where the orbit
     # walk and the sort do far more work than at the reference heights 0-4.
     mats = enumerate_congruence_elements(CongruenceLevel(PI, n), 10)
-    coords = [tuple(x for e in m.entries() for x in (e.a, e.b)) for m in mats]
+    coords = [tuple(x for e in _entries(m) for x in (e.a, e.b)) for m in mats]
     assert coords == sorted(set(coords))
     lox = [m for m in mats if m.classify_exact() is ElementClass.LOXODROMIC]
-    assert (len(mats), len(lox), min(m.trace().norm for m in lox)) == (
+    assert (len(mats), len(lox), min(_trace(m).norm for m in lox)) == (
         elements, loxodromic, min_trace_norm)
 
 
 def test_enumeration_shares_one_entry_per_coordinate_pair():
     mats = enumerate_congruence_elements(CongruenceLevel(PI, 1), 3)
-    entries = [e for m in mats for e in m.entries()]
+    entries = [e for m in mats for e in _entries(m)]
     assert len({id(e) for e in entries}) == len({(e.a, e.b) for e in entries}) <= 2 * 7**2
 
 
@@ -503,7 +521,7 @@ def test_classify_exact_agrees_with_the_trace(pi, n):
     def by_trace(m):
         if m.is_identity_up_to_sign():
             return ElementClass.IDENTITY
-        t = m.trace()
+        t = _trace(m)
         if t.b == 0 and abs(t.a) < 2:
             return ElementClass.ELLIPTIC
         if t.b == 0 and abs(t.a) == 2:
@@ -511,9 +529,6 @@ def test_classify_exact_agrees_with_the_trace(pi, n):
         return ElementClass.LOXODROMIC
 
     mats = enumerate_congruence_elements(CongruenceLevel(pi, n), 3)
-    for m in mats:  # trace() reads the coordinates; the ring sum is the reference
-        t, want = m.trace(), m.m11 + m.m22
-        assert type(t) is QuadInt and vars(t) == vars(want) == {"a": want.a, "b": want.b, "d": pi.d}
     kinds = [m.classify_exact() for m in mats]
     assert kinds == [by_trace(m) for m in mats]
     if pi == q2(1, 0):  # the whole group has every class

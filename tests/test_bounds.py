@@ -107,6 +107,12 @@ def test_adams_reid_length_is_weaker_than_log_form():
         assert bounds.adams_reid_length_bound(float(w)) <= math.log(w**4 + 8) + 1e-12
 
 
+def _product(g, h):
+    """The matrix product g h."""
+    return MoebiusElement(g.a * h.a + g.b * h.c, g.a * h.b + g.b * h.d,
+                          g.c * h.a + g.d * h.c, g.c * h.b + g.d * h.d)
+
+
 def test_adams_reid_length_matches_constructed_element():
     # an explicit loxodromic with the worst-case trace 2 + 9i, conjugated off
     # the diagonal, must realize the bound exactly
@@ -114,7 +120,8 @@ def test_adams_reid_length_matches_constructed_element():
     t = complex(2, w * w)
     g = MoebiusElement.from_trace(t)
     h = MoebiusElement(complex(1, 0.5), complex(-0.25, 1), complex(2, -1), complex(1.4, -0.3))
-    conj = h @ g @ h.inverse()
+    h_inv = MoebiusElement(h.d, -h.b, -h.c, h.a)
+    conj = _product(_product(h, g), h_inv)
     assert conj.trace == pytest.approx(t, abs=1e-9)
     assert bounds.adams_reid_length_bound(w) == pytest.approx(conj.translation_length(), abs=1e-9)
 
@@ -138,23 +145,29 @@ def test_loxodromic_length_bound_dominates_sample():
         assert g.translation_length() <= bound + 1e-9
 
 
-def test_torus_diameter_trace_bound():
-    vc = 6.0
-    # minimized at ell^2 = 2*vc, where the two terms balance and the value is sqrt(vc)
-    ell_min = math.sqrt(2 * vc)
-    assert bounds.torus_diameter_trace_bound(ell_min, vc) == pytest.approx(math.sqrt(vc), rel=1e-12)
-    for ell in np.linspace(0.5, 10, 200):
-        assert bounds.torus_diameter_trace_bound(float(ell), vc) >= math.sqrt(vc) * (1 - 1e-12)
+def _torus_diameter_trace_bound(ell, vc):
+    """The spec of min_trace_bound's torus term, with its guards: the trace
+    bound sqrt(ell^2/4 + vc^2/ell^2) via the diameter of a cusp torus of waist
+    ell and area 2*vc, or hypot(ell/2, vc/ell) where a square is not a normal
+    float or the term overflows."""
+    ell, vc = float(ell), float(vc)
+    bounds._require(ell > 0, "waist size must be positive, got {}", ell)
+    bounds._require(vc > 0, "cusp volume must be positive, got {}", vc)
+    e2, v2 = ell * ell, vc * vc
+    if min(e2, v2) >= sys.float_info.min and (torus := math.sqrt(e2 / 4 + v2 / e2)) < math.inf:
+        return torus
+    return math.hypot(ell / 2, vc / ell)
+
+
+def test_min_trace_bound_is_the_diameter_of_the_rectangular_torus():
+    # Where the torus term wins, it is the diameter of the rectangular torus
+    # of waist ell and area 2*vc.
     ell, vc = 2 * math.pi, 17.1
     rect = CuspLattice(ell, (2 * vc / ell) * 1j)
-    assert bounds.torus_diameter_trace_bound(ell, vc) == pytest.approx(
-        rect.torus_diameter(), rel=1e-12
-    )
-    assert bounds.torus_diameter_trace_bound(ell, vc) == pytest.approx(
+    assert bounds.min_trace_bound(ell, vc) == pytest.approx(rect.torus_diameter(), rel=1e-12)
+    assert bounds.min_trace_bound(ell, vc) == pytest.approx(
         math.sqrt(ell**2 / 4 + vc**2 / ell**2), rel=1e-15
     )
-    with pytest.raises(ValueError):
-        bounds.torus_diameter_trace_bound(0, 1)
 
 
 def test_min_trace_bound_branches():
@@ -164,15 +177,15 @@ def test_min_trace_bound_branches():
     # at the top of the waist range the torus-diameter bound wins
     vc = 100.0
     ell = max_waist_for_cusp_volume(vc)
-    assert bounds.min_trace_bound(ell, vc) == bounds.torus_diameter_trace_bound(ell, vc)
+    assert bounds.min_trace_bound(ell, vc) == _torus_diameter_trace_bound(ell, vc)
     for ell in np.linspace(2 * math.pi, max_waist_for_cusp_volume(50.0), 50):
         s = bounds.min_trace_bound(float(ell), 50.0)
         assert s <= bounds.adams_reid_trace_bound(float(ell))
-        assert s <= bounds.torus_diameter_trace_bound(float(ell), 50.0)
+        assert s <= _torus_diameter_trace_bound(float(ell), 50.0)
 
 
 def _composed_min_trace_bound(ell, vc):
-    return min(bounds.torus_diameter_trace_bound(ell, vc), bounds.adams_reid_trace_bound(ell))
+    return min(_torus_diameter_trace_bound(ell, vc), bounds.adams_reid_trace_bound(ell))
 
 
 def _same(a, b):
@@ -194,7 +207,7 @@ def test_min_trace_bound_is_bit_identical_to_the_composition():
         for ell in np.linspace(2 * math.pi, math.sqrt(4 * vc / math.sqrt(3)), 10000).tolist():
             got = bounds.min_trace_bound(ell, vc)
             assert _same(got, _composed_min_trace_bound(ell, vc)), (ell, vc)
-            adams_reid_wins += got < bounds.torus_diameter_trace_bound(ell, vc)
+            adams_reid_wins += got < _torus_diameter_trace_bound(ell, vc)
     assert adams_reid_wins > 0
 
 
@@ -212,7 +225,7 @@ def test_min_trace_bound_matches_the_composition_at_the_skip_edge():
     for ell, vc in lanes:
         assert _same(bounds.min_trace_bound(ell, vc), _composed_min_trace_bound(ell, vc)), (ell, vc)
     assert any(
-        bounds.adams_reid_trace_bound(ell) < bounds.torus_diameter_trace_bound(ell, vc) for ell, vc in lanes
+        bounds.adams_reid_trace_bound(ell) < _torus_diameter_trace_bound(ell, vc) for ell, vc in lanes
     )
 
 
@@ -266,25 +279,12 @@ def test_min_trace_bound_fails_like_the_composition(ell, vc):
     assert str(fused.value) == str(composed.value)
 
 
-def test_shifted_parabolic_trace_bound():
-    assert bounds.shifted_parabolic_trace_bound(0) == pytest.approx(2, rel=1e-15)
-    vc = 30.0
-    ell = max_waist_for_cusp_volume(vc)
-    assert bounds.shifted_parabolic_trace_bound(ell) == pytest.approx(
-        math.sqrt(4 * vc / math.sqrt(3) + 4), rel=1e-12
-    )
-    ell = 2 * math.pi
-    assert bounds.shifted_parabolic_trace_bound(ell) == pytest.approx(
-        math.sqrt(4 * math.pi**2 + 4), rel=1e-15
-    )
-
-
 def test_cusp_volume_trace_bound():
     vc0 = bounds.CUSP_VOLUME_THRESHOLD
-    # equality with the shifted-parabolic bound exactly at the threshold
-    assert bounds.cusp_volume_trace_bound(vc0) == pytest.approx(
-        bounds.shifted_parabolic_trace_bound(max_waist_for_cusp_volume(vc0)), rel=1e-12
-    )
+    # equality exactly at the threshold with the shifted-parabolic bound
+    # sqrt(ell^2 + 4) at the largest waist
+    ell = max_waist_for_cusp_volume(vc0)
+    assert bounds.cusp_volume_trace_bound(vc0) == pytest.approx(math.sqrt(ell * ell + 4), rel=1e-12)
     assert bounds.cusp_volume_trace_bound(1.0, enforce_domain=False) == pytest.approx(
         math.sqrt(6), rel=1e-15
     )
@@ -295,9 +295,8 @@ def test_cusp_volume_trace_bound():
 def test_cusp_volume_trace_bound_dominates_shifted_parabolic():
     for vc in np.geomspace(bounds.CUSP_VOLUME_THRESHOLD, 1e6, 200):
         vc = float(vc)
-        assert bounds.cusp_volume_trace_bound(vc) >= bounds.shifted_parabolic_trace_bound(
-            max_waist_for_cusp_volume(vc)
-        ) * (1 - 1e-12)
+        ell = max_waist_for_cusp_volume(vc)
+        assert bounds.cusp_volume_trace_bound(vc) >= math.sqrt(ell * ell + 4) * (1 - 1e-12)
 
 
 def test_cusp_volume_trace_bound_dominates_min_trace_bound():
@@ -348,19 +347,24 @@ def test_link_systole_bound_at_zero():
         bounds.link_systole_bound(-1)
 
 
-def test_fkp_min_slope_bound_limit():
-    v = 3.0
-    assert bounds.fkp_min_slope_bound(v, 1e15 * v) == pytest.approx(2 * math.pi, rel=1e-9)
-
-
-def test_fkp_min_slope_bound_round_trip():
-    # plugging the slope back into the volume inequality gives equality
+def test_filling_slope_trace_bound_inverts_the_volume_inequality():
+    # The filling bound is sqrt(ell^4 + 4) at the shortest filling slope ell;
+    # plugging ell back into the Futer-Kalfagianni-Purcell inequality gives equality.
     for v, x in ((1.0, 2.0), (5.0, 7.0), (0.3, 100.0)):
-        ell = bounds.fkp_min_slope_bound(v, x)
+        f = bounds.filling_slope_trace_bound(x, v)
+        ell = (f * f - 4) ** 0.25
         assert (1 - (2 * math.pi / ell) ** 2) ** 1.5 * x == pytest.approx(v, rel=1e-12)
 
 
-def test_fkp_min_slope_bound_matches_bisection():
+def test_filling_slope_trace_bound_limit():
+    # As the complement volume grows, the shortest filling slope falls to 2*pi,
+    # and the bound to the Adams-Reid trace bound there.
+    v = 3.0
+    assert bounds.filling_slope_trace_bound(1e15 * v, v) == pytest.approx(
+        bounds.adams_reid_trace_bound(2 * math.pi), rel=1e-9)
+
+
+def test_filling_slope_trace_bound_matches_bisection():
     v, x = 1.0, 2.0
     # independent root-finder for the slope that makes the inequality tight
 
@@ -375,9 +379,10 @@ def test_fkp_min_slope_bound_matches_bisection():
             hi = mid
         else:
             lo = mid
-    assert bounds.fkp_min_slope_bound(v, x) == pytest.approx(0.5 * (lo + hi), rel=1e-10)
+    ell = 0.5 * (lo + hi)
+    assert bounds.filling_slope_trace_bound(x, v) == pytest.approx(math.sqrt(ell**4 + 4), rel=1e-10)
     with pytest.raises(ValueError):
-        bounds.fkp_min_slope_bound(2.0, 2.0)
+        bounds.filling_slope_trace_bound(2.0, 2.0)
 
 
 def test_drilled_and_filling_bounds_monotone():
@@ -488,9 +493,6 @@ def test_bound_profile_zero_volume():
         (bounds.adams_reid_trace_bound, (0.1 + 0.2,), "slope length must exceed 2, got 0.30000000000000004"),
         (bounds.adams_reid_length_bound, (2,), "slope length must exceed 2, got 2.0"),
         (bounds.loxodromic_length_bound, (-1e-320,), "trace modulus bound must be nonnegative, got -1e-320"),
-        (bounds.torus_diameter_trace_bound, (0, 5), "waist size must be positive, got 0.0"),
-        (bounds.torus_diameter_trace_bound, (3, -1), "cusp volume must be positive, got -1.0"),
-        (bounds.shifted_parabolic_trace_bound, (-0.5,), "translation length must be nonnegative, got -0.5"),
         (bounds.min_trace_bound, (math.nan, 5), "waist size must be positive, got nan"),
         (bounds.min_trace_bound, (3, -math.inf), "cusp volume must be positive, got -inf"),
         (bounds.min_trace_bound, (1.5, 5), "slope length must exceed 2, got 1.5"),
@@ -498,14 +500,17 @@ def test_bound_profile_zero_volume():
         (bounds.cusp_volume_trace_bound, (1,), "cusp volume 1.0 below threshold 1.539600717839002"),
         (bounds.cusped_systole_bound, (0,), "volume must be positive, got 0.0"),
         (bounds.link_systole_bound, (-1e300,), "volume must be nonnegative, got -1e+300"),
-        (bounds.fkp_min_slope_bound, (0, 1), "closed volume must be positive, got 0.0"),
-        (bounds.fkp_min_slope_bound, (2, 1), "complement volume 1.0 must exceed closed volume 2.0"),
         (bounds.drilled_trace_bound, (-2,), "volume must be positive, got -2.0"),
         (bounds.filling_slope_trace_bound, (1, -1), "closed volume must be nonnegative, got -1.0"),
         (bounds.filling_slope_trace_bound, (1e-320, 1e-320),
          "complement volume 1e-320 must exceed closed volume 1e-320"),
         (bounds.crossing_volume, (-1,), "volume must be nonnegative, got -1.0"),
         (bounds.BoundProfile.from_volume, (-1,), "volume must be nonnegative, got -1.0"),
+        # the open end of an interval, and NaN, which fails every comparison
+        (bounds.lobachevsky, (math.pi,), "theta must lie in (0, pi), got 3.141592653589793"),
+        (bounds.drilled_trace_bound, (math.nan,), "volume must be positive, got nan"),
+        (bounds.filling_slope_trace_bound, (math.nan, 1), "complement volume nan must exceed closed volume 1.0"),
+        (bounds.crossing_volume, (math.nan,), "volume must be nonnegative, got nan"),
     ],
 )
 def test_guard_messages(fn, args, message):

@@ -187,9 +187,9 @@ def test_lattice_waist_and_diameter(capsys):
 
 
 @pytest.mark.parametrize("lattice, waist, diameter", [
-    ("[[1e-163,0],[0,1e-155]]", 1e-163, 5e-156),  # |u|^2 underflows unscaled
     ("[[1e120,0],[0,1e120]]", 1e120, 1e120 / math.sqrt(2)),  # the product overflows
     ("[[1e-150,0],[0,1e-150]]", 1e-150, 1e-150 / math.sqrt(2)),  # the product underflows
+    ("[[1.5e-154,0],[0,1.5e-154]]", 1.5e-154, 1.5e-154 / math.sqrt(2)),  # about the least area accepted
     ("[[1e155,0],[0,1e153]]", 1e153, 5.0002499937503125e154),  # inf/inf unscaled
 ])
 def test_lattice_at_every_accepted_scale_reduces_once(lattice, waist, diameter, monkeypatch,
@@ -209,6 +209,28 @@ def test_lattice_degenerate(capsys):
     code, _, err = run(capsys, ["lattice", "waist", "--lattice", "[[1,0],[2,0]]"])
     assert code == 1
     assert "degenerate" in err
+
+
+# Areas 1e-318, 3e-318 and 5e-324 (for which reduce's ell * Im(z) was 0).  Past
+# the degeneracy bound, a lattice whose |u|^2 underflows to 0 has an area below
+# about 5e-312, so each is refused.
+SUBNORMAL_AREA_LATTICES = [
+    "[[1e-163,0],[0,1e-155]]",
+    "[[1e-160,0],[0,3e-158]]",
+    "[[-2.6254598153157822e-167,2.9370046320902637e-167],[8.550163244420337e-158,-3.272524829211388e-158]]",
+]
+
+
+@pytest.mark.parametrize("action", ["reduce", "waist", "diameter"])
+@pytest.mark.parametrize("lattice", SUBNORMAL_AREA_LATTICES)
+def test_lattice_whose_area_underflows_is_a_usage_error(lattice, action, capsys):
+    assert run(capsys, ["lattice", action, "--lattice", lattice]) == (
+        2, "", "usage error: lattice area underflows floating point\n")
+
+
+def test_lattice_overflow_refusal_keeps_its_bytes(capsys):
+    assert run(capsys, ["lattice", "reduce", "--lattice", "[[1e308,0],[0,1e308]]"]) == (
+        2, "", "usage error: reduce overflows at these parameters: lattice area overflows floating point\n")
 
 
 # ---------------------------------------------------------------------------
@@ -898,8 +920,8 @@ def _count(*valid):
     return st.sampled_from(BAD_COUNTS + list(valid))
 
 
-def _pairs(n):
-    entry = st.sampled_from(BAD_JSON_REALS + ["1", "0.5", "2", "-0.75"])
+def _pairs(n, *tiny):
+    entry = st.sampled_from(BAD_JSON_REALS + ["1", "0.5", "2", "-0.75", *tiny])
     pair = st.tuples(entry, entry).map(lambda p: f"[{p[0]},{p[1]}]")
     return st.lists(pair, min_size=n, max_size=n).map(lambda ps: "[" + ",".join(ps) + "]")
 
@@ -973,7 +995,7 @@ _ARGV = st.tuples(
         st.builds(lambda action, m: ["element", action, f"--matrix={m}"],
                   st.sampled_from(["classify", "length", "sphere"]), _pairs(4)),
         st.builds(lambda action, m: ["lattice", action, f"--lattice={m}"],
-                  st.sampled_from(["reduce", "waist", "diameter"]), _pairs(2)),
+                  st.sampled_from(["reduce", "waist", "diameter"]), _pairs(2, "1e-160", "3e-158", "-2.6e-167")),
         _verify_argv(),
         _bianchi_argv(),
     ),
@@ -986,6 +1008,7 @@ _ARGV = st.tuples(
 @example(argv=["lattice", "waist", "--lattice=[[1e400,0],[0,1]]"])
 @example(argv=["element", "classify", "--matrix=[[1e400,0],[0,0],[0,0],[1,0]]"])
 @example(argv=["lattice", "waist", "--lattice=[[1e308,0],[0,1e308]]"])
+@example(argv=["lattice", "reduce", f"--lattice={SUBNORMAL_AREA_LATTICES[-1]}"])
 @example(argv=["bianchi", "census", "--d=2", "--pi=3,1", "--n-max=1", "--height=-1"])
 @example(argv=["bianchi", "census", "--d=2", "--pi=3,1", "--n-max=1", f"--height={HUGE}"])
 @example(argv=["bianchi", "census", "--d=2", "--pi=3,1", "--n-max=1", f"--height={10**8}"])
@@ -1030,3 +1053,11 @@ def test_any_command_line_exits_0_1_or_2_without_a_traceback(argv):
         assert out.getvalue() == ""
         assert err.getvalue().startswith("usage error: ")
         assert err.getvalue().count("\n") == 1
+    if argv[:2] == ["lattice", "reduce"] and code == 0:
+        # The area is a positive normal float: exact in json and csv, to 6 digits in human.
+        fmt = argv[-1].partition("--format=")[2] or "human"
+        text = out.getvalue()
+        area = (json.loads(text)["area"] if fmt == "json" else text.split(",")[-1] if fmt == "csv"
+                else text.split("area = ")[1])
+        normal = float(format(sys.float_info.min, ".6g")) if fmt == "human" else sys.float_info.min
+        assert float(area) >= normal, text

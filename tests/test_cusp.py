@@ -1,11 +1,11 @@
 import math
+import sys
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given
 
-from sysbound.bounds import torus_diameter_trace_bound
 from sysbound.cusp import CuspLattice, ReducedBasis, max_waist_for_cusp_volume
 
 
@@ -96,7 +96,7 @@ def test_reduce_idempotent():
     rng = np.random.default_rng(3)
     for _ in range(50):
         rb = random_lattice(rng).reduce()
-        rb2 = rb.as_lattice().reduce()
+        rb2 = CuspLattice(rb.ell, rb.z).reduce()
         assert rb2.ell == pytest.approx(rb.ell, rel=1e-12)
         assert rb2.z == pytest.approx(rb.z, rel=1e-9)
         assert rb2.area == pytest.approx(rb.area, rel=1e-12)
@@ -125,6 +125,17 @@ def test_reduce_unimodular_invariance(p, q, swap, seed):
 def test_reduce_rejects_degenerate_lattice():
     with pytest.raises(ValueError):
         CuspLattice(1, complex(2, 1e-15))
+
+
+def test_lattice_area_below_the_normal_floats_is_refused():
+    side = math.sqrt(sys.float_info.min)
+    smallest = CuspLattice(side, complex(0, sys.float_info.min / side))
+    assert smallest.area == smallest.reduce().area == sys.float_info.min
+    # Areas 1e-308 and 5e-324; reduce's ell * Im(z) was 0 for the second.
+    for t1, t2 in [(1e-154, 1e-154j), (complex(-2.6254598153157822e-167, 2.9370046320902637e-167),
+                                       complex(8.550163244420337e-158, -3.272524829211388e-158))]:
+        with pytest.raises(FloatingPointError, match="^lattice area underflows floating point$"):
+            CuspLattice(t1, t2)
 
 
 def test_reduced_basis_validates():
@@ -170,7 +181,6 @@ def test_diameter_rectangular_half_diagonal():
     lattice = CuspLattice(ell, h * 1j)
     expected = 0.5 * math.sqrt(ell * ell + h * h)
     assert lattice.torus_diameter() == pytest.approx(expected, rel=1e-12)
-    assert lattice.torus_diameter() == pytest.approx(torus_diameter_trace_bound(ell, vc), rel=1e-12)
 
 
 def test_diameter_unit_square():
@@ -201,8 +211,8 @@ def test_diameter_bounded_by_rectangular_torus():
     for _ in range(100):
         lattice = random_lattice(rng)
         rb = lattice.reduce()
-        vc = lattice.cusp_volume
-        assert lattice.torus_diameter() <= torus_diameter_trace_bound(rb.ell, vc) * (1 + 1e-12)
+        vc = lattice.area / 2
+        assert lattice.torus_diameter() <= math.hypot(rb.ell / 2, vc / rb.ell) * (1 + 1e-12)
 
 
 def test_rectangle_maximizes_diameter_at_fixed_waist_and_area():
@@ -216,11 +226,6 @@ def test_rectangle_maximizes_diameter_at_fixed_waist_and_area():
 # ---------------------------------------------------------------------------
 # area relations and the volume bound
 # ---------------------------------------------------------------------------
-
-def test_cusp_volume_is_half_area():
-    lattice = CuspLattice(complex(2, 1), complex(-1, 3))
-    assert lattice.cusp_volume == lattice.area / 2
-
 
 def test_reduced_area_relations():
     rng = np.random.default_rng(13)

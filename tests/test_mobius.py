@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, given
 
 from sysbound.mobius import (
-    INFINITY,
     ElementClass,
     MoebiusElement,
     NonLoxodromicError,
@@ -24,13 +23,24 @@ def random_trace(rng, r_max):
     return complex(r * math.cos(theta), r * math.sin(theta))
 
 
+def _product(g, h):
+    """The matrix product g h."""
+    return MoebiusElement(g.a * h.a + g.b * h.c, g.a * h.b + g.b * h.d,
+                          g.c * h.a + g.d * h.c, g.c * h.b + g.d * h.d)
+
+
+def _inverse(g):
+    """(d -b; -c a), the inverse of the determinant-1 element g."""
+    return MoebiusElement(g.d, -g.b, -g.c, g.a)
+
+
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
 
 def test_determinant_normalized_on_construction():
     g = MoebiusElement(2, 0, 0, 2)
-    assert g.determinant == pytest.approx(1)
+    assert g.a * g.d - g.b * g.c == pytest.approx(1)
     assert g.a == pytest.approx(1)
 
 
@@ -46,19 +56,12 @@ def test_rejects_singular_matrix():
         MoebiusElement(1, 1, 1, 1)
 
 
-def test_equality_up_to_sign():
-    g = MoebiusElement(1, 1, 0, 1)
-    h = MoebiusElement(-1, -1, 0, -1)
-    assert g == h
-    assert g.isclose(h)
-
-
 # ---------------------------------------------------------------------------
 # trace
 # ---------------------------------------------------------------------------
 
 def test_trace_of_identity():
-    assert MoebiusElement.identity().trace == 2
+    assert MoebiusElement(1, 0, 0, 1).trace == 2
 
 
 def test_trace_of_diagonal():
@@ -109,7 +112,34 @@ def test_classify_invariant_under_sign_flip(a, b, c, d):
     g = MoebiusElement(a, b, c, d)
     h = MoebiusElement(-g.a, -g.b, -g.c, -g.d)
     assert g.classify() is h.classify()
-    assert g == h
+    assert (h.a, h.b, h.c, h.d) == (-g.a, -g.b, -g.c, -g.d)
+
+
+@given(complexes, complexes, complexes, complexes)
+def test_element_invariant_under_sign_flip(a, b, c, d):
+    # g and -g are one element of PSL(2, C): one length, one isometric sphere.
+    assume(abs(a * d - b * c) > 1e-2)
+    g = MoebiusElement(a, b, c, d)
+    h = MoebiusElement(-g.a, -g.b, -g.c, -g.d)
+    assert h.trace == -g.trace
+    if g.classify() is ElementClass.LOXODROMIC:
+        assert h.translation_length() == pytest.approx(g.translation_length(), rel=1e-12, abs=1e-12)
+    if g.c != 0:
+        assert (h.isometric_sphere().center, h.isometric_sphere().radius) == pytest.approx(
+            (g.isometric_sphere().center, g.isometric_sphere().radius), rel=1e-12)
+
+
+def test_translation_length_invariant_under_conjugation():
+    rng = np.random.default_rng(29)
+    h = MoebiusElement(complex(1, 1), 2, complex(0, -1), complex(0.5, -0.5))
+    h_inv = _inverse(h)
+    for _ in range(50):
+        g = MoebiusElement.from_trace(random_trace(rng, 40))
+        if g.classify() is not ElementClass.LOXODROMIC:
+            continue
+        conj = _product(_product(h, g), h_inv)
+        assert conj.trace == pytest.approx(g.trace, abs=1e-9)
+        assert conj.translation_length() == pytest.approx(g.translation_length(), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +172,7 @@ def test_translation_length_refused_for_non_loxodromic():
     with pytest.raises(NonLoxodromicError):
         MoebiusElement(0, -1, 1, 0).translation_length()
     with pytest.raises(NonLoxodromicError):
-        MoebiusElement.identity().translation_length()
+        MoebiusElement(1, 0, 0, 1).translation_length()
 
 
 def _element_length(trace):
@@ -252,7 +282,7 @@ def test_eigenvalue_bound_sharp_for_imaginary_traces():
 
 
 # ---------------------------------------------------------------------------
-# isometric spheres and the boundary action
+# isometric spheres
 # ---------------------------------------------------------------------------
 
 def test_isometric_sphere_standard_position():
@@ -279,36 +309,6 @@ def test_isometric_sphere_refused_when_fixing_infinity():
         MoebiusElement(1, 1, 0, 1).isometric_sphere()
 
 
-def test_apply_identity_fixes_points():
-    g = MoebiusElement.identity()
-    assert g.apply(complex(5, 1)) == complex(5, 1)
-    assert g.apply(INFINITY) is INFINITY
-
-
-def test_apply_sends_origin_to_infinity():
-    g = MoebiusElement(complex(1, 2), -1, 1, 0)
-    assert g.apply(0) is INFINITY
-    assert g.apply(INFINITY) == pytest.approx(complex(1, 2))
-
-
-def test_apply_translation():
-    g = MoebiusElement(1, 1, 0, 1)
-    assert g.apply(complex(0, 1)) == pytest.approx(complex(1, 1))
-
-
-def test_apply_pole_goes_to_infinity():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        a, b, c = (complex(*rng.uniform(-3, 3, 2)) for _ in range(3))
-        if abs(c) < 0.1:
-            continue
-        d = (1 + b * c) / a if abs(a) > 0.1 else complex(1, 1)
-        if abs(a * d - b * c) < 0.1:
-            continue
-        g = MoebiusElement(a, b, c, d)
-        assert g.apply(-g.d / g.c) is INFINITY
-
-
 def test_isometric_sphere_covariance():
     # The action maps the sphere of g onto the sphere of its inverse, which
     # has the same radius and center g(infinity).
@@ -320,13 +320,12 @@ def test_isometric_sphere_covariance():
         d = (1 + b * c) / a
         g = MoebiusElement(a, b, c, d)
         s_g = g.isometric_sphere()
-        s_inv = g.inverse().isometric_sphere()
+        s_inv = _inverse(g).isometric_sphere()
         assert s_inv.center == pytest.approx(g.a / g.c, abs=1e-9)
         assert s_inv.radius == pytest.approx(s_g.radius, abs=1e-9)
         for theta in np.linspace(0, 2 * math.pi, 12, endpoint=False):
             p = s_g.center + s_g.radius * cmath.exp(1j * theta)
-            image = g.apply(p)
-            assert image is not INFINITY
+            image = (g.a * p + g.b) / (g.c * p + g.d)
             assert abs(abs(image - s_inv.center) - s_inv.radius) < 1e-9
 
 
@@ -339,10 +338,5 @@ def test_center_distance_equals_trace_for_unit_c():
             continue
         d = (1 + b * c) / a
         g = MoebiusElement(a, b, c, d)
-        centers = abs(g.inverse().isometric_sphere().center - g.isometric_sphere().center)
+        centers = abs(_inverse(g).isometric_sphere().center - g.isometric_sphere().center)
         assert centers == pytest.approx(abs(g.trace), abs=1e-9)
-
-
-def test_compose_and_inverse():
-    g = MoebiusElement(complex(1, 1), 2, complex(0, -1), complex(0.5, -0.5))
-    assert (g @ g.inverse()).isclose(MoebiusElement.identity(), tol=1e-12)
