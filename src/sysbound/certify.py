@@ -10,10 +10,11 @@ reported as the negative worst margin, while a clean run reports the
 inequality's own worst margin, which is the informative one for plotting
 tightness.
 
-Every claim reduces its margin arrays with ``_worst``, hands its gates and
-inequalities to ``_report`` as (margin, point) candidates, and keeps its margin
-rows, if ``margin_rows`` is a list, as one (rows, 3) float block (one per draw
-block for ``length-lemma``).
+Every claim reduces its margin arrays with ``_worst``, one per kind of gate or
+inequality (and per draw block for ``length-lemma``), hands the results to
+``_report`` as (margin, point) candidates, and keeps its margin rows, if
+``margin_rows`` is a list, as one (rows, 3) float block (one per draw block for
+``length-lemma``).
 
 Reports are deterministic given a grid and a seed; the seed of a randomized
 sweep is recorded in the claim id.
@@ -329,7 +330,10 @@ def certify_length_lemma(
 # ---------------------------------------------------------------------------
 
 def _cubic(x: float, vc: float) -> float:
-    return 4 * x**3 - x**2 + 16 * x - 4 * vc * vc
+    try:
+        return 4 * x**3 - x**2 + 16 * x - 4 * vc * vc
+    except OverflowError:  # x**3 raises where 4*x**3 would be inf
+        return math.nan
 
 
 def certify_cubic_claims(
@@ -350,46 +354,40 @@ def certify_cubic_claims(
     """
     if vc_grid.lo < 0:
         raise ValueError("cubic claims need nonnegative cusp volumes")
-    # Every volume is checked before anything is swept.
-    claims = []
-    for vc in vc_grid.values().tolist():
-        x_star = math.sqrt(2) * vc ** (2 / 3)
-        try:
-            m_claim = _cubic(x_star, vc)
-        except OverflowError:  # x**3 raises where 4*x**3 would be inf
-            m_claim = math.nan
-        if vc > 0 and not (4 * vc * vc >= sys.float_info.min and math.isfinite(m_claim)):
-            raise ValueError(f"cubic claims need 4*vc^2 normal and the cubic finite, got vc = {vc}")
-        claims.append((vc, x_star, m_claim))
-    # f'(x) = 12x^2 - 2x + 16 > 0: discriminant and a direct sweep.  Then
-    # (8 - 2*sqrt(2)) z^2 - sqrt(2) z + 16 > 0: negative discriminant.
+    # Python's pow, one volume at a time; every volume is checked before anything is swept.
+    vc = vc_grid.values()
+    x_star = np.array([math.sqrt(2) * v ** (2 / 3) for v in vc.tolist()])
+    m_claim = np.array([_cubic(x, v) for x, v in zip(x_star.tolist(), vc.tolist())])
+    for v, m in zip(vc.tolist(), m_claim.tolist()):
+        if v > 0 and not (4 * v * v >= sys.float_info.min and math.isfinite(m)):
+            raise ValueError(f"cubic claims need 4*vc^2 normal and the cubic finite, got vc = {v}")
+    # Bisect the root, then compare 4x^2 + 16 values.  [0, x_star] is a bracket iff f(x_star)
+    # > 0 (f(0) = -4*vc^2 < 0 but at vc = 0, where x_star = 0); without one the claim fails.
+    bracket = m_claim > 0
+    vb, xb = vc[bracket], x_star[bracket]
+    x0 = np.array([_bisect(lambda x, v=v: _cubic(x, v), 0.0, x, 1.0)
+                   for v, x in zip(vb.tolist(), xb.tolist())])
+    # The endpoint value t = 7*vc/sqrt(3) (a gate), and t < 8*vc^(4/3) + 16 above the threshold.
+    endpoint = 4 * vb / math.sqrt(3)
+    expected = 7 * vb / math.sqrt(3)
+    gate = IDENTITY_REL_TOL - np.abs(endpoint + 4 * vb * vb / endpoint - expected) / expected
+    above = vb >= bounds.CUSP_VOLUME_THRESHOLD
+    pow43 = np.array([v ** (4 / 3) for v in vb[above].tolist()])
+    # f'(x) = 12x^2 - 2x + 16 > 0: negative discriminant, and a direct sweep whose
+    # points are counted.  (8 - 2*sqrt(2)) z^2 - sqrt(2) z + 16 > 0: negative discriminant.
     xs = np.linspace(-1e3, 1e3, 20001)
-    ineqs = [(4 * 12 * 16 - (-2) ** 2, (0.0,)), _worst(12 * xs * xs - 2 * xs + 16, xs),
-             (4 * (8 - 2 * math.sqrt(2)) * 16 - 2, (0.0,))]
-    gates = []
-    points = len(xs) + 1 + len(claims)
-    for vc, x_star, m_claim in claims:
-        ineqs.append((m_claim, (vc, x_star)))
-        # Bisect the root, then compare 4x^2 + 16 values.  [0, x_star] is a bracket iff
-        # f(x_star) > 0: f(0) = -4*vc^2 < 0 at every volume but 0, where x_star = 0.
-        if not m_claim > 0:
-            ineqs.append((-math.inf, (vc, x_star)))  # no bracket: the claim fails
-            continue
-        x0 = _bisect(lambda x: _cubic(x, vc), 0.0, x_star, 1.0)
-        ineqs.append(((4 * x_star * x_star + 16) - (4 * x0 * x0 + 16), (vc, x0)))
-        # Endpoint identity t(4*vc/sqrt(3)) = 7*vc/sqrt(3).
-        endpoint = 4 * vc / math.sqrt(3)
-        t_end = endpoint + 4 * vc * vc / endpoint
-        expected = 7 * vc / math.sqrt(3)
-        gates.append((IDENTITY_REL_TOL - abs(t_end - expected) / expected, (vc, endpoint)))
-        points += 2
-        if vc >= bounds.CUSP_VOLUME_THRESHOLD:
-            ineqs.append(((8 * vc ** (4 / 3) + 16) - expected, (vc, endpoint)))
-            points += 1
-
+    kinds = [  # per kind of inequality: margins, then the coordinates of their points
+        (12 * xs * xs - 2 * xs + 16, xs),
+        (np.array([4 * (8 - 2 * math.sqrt(2)) * 16 - 2]), np.zeros(1)),
+        (np.where(bracket, m_claim, -math.inf), vc, x_star),
+        ((4 * xb * xb + 16) - (4 * x0 * x0 + 16), vb, x0),
+        ((8 * pow43 + 16) - expected[above], vb[above], endpoint[above]),
+    ]
     if margin_rows is not None:
-        margin_rows.append(np.array(claims, dtype=float))
-    return _report("cubic", points, ineqs, gates)
+        margin_rows.append(np.column_stack((vc, x_star, m_claim)))
+    return _report("cubic", sum(len(kind[0]) for kind in kinds) + len(gate),
+                   [(4 * 12 * 16 - (-2) ** 2, (0.0,)), *(_worst(*kind) for kind in kinds)],
+                   [_worst(gate, vb, endpoint)])
 
 
 # ---------------------------------------------------------------------------

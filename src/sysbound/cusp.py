@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .mobius import _as_finite_complex
 
 # Relative area threshold below which a lattice is considered degenerate.
 _TAU_AREA = 1e-12
-
-_MAX_REDUCTION_STEPS = 10000    # in practice two or three suffice
 
 # Validation slack for ReducedBasis invariants (relative).
 _SLACK = 1e-9
@@ -69,44 +67,39 @@ class ReducedBasis:
 
 @dataclass(frozen=True)
 class CuspLattice:
-    """Rank-2 translation lattice of C spanned by t1 and t2."""
+    """Rank-2 translation lattice of C spanned by t1 and t2.  The constructor
+    takes the area (``area``), decides its refusals and reduces the lattice
+    once, on a copy scaled by an exact 2^-k to a largest coordinate in
+    [1/2, 1), where |u|^2 and the diameter's product stay normal floats."""
 
     t1: complex
     t2: complex
+    area: float = field(init=False, compare=False)
+    _unit: tuple[float, complex, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "t1", _as_finite_complex(self.t1, "t1"))
         object.__setattr__(self, "t2", _as_finite_complex(self.t2, "t2"))
-        if not math.isfinite(self.area):
-            raise OverflowError("lattice area overflows floating point")
-        if 0 < self.area < sys.float_info.min:  # where reduce's ell * Im(z) loses digits, or is 0
+        k = math.frexp(max(abs(x) for t in (self.t1, self.t2) for x in (t.real, t.imag)))[1]
+        u, v = (complex(math.ldexp(t.real, -k), math.ldexp(t.imag, -k)) for t in (self.t1, self.t2))
+        area = abs((u.conjugate() * v).imag)
+        try:
+            object.__setattr__(self, "area", math.ldexp(area, 2 * k))
+        except OverflowError:
+            raise OverflowError("lattice area overflows floating point") from None
+        if area > 0 and self.area < sys.float_info.min:  # where reduce's ell * Im(z) loses digits, or is 0
             raise FloatingPointError("lattice area underflows floating point")
-        scale = max(abs(self.t1), abs(self.t2))
-        if self.area <= _TAU_AREA * scale * scale:
+        scale = max(abs(u), abs(v))
+        if area <= _TAU_AREA * scale * scale:
             raise ValueError("degenerate lattice: generators are (nearly) dependent")
 
-    @property
-    def area(self) -> float:
-        return abs((self.t1.conjugate() * self.t2).imag)
-
-    def _scaled_reduction(self) -> tuple[float, complex, int]:
-        """The canonical ell and z of this lattice scaled by 2^-k, and k.  The
-        scaling is exact and puts the longer generator in [1/2, 1), where
-        |u|^2 and the diameter's product stay normal floats."""
-        k = math.frexp(max(abs(self.t1), abs(self.t2)))[1]
-        u, v = (complex(math.ldexp(t.real, -k), math.ldexp(t.imag, -k)) for t in (self.t1, self.t2))
         if abs(u) > abs(v):
             u, v = v, u
-        for _ in range(_MAX_REDUCTION_STEPS):
-            m = round((u.conjugate() * v).real / (abs(u) ** 2))
-            v = v - m * u
-            if abs(v) < abs(u):
-                u, v = v, u
-            else:
+        while True:  # each swap shortens u, so this ends; in practice in two or three steps
+            v = v - round((u.conjugate() * v).real / (abs(u) ** 2)) * u
+            if abs(v) >= abs(u):
                 break
-        else:
-            raise RuntimeError("lattice reduction failed to terminate")
-
+            u, v = v, u
         ell = abs(u)
         z = v * (ell / u)
         z -= round(z.real / ell) * ell
@@ -114,16 +107,16 @@ class CuspLattice:
             z = -z
         if z.real <= -ell / 2 + _TIE_TOL * ell:
             z += ell
-        return ell, z, k
+        object.__setattr__(self, "_unit", (ell, z, k))
 
     def reduce(self) -> ReducedBasis:
         """Gauss-Lagrange reduction to the canonical basis, at every accepted
-        scale: that of a copy scaled to unit size, scaled back.
+        scale: that of the constructor's copy at unit size, scaled back.
 
         Ties on the strip boundary |Re(z)| = ell/2 are resolved toward
         positive real part, and z is negated if needed so Im(z) > 0.
         """
-        ell, z, k = self._scaled_reduction()
+        ell, z, k = self._unit
         ell, z = math.ldexp(ell, k), complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
         return ReducedBasis(ell=ell, z=z, area=ell * z.imag)
 
@@ -141,9 +134,9 @@ class CuspLattice:
         Within 4 ulps (3.55 measured against mpmath) on a reduced basis, and
         4 + kappa/10 on any, kappa = max(|t1|, |t2|)^2 / area, at every scale
         that the constructor accepts: the product is taken on the basis at
-        unit scale, as ``reduce`` reduces it, and the quotient scaled back.
+        unit scale, as the constructor reduces it, and the quotient scaled back.
         """
-        ell, z, k = self._scaled_reduction()
+        ell, z, k = self._unit
         u = complex(ell, 0.0)
         v = z if z.real <= 0.0 else -z
         w = u + v

@@ -44,6 +44,11 @@ def _normalized(a, b, c, d) -> list[complex]:
     """The finite entries of (a b; c d), rescaled to determinant 1 when off by more than TAU_DET."""
     entries = [_as_finite_complex(z, name) for z, name in zip((a, b, c, d), "abcd")]
     det = entries[0] * entries[3] - entries[1] * entries[2]
+    if not (cmath.isfinite(det) and max(abs(det.real), abs(det.imag)) >= _DBL_MIN):
+        # det over- or underflows: take it on the entries scaled by an exact 2^-k.
+        k = math.frexp(max(max(abs(z.real), abs(z.imag)) for z in entries))[1]
+        entries = [complex(math.ldexp(z.real, -k), math.ldexp(z.imag, -k)) for z in entries]
+        det = entries[0] * entries[3] - entries[1] * entries[2]
     if det == 0:
         raise ValueError("matrix is singular")
     if abs(det - 1) > TAU_DET:

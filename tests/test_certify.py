@@ -9,6 +9,7 @@ from hypothesis import given
 
 from sysbound import bounds, certify
 from sysbound.certify import (
+    IDENTITY_REL_TOL,
     GridSpec,
     _report,
     _worst,
@@ -488,6 +489,54 @@ def test_cubic_claims_pass():
     report = certify_cubic_claims(GridSpec(bounds.CUSP_VOLUME_THRESHOLD, 1e6, 100, "log"))
     assert report.passed
     assert report.worst_margin > 0
+
+
+def _cubic_oracle(vc_grid):
+    """The report and margin rows of the cubic claims by a per-volume fold:
+    (margin, point) candidates in the order the volumes are checked, and the
+    points counted as they are appended."""
+    claims = []
+    for vc in vc_grid.values().tolist():
+        x_star = math.sqrt(2) * vc ** (2 / 3)
+        claims.append((vc, x_star, 4 * x_star**3 - x_star**2 + 16 * x_star - 4 * vc * vc))
+    xs = np.linspace(-1e3, 1e3, 20001)
+    ineqs = [(4 * 12 * 16 - (-2) ** 2, (0.0,)), _worst(12 * xs * xs - 2 * xs + 16, xs),
+             (4 * (8 - 2 * math.sqrt(2)) * 16 - 2, (0.0,))]
+    gates = []
+    points = len(xs) + 1 + len(claims)
+    for vc, x_star, m_claim in claims:
+        ineqs.append((m_claim, (vc, x_star)))
+        if not m_claim > 0:
+            ineqs.append((-math.inf, (vc, x_star)))
+            continue
+        x0 = certify._bisect(lambda x: 4 * x**3 - x**2 + 16 * x - 4 * vc * vc, 0.0, x_star, 1.0)
+        ineqs.append(((4 * x_star * x_star + 16) - (4 * x0 * x0 + 16), (vc, x0)))
+        endpoint = 4 * vc / math.sqrt(3)
+        t_end = endpoint + 4 * vc * vc / endpoint
+        expected = 7 * vc / math.sqrt(3)
+        gates.append((IDENTITY_REL_TOL - abs(t_end - expected) / expected, (vc, endpoint)))
+        points += 2
+        if vc >= bounds.CUSP_VOLUME_THRESHOLD:
+            ineqs.append(((8 * vc ** (4 / 3) + 16) - expected, (vc, endpoint)))
+            points += 1
+    return _report("cubic", points, ineqs, gates), np.array(claims, dtype=float)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_cubic_claims_match_the_per_volume_fold(seed):
+    rng = np.random.default_rng(seed)
+    grids = [GridSpec(0.0, 10 ** rng.uniform(-2, 6), int(rng.integers(2, 60)), "linear"),
+             GridSpec(*sorted(10 ** rng.uniform(-150, 150, 2)), int(rng.integers(2, 60)), "log")]
+    reports = []
+    for grid in grids:
+        rows = []
+        reports.append(certify_cubic_claims(grid, margin_rows=rows))
+        want, want_rows = _cubic_oracle(grid)
+        assert reports[-1] == want
+        assert [block.tobytes() for block in rows] == [want_rows.tobytes()]
+    # vc = 0 has no bracket, so there the claim fails at -inf.
+    assert reports[0].worst_margin == -math.inf and reports[0].worst_point == (0.0, 0.0)
+    assert reports[1].passed
 
 
 def test_cubic_claims_reject_negative_cusp_volumes():

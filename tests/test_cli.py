@@ -19,7 +19,6 @@ from hypothesis import example, given, settings
 import sysbound
 from sysbound import bianchi, bounds, certify, cli
 from sysbound.cli import _fmt, _write_csv, main
-from sysbound.cusp import CuspLattice
 
 
 def run(capsys, argv):
@@ -132,6 +131,22 @@ def test_element_length_rejects_parabolic(capsys):
     assert "parabolic" in err
 
 
+# Matrices whose determinant a*d - b*c overflows or underflows in doubles.
+@pytest.mark.parametrize("matrix, kind, length", [
+    ("[[3e200,0],[1e200,0],[0,0],[1e200,0]]", "loxodromic", math.log(3)),
+    ("[[1e200,0],[0,0],[0,0],[1e200,0]]", "identity", None),
+    ("[[1e-200,0],[0,0],[0,0],[1e-200,0]]", "identity", None),
+])
+def test_element_whose_determinant_leaves_the_doubles(matrix, kind, length, capsys):
+    assert run(capsys, ["element", "classify", "--matrix", matrix]) == (0, kind + "\n", "")
+    code, out, err = run(capsys, ["element", "length", "--matrix", matrix, "--format", "json"])
+    if length is None:
+        assert (code, out, err) == (1, "", f"error: element is {kind}, not loxodromic\n")
+    else:
+        assert (code, err) == (0, "")
+        assert float(json.loads(out)["length"]) == pytest.approx(length, rel=1e-15)
+
+
 def test_element_sphere(capsys):
     code, out, _ = run(
         capsys, ["element", "sphere", "--matrix", matrix_json(0, -1, 1, 0), "--format", "json"]
@@ -192,17 +207,12 @@ def test_lattice_waist_and_diameter(capsys):
     ("[[1.5e-154,0],[0,1.5e-154]]", 1.5e-154, 1.5e-154 / math.sqrt(2)),  # about the least area accepted
     ("[[1e155,0],[0,1e153]]", 1e153, 5.0002499937503125e154),  # inf/inf unscaled
 ])
-def test_lattice_at_every_accepted_scale_reduces_once(lattice, waist, diameter, monkeypatch,
-                                                      capsys):
-    calls = []
-    scaled = CuspLattice._scaled_reduction
-    monkeypatch.setattr(CuspLattice, "_scaled_reduction", lambda g: calls.append(g) or scaled(g))
+def test_lattice_at_every_accepted_scale(lattice, waist, diameter, capsys):
     for action, value in [("waist", waist), ("diameter", diameter), ("reduce", waist)]:
         code, out, err = run(capsys, ["lattice", action, "--lattice", lattice, "--format", "json"])
         assert (code, err) == (0, "")
         got = json.loads(out)["ell" if action == "reduce" else action]
         assert float(got) == pytest.approx(value, rel=1e-15)
-    assert len(calls) == 3
 
 
 def test_lattice_degenerate(capsys):
@@ -211,12 +221,15 @@ def test_lattice_degenerate(capsys):
     assert "degenerate" in err
 
 
-# Areas 1e-318, 3e-318 and 5e-324 (for which reduce's ell * Im(z) was 0).  Past
-# the degeneracy bound, a lattice whose |u|^2 underflows to 0 has an area below
-# about 5e-312, so each is refused.
+# Areas 1e-318, 3e-318, 1e-340, 1e-325 and 5e-324 (for which reduce's ell * Im(z)
+# was 0).  Past the degeneracy bound, a lattice whose |u|^2 underflows to 0 has
+# an area below about 5e-312, so each is refused; the area is decided on the
+# generators at unit scale, so one that rounds to 0 is refused as well.
 SUBNORMAL_AREA_LATTICES = [
     "[[1e-163,0],[0,1e-155]]",
     "[[1e-160,0],[0,3e-158]]",
+    "[[1e-170,0],[0,1e-170]]",
+    "[[1e-163,0],[0,1e-162]]",
     "[[-2.6254598153157822e-167,2.9370046320902637e-167],[8.550163244420337e-158,-3.272524829211388e-158]]",
 ]
 
@@ -231,6 +244,15 @@ def test_lattice_whose_area_underflows_is_a_usage_error(lattice, action, capsys)
 def test_lattice_overflow_refusal_keeps_its_bytes(capsys):
     assert run(capsys, ["lattice", "reduce", "--lattice", "[[1e308,0],[0,1e308]]"]) == (
         2, "", "usage error: reduce overflows at these parameters: lattice area overflows floating point\n")
+
+
+def test_lattice_whose_area_is_finite_is_accepted_though_a_product_overflows(capsys):
+    # t1.re * t2.im is about 1.87e308; the area (mpmath: 1.1873877859539175e+308) is finite.
+    lattice = ("[[1.1922709329519734e+156,-6.191314421354413e+151],"
+               "[-1.101392346515335e+156,1.5678436554522568e+152]]")
+    code, out, err = run(capsys, ["lattice", "reduce", "--lattice", lattice, "--format", "json"])
+    assert (code, err) == (0, "")
+    assert float(json.loads(out)["area"]) == 1.1873877859539175e+308
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 
 from sysbound.mobius import (
     ElementClass,
@@ -115,7 +115,19 @@ def test_classify_invariant_under_sign_flip(a, b, c, d):
     assert (h.a, h.b, h.c, h.d) == (-g.a, -g.b, -g.c, -g.d)
 
 
+def _sphere_or_refusal(g):
+    """(center, radius) of g's isometric sphere, or None where it is refused."""
+    try:
+        sphere = g.isometric_sphere()
+    except ValueError:
+        return None
+    return sphere.center, sphere.radius
+
+
 @given(complexes, complexes, complexes, complexes)
+# A subnormal c: 1/|c| or -d/c overflows, so the sphere is refused for g and -g alike.
+@example(4j, 0j, 1.1125369292536007e-308j, 1j)
+@example(1j, 0j, 1.1125369292536007e-308j, 2j)
 def test_element_invariant_under_sign_flip(a, b, c, d):
     # g and -g are one element of PSL(2, C): one length, one isometric sphere.
     assume(abs(a * d - b * c) > 1e-2)
@@ -124,9 +136,11 @@ def test_element_invariant_under_sign_flip(a, b, c, d):
     assert h.trace == -g.trace
     if g.classify() is ElementClass.LOXODROMIC:
         assert h.translation_length() == pytest.approx(g.translation_length(), rel=1e-12, abs=1e-12)
-    if g.c != 0:
-        assert (h.isometric_sphere().center, h.isometric_sphere().radius) == pytest.approx(
-            (g.isometric_sphere().center, g.isometric_sphere().radius), rel=1e-12)
+    sphere = _sphere_or_refusal(g)
+    if sphere is None:
+        assert _sphere_or_refusal(h) is None
+    else:
+        assert _sphere_or_refusal(h) == pytest.approx(sphere, rel=1e-12)
 
 
 def test_translation_length_invariant_under_conjugation():
