@@ -10,10 +10,9 @@ and computes the quantities the trace bounds consume: the waist size
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
-from .mobius import _as_finite_complex
+from .mobius import _DBL_MIN, _as_finite_complex, _unit_scaled
 
 # Relative area threshold below which a lattice is considered degenerate.
 _TAU_AREA = 1e-12
@@ -80,18 +79,17 @@ class CuspLattice:
     def __post_init__(self):
         object.__setattr__(self, "t1", _as_finite_complex(self.t1, "t1"))
         object.__setattr__(self, "t2", _as_finite_complex(self.t2, "t2"))
-        k = math.frexp(max(abs(x) for t in (self.t1, self.t2) for x in (t.real, t.imag)))[1]
-        u, v = (complex(math.ldexp(t.real, -k), math.ldexp(t.imag, -k)) for t in (self.t1, self.t2))
+        (u, v), k = _unit_scaled((self.t1, self.t2))
         area = abs((u.conjugate() * v).imag)
         try:
             object.__setattr__(self, "area", math.ldexp(area, 2 * k))
         except OverflowError:
             raise OverflowError("lattice area overflows floating point") from None
-        if area > 0 and self.area < sys.float_info.min:  # where reduce's ell * Im(z) loses digits, or is 0
-            raise FloatingPointError("lattice area underflows floating point")
         scale = max(abs(u), abs(v))
         if area <= _TAU_AREA * scale * scale:
             raise ValueError("degenerate lattice: generators are (nearly) dependent")
+        if self.area < _DBL_MIN:  # where reduce's ell * Im(z) loses digits, or is 0
+            raise FloatingPointError("lattice area underflows floating point")
 
         if abs(u) > abs(v):
             u, v = v, u

@@ -22,6 +22,11 @@ from enum import Enum
 TAU_DET = 1e-12
 TAU_CLASS = 1e-9
 
+# The least normal double, and the part above which cmath.acosh changes formula.
+_DBL_MIN = sys.float_info.min
+_CM_LARGE_DOUBLE = sys.float_info.max / 4
+
+
 class NonLoxodromicError(ValueError):
     """Translation length requested for an element that is not loxodromic."""
 
@@ -40,14 +45,18 @@ def _as_finite_complex(value, name: str) -> complex:
     return z
 
 
+def _unit_scaled(entries) -> tuple[list[complex], int]:
+    """The entries times the exact 2^-k that puts their largest part in [1/2, 1), and k."""
+    k = math.frexp(max(max(abs(z.real), abs(z.imag)) for z in entries))[1]
+    return [complex(math.ldexp(z.real, -k), math.ldexp(z.imag, -k)) for z in entries], k
+
+
 def _normalized(a, b, c, d) -> list[complex]:
     """The finite entries of (a b; c d), rescaled to determinant 1 when off by more than TAU_DET."""
     entries = [_as_finite_complex(z, name) for z, name in zip((a, b, c, d), "abcd")]
     det = entries[0] * entries[3] - entries[1] * entries[2]
     if not (cmath.isfinite(det) and max(abs(det.real), abs(det.imag)) >= _DBL_MIN):
-        # det over- or underflows: take it on the entries scaled by an exact 2^-k.
-        k = math.frexp(max(max(abs(z.real), abs(z.imag)) for z in entries))[1]
-        entries = [complex(math.ldexp(z.real, -k), math.ldexp(z.imag, -k)) for z in entries]
+        entries = _unit_scaled(entries)[0]  # det over- or underflows: take it at unit scale
         det = entries[0] * entries[3] - entries[1] * entries[2]
     if det == 0:
         raise ValueError("matrix is singular")
@@ -83,27 +92,16 @@ def _length(t: complex) -> float:
     return abs((2 * cmath.acosh(t / 2)).real)
 
 
-# CPython's complex square root branches otherwise where its argument is not
-# finite or both its parts are below DBL_MIN, and cmath.acosh where a part
-# exceeds DBL_MAX/4.
-_DBL_MIN = sys.float_info.min
-_CM_LARGE_DOUBLE = sys.float_info.max / 4
-
-
 def _c_sqrt(np, re, im):
-    """``cmath.sqrt(complex(re, im))`` over float64 arrays as CPython's c_sqrt
-    computes it, and the mask of the lanes where c_sqrt branches otherwise."""
+    """``cmath.sqrt(complex(re, im))`` on arrays, for finite parts not both below DBL_MIN."""
     ax, ay = np.abs(re), np.abs(im)
     s = 2.0 * np.sqrt(ax / 8.0 + np.hypot(ax / 8.0, ay / 8.0))
     d = ay / (2.0 * s)
-    right = re >= 0.0
-    other = ~(np.isfinite(re) & np.isfinite(im)) | (ax < _DBL_MIN) & (ay < _DBL_MIN)
-    return np.where(right, s, d), np.copysign(np.where(right, d, s), im), other
+    return np.where(re >= 0.0, s, d), np.copysign(np.where(re >= 0.0, d, s), im)
 
 
 def _halved(re, im):
-    """``complex(re, im) / 2`` as CPython divides by 2 + 0j: Smith's ratio is
-    0.0, and its terms keep the signed zeros."""
+    """``complex(re, im) / 2`` as CPython's Smith division by 2 + 0j takes it, with ratio 0.0."""
     return (re + im * 0.0) / 2.0, (im - re * 0.0) / 2.0
 
 
@@ -111,23 +109,25 @@ def trace_translation_lengths(x, y):
     """``MoebiusElement.from_trace(complex(x, y)).translation_length()`` over
     float64 arrays of real and imaginary parts, lane for lane and bit for bit.
 
-    Returns the lengths and the mask of the lanes that are not loxodromic,
-    whose lengths are NaN.  numpy replays CPython's own complex steps with
-    +, -, *, /, sqrt, abs, copysign and hypot (the libm function that
-    CPython's c_sqrt and complex abs call); asinh goes through ``math`` one
-    lane at a time, because numpy's differs from it in the last bit on some
-    (3995 of 50 000 traces drawn as the length-lemma sweep draws).  A lane where CPython would branch otherwise (a
-    non-finite value, a determinant to renormalize, c_sqrt's zero or
-    subnormal scaling, acosh's large-argument formula) goes through the
-    element, so it raises the element's errors, the first such lane's first.
+    Returns the lengths, NaN where not loxodromic, and that mask.  numpy
+    replays CPython's complex steps with +, -, *, /, sqrt, abs, copysign and
+    hypot (which c_sqrt and complex abs call); asinh goes through ``math``, as
+    numpy's differs in the last bit on some lanes (3995 of 50 000 sweep
+    traces).  Only a lane where lam or 1/lam has a part of DBL_MAX/4 or more
+    (or NaN) goes through the element, which raises the first such lane's
+    error; below the bound abs() stays finite and acosh on its ordinary
+    formula.  Where else CPython branches, the trace rules reach the element's
+    verdict: a non-finite square-root argument makes an entry non-finite; one
+    with both parts below DBL_MIN puts the trace within 1e-154 of +/-2; Smith's
+    1/lam keeps the determinant within about 1e-16 of 1, far inside TAU_DET;
+    and lam within TAU_CLASS of +/-1 puts the trace within 1e-18 of +/-2.
     """
     import numpy as np  # here, so that sysbound.certify stays the one module that loads numpy
 
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # _eigenvalue: the root of t*t - (4 + 0j), then (t + root)/2 or (t - root)/2.
-        root_re, root_im, scalar = _c_sqrt(np, x * x - y * y - 4.0, x * y + y * x - 0.0)
+        root_re, root_im = _c_sqrt(np, x * x - y * y - 4.0, x * y + y * x - 0.0)
         a_re, a_im = _halved(x + root_re, y + root_im)
         b_re, b_im = _halved(x - root_re, y - root_im)
         zero = (a_re == 0.0) & (a_im == 0.0)
@@ -138,28 +138,15 @@ def trace_translation_lengths(x, y):
         denom = np.where(wide, a_re + a_im * ratio, a_re * ratio + a_im)
         d_re = np.where(wide, 1.0 + 0.0 * ratio, 1.0 * ratio + 0.0) / denom
         d_im = np.where(wide, 0.0 - 1.0 * ratio, 0.0 * ratio - 1.0) / denom
-        # _normalized: finite entries, and det = a*d - 0j*0j within TAU_DET of 1.
-        # Entries below DBL_MAX/4 also keep every abs() finite and acosh
-        # on its ordinary formula.
-        entries = np.stack((a_re, a_im, d_re, d_im))
-        scalar |= ~(np.abs(entries) < _CM_LARGE_DOUBLE).all(axis=0)
-        det_re, det_im = a_re * d_re - a_im * d_im, a_re * d_im + a_im * d_re
-        scalar |= ~(np.hypot(det_re - 1.0, det_im) <= TAU_DET)
-        # _classify, with b = c = 0: identity, then parabolic or elliptic.
-        nonlox = np.zeros(x.shape, dtype=bool)
-        for sign in (1.0, -1.0):
-            nonlox |= (np.hypot(a_re - sign, a_im) <= TAU_CLASS) & (
-                np.hypot(d_re - sign, d_im) <= TAU_CLASS)
+        scalar = ~(np.abs(np.stack((a_re, a_im, d_re, d_im))) < _CM_LARGE_DOUBLE).all(axis=0)
+        # _classify, with b = c = 0: parabolic or elliptic (an identity is parabolic too).
         t_re, t_im = a_re + d_re, a_im + d_im
-        nonlox |= (np.abs(t_im) <= TAU_CLASS) & (
+        nonlox = (np.abs(t_im) <= TAU_CLASS) & (
             (np.abs(np.abs(t_re) - 2.0) <= TAU_CLASS) | (np.abs(t_re) < 2.0))
-        # _length: |Re(2*acosh(t/2))|, whose real part acosh computes as
-        # asinh(Re(conj(sqrt(t/2 - 1)) * sqrt(t/2 + 1))).
+        # _length: |2 Re acosh(h)| at h = t/2; Re acosh(h) = asinh(Re(conj(sqrt(h-1)) sqrt(h+1))).
         h_re, h_im = _halved(t_re, t_im)
-        s1_re, s1_im, other = _c_sqrt(np, h_re - 1.0, h_im)
-        scalar |= other
-        s2_re, s2_im, other = _c_sqrt(np, 1.0 + h_re, h_im)
-        scalar |= other
+        s1_re, s1_im = _c_sqrt(np, h_re - 1.0, h_im)
+        s2_re, s2_im = _c_sqrt(np, 1.0 + h_re, h_im)
         fast = ~(nonlox | scalar)
         lengths = np.full(x.shape, math.nan)
         args = (s1_re * s2_re + s1_im * s2_im)[fast].tolist()
@@ -246,4 +233,7 @@ class MoebiusElement:
         """Sphere with center -d/c and radius 1/|c|; undefined when c = 0."""
         if self.c == 0:
             raise ValueError("element fixes infinity (c = 0); no isometric sphere")
-        return IsometricSphere(-self.d / self.c, 1 / abs(self.c))
+        center, radius = -self.d / self.c, 1 / abs(self.c)
+        if not (cmath.isfinite(center) and math.isfinite(radius)):
+            raise OverflowError("isometric sphere overflows floating point")
+        return IsometricSphere(center, radius)

@@ -163,6 +163,17 @@ def test_element_sphere_rejects_upper_triangular(capsys):
     assert "infinity" in err
 
 
+# A subnormal c: the isometric sphere's radius 1/|c|, or its center -d/c, overflows.
+@pytest.mark.parametrize("matrix", [
+    "[[1,0],[0,0],[1e-310,0],[1,0]]",
+    "[[0,4],[0,0],[0,1.1125369292536007e-308],[0,1]]",
+])
+def test_element_sphere_that_overflows_is_a_usage_error(matrix, capsys):
+    assert run(capsys, ["element", "sphere", "--matrix", matrix]) == (
+        2, "", "usage error: sphere overflows at these parameters: "
+               "isometric sphere overflows floating point\n")
+
+
 def test_element_malformed_matrix(capsys):
     code, _, err = run(capsys, ["element", "classify", "--matrix", "[[1,0],[1,0]]"])
     assert code == 2
@@ -215,10 +226,12 @@ def test_lattice_at_every_accepted_scale(lattice, waist, diameter, capsys):
         assert float(got) == pytest.approx(value, rel=1e-15)
 
 
-def test_lattice_degenerate(capsys):
-    code, _, err = run(capsys, ["lattice", "waist", "--lattice", "[[1,0],[2,0]]"])
-    assert code == 1
-    assert "degenerate" in err
+# The last two have areas 1e-335 and 1e-313, below DBL_MIN: degeneracy is decided first.
+@pytest.mark.parametrize("lattice", [
+    "[[1,0],[2,0]]", "[[1e-160,0],[1e-160,1e-175]]", "[[1e-150,0],[2e-150,1e-163]]"])
+def test_lattice_degenerate(lattice, capsys):
+    assert run(capsys, ["lattice", "waist", "--lattice", lattice]) == (
+        1, "", "error: degenerate lattice: generators are (nearly) dependent\n")
 
 
 # Areas 1e-318, 3e-318, 1e-340, 1e-325 and 5e-324 (for which reduce's ell * Im(z)

@@ -122,9 +122,16 @@ def test_reduce_unimodular_invariance(p, q, swap, seed):
     assert abs(rb2.z.real) == pytest.approx(abs(rb.z.real), rel=1e-9, abs=1e-9)
 
 
-def test_reduce_rejects_degenerate_lattice():
-    with pytest.raises(ValueError):
-        CuspLattice(1, complex(2, 1e-15))
+# Degeneracy is decided before underflow: the last three areas are below DBL_MIN.
+@pytest.mark.parametrize("t1, t2", [
+    (1, complex(2, 1e-15)),
+    (1e-160, complex(1e-160, 1e-175)),  # area 1e-335: 1e-15 of its scale squared
+    (1e-150, complex(2e-150, 1e-163)),  # area 1e-313: 2.5e-14 of it
+    (1.1945981425742017e-176j, complex(9.400286187120127e-144, -1.4595503861569719e+61)),
+])
+def test_reduce_rejects_degenerate_lattice(t1, t2):
+    with pytest.raises(ValueError, match="^degenerate lattice"):
+        CuspLattice(t1, t2)
 
 
 def test_lattice_area_below_the_normal_floats_is_refused():

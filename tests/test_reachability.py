@@ -29,7 +29,8 @@ ALLOWED_UNCALLED = {
     "bounds.lobachevsky",
     "bounds._bernoulli",
     "bounds._zeta_ratio",
-    # the length kernel's scalar fallback, named by perfbench's tracer and microbenchmark
+    # the length kernel's element path, which only a lane with an entry part of DBL_MAX/4
+    # or more takes, and no golden line draws; perfbench's tracer and microbenchmark name them
     "mobius.MoebiusElement.from_trace",
     "mobius._eigenvalue",
     # the input check of a public constructor; the census builds its matrices through _matrix
