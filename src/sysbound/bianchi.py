@@ -251,7 +251,7 @@ def min_loxodromic_trace_lower_bound(level: CongruenceLevel) -> int:
     return max(0, level.norm - 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadMatrix:
     """2x2 matrix over Z[sqrt(-d)], entries sharing one ring."""
 
@@ -285,16 +285,16 @@ class QuadMatrix:
         return ElementClass.LOXODROMIC
 
 
-def _matrix(m11: QuadInt, m12: QuadInt, m21: QuadInt, m22: QuadInt,
-            _new=object.__new__, _cls=QuadMatrix) -> QuadMatrix:
+def _matrix(m11: QuadInt, m12: QuadInt, m21: QuadInt, m22: QuadInt, _new=object.__new__,
+            _cls=QuadMatrix, _set11=QuadMatrix.m11.__set__, _set12=QuadMatrix.m12.__set__,
+            _set21=QuadMatrix.m21.__set__, _set22=QuadMatrix.m22.__set__) -> QuadMatrix:
     """``QuadMatrix`` without the constructor's checks, for entries known to
-    share one ring."""
+    share one ring: it sets the slots directly."""
     m = _new(_cls)
-    fields = m.__dict__
-    fields["m11"] = m11
-    fields["m12"] = m12
-    fields["m21"] = m21
-    fields["m22"] = m22
+    _set11(m, m11)
+    _set12(m, m12)
+    _set21(m, m21)
+    _set22(m, m22)
     return m
 
 
@@ -302,6 +302,13 @@ def enumerate_congruence_elements(level: CongruenceLevel, height: int) -> list[Q
     """All matrices (a*pi^n + 1, b*pi^n; c*pi^n, d*pi^n + 1) of determinant 1
     whose parameter coordinates lie in [-height, height]^8, deduplicated up
     to global sign.
+
+    The parameters x of the box are sorted once by their entry x*pi^n, and
+    the enumeration works on positions in that order: positions compare as
+    the entries' coordinates do, for the diagonal x*pi^n + 1 as well, so the
+    4-tuples of positions (a, b, c, d) sort exactly as the matrices'
+    coordinate tuples.  The box is symmetric, so negation reverses the order:
+    -x sits at position last - k when x sits at k.
 
     The determinant condition forces b*c = a*d + (a+d)/pi^n exactly.  Pass 1
     indexes every (a, d) pair whose trace part a+d is divisible by w = pi^n
@@ -315,9 +322,10 @@ def enumerate_congruence_elements(level: CongruenceLevel, height: int) -> list[Q
     (diagonal = 1 mod pi^n) so the exact trace s*pi^(2n) + 2 stays
     recoverable.  A matrix and its negative both lie in the box only when
     pi^n divides 2: -(a*pi^n + 1) = a'*pi^n + 1 gives (a + a')*pi^n = -2.
-    Only then is the +/- filter run, keeping of such a pair the
-    lexicographically smaller coordinate tuple.  The matrices share their
-    entries: one ``QuadInt`` per distinct coordinate pair, built once.
+    Only then is the +/- filter run, keeping of such a pair the smaller
+    coordinate tuple; the negative's diagonal is the entry -a*pi^n - 2, found
+    by its position.  The matrices share their entries: one ``QuadInt`` per
+    distinct coordinate pair, built once.
     """
     if not isinstance(height, int) or height < 0:
         raise ValueError(f"height must be a nonnegative int, got {height!r}")
@@ -325,57 +333,60 @@ def enumerate_congruence_elements(level: CongruenceLevel, height: int) -> list[Q
     w = level.level
     w1, w2, nw = w.a, w.b, w.norm
     box = range(-height, height + 1)
-    # each parameter x with x*conj(w) and the entry x*w
-    params = [(xa, xb, xa * w1 + d * xb * w2, xb * w1 - xa * w2, xa * w1 - d * xb * w2,
-               xa * w2 + xb * w1) for xa in box for xb in box]
+    # each parameter x as its entry x*w, x and x*conj(w), in the order of the entries
+    params = sorted((xa * w1 - d * xb * w2, xa * w2 + xb * w1, xa, xb,
+                     xa * w1 + d * xb * w2, xb * w1 - xa * w2) for xa in box for xb in box)
+    entries = [x[:2] for x in params]
+    diagonal = [(e1 + 1, e2) for e1, e2 in entries]
+    last = len(params) - 1
 
     groups: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for x in params:
-        groups.setdefault((x[2] % nw, x[3] % nw), []).append(x)
-    # forced b*c -> the diagonal entries (a*pi^n + 1, d*pi^n + 1) that force it
-    index: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
+    for k, (_, _, xa, xb, u1, u2) in enumerate(params):
+        groups.setdefault((u1 % nw, u2 % nw), []).append((k, xa, xb, u1, u2))
+    # forced b*c -> the positions of the diagonals that force it
+    index: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for (k1, k2), admitted in groups.items():
         # the box is symmetric and -x has residue (-k1, -k2): the partner group exists
-        for aa, ab, ua1, ua2, ea1, ea2 in admitted:
-            for da, db, ud1, ud2, ed1, ed2 in groups[-k1 % nw, -k2 % nw]:
+        for pa, aa, ab, ua1, ua2 in admitted:
+            for pd, da, db, ud1, ud2 in groups[-k1 % nw, -k2 % nw]:
                 bc = (aa * da - d * ab * db + (ua1 + ud1) // nw,
                       aa * db + ab * da + (ua2 + ud2) // nw)
-                index.setdefault(bc, []).append((ea1 + 1, ea2, ed1 + 1, ed2))
+                index.setdefault(bc, []).append((pa, pd))
     del groups
 
-    # params is ordered over a symmetric box, so negation maps params[k] to
-    # params[last - k]; each orbit has one index pair with i <= j, i + j <= last
-    found: list[tuple[int, ...]] = []
-    last = len(params) - 1
+    # each orbit has one pair of positions with i <= j, i + j <= last
+    pairs = [x[2:4] for x in params]
+    found: list[tuple[int, int, int, int]] = []
     for i in range(last // 2 + 1):
-        ba, bb = params[i][:2]
-        products = [(ba * ca - d * bb * cb, ba * cb + bb * ca)
-                    for ca, cb, *_ in params[i:last - i + 1]]
+        ba, bb = pairs[i]
+        products = [(ba * ca - d * bb * cb, ba * cb + bb * ca) for ca, cb in pairs[i:last - i + 1]]
         for j, diagonals in enumerate(map(index.get, products), i):
             if diagonals is None:
                 continue
             for p, q in {(i, j), (j, i), (last - i, last - j), (last - j, last - i)}:
-                b1, b2, c1, c2 = params[p][4], params[p][5], params[q][4], params[q][5]
+                (b1, b2), (c1, c2) = entries[p], entries[q]
                 off_a = b1 * c1 - d * b2 * c2
                 off_b = b1 * c2 + b2 * c1
-                for x1, x2, y1, y2 in diagonals:
+                for pa, pd in diagonals:
+                    (x1, x2), (y1, y2) = diagonal[pa], diagonal[pd]
                     if x1 * y1 - d * x2 * y2 - off_a != 1 or x1 * y2 + x2 * y1 != off_b:
                         raise RuntimeError("enumerated matrix failed the exact determinant check")
-                    found.append((x1, x2, b1, b2, c1, c2, y1, y2))
+                    found.append((pa, p, q, pd))
     del index
+    found.sort()
     if (2 * w1) % nw == 0 and (2 * w2) % nw == 0:  # pi^n divides 2
+        # -(x + 1) = (-x - 2) + 1: the position of the negative's diagonal, or -1 outside the box
+        where = {e: k for k, e in enumerate(entries)}
+        negated = [where.get((-e1 - 2, -e2), -1) for e1, e2 in entries]
         members = set(found)
-        found = sorted(c for c in found if (neg := tuple(-x for x in c)) > c or neg not in members)
+        found = [t for t in found if (neg := (negated[t[0]], last - t[1], last - t[2],
+                                              negated[t[3]])) > t or neg not in members]
         del members
-    else:
-        found.sort()
 
-    entries = {}
-    for *_, e1, e2 in params:
-        entries[e1, e2] = _quad(e1, e2, d)
-        entries[e1 + 1, e2] = _quad(e1 + 1, e2, d)
-    return [_matrix(entries[c[0], c[1]], entries[c[2], c[3]], entries[c[4], c[5]],
-                    entries[c[6], c[7]]) for c in found]
+    quads = {e: _quad(*e, d) for e in entries + diagonal}
+    off = [quads[e] for e in entries]
+    diag = [quads[e] for e in diagonal]
+    return [_matrix(diag[a], off[b], off[c], diag[dd]) for a, b, c, dd in found]
 
 
 @dataclass(frozen=True)

@@ -281,14 +281,15 @@ def _cmd_verify(args) -> _Output:
 _MAX_INDEX_DIGITS = 4300  # CPython's default limit on int-to-str conversion
 # A census --height h holds about (2h+1)^2 parameter pairs and, at n = 1, about
 # (2h+1)^4 / N(pi) index entries with the matrices they yield.  Each costs
-# under 2 KiB: traced peaks of the height check were 0.8-1.7 KiB per pair
-# plus entry at h = 4-12 and N(pi) = 2-43, and the largest height accepted at
-# N(pi) = 11, 23, peaked at 0.5 GB resident.  Heights past the budget are refused.
+# under 2 KiB: peaks of the height check were 0.44-0.70 KiB resident per pair
+# plus entry at h = 4-12 and N(pi) = 3-43, and the largest height accepted at
+# N(pi) = 11, 23, peaked at 226 MiB resident.  Heights past the budget are refused.
 _CENSUS_BYTES = 1 << 30
 _CENSUS_ITEM_BYTES = 2048
-# It also looks up products b*c per level, whatever N(pi), about 0.6 us each
-# (N(pi) = 1e18, Python 3.11, 2-vCPU x86-64): past 30 s, refused.  Counting all
-# (2h+1)^4 ordered pairs (b, c), the estimate is conservative by about 4x.
+# It also looks up products b*c per level, whatever N(pi).  The limit was set at
+# 0.6 us per ordered pair (b, c), about 30 s; with one lookup per orbit, about
+# 0.19 us each at N(pi) = 1e18 (Python 3.11, 2-vCPU x86-64), an ordered pair
+# costs about 0.05 us, so the limit is conservative by about 13x.
 _CENSUS_LOOKUPS = 50_000_000
 # bianchi ideals --format json peaked at 1.0-1.1 KiB resident per candidate walked (d = 1).
 _IDEALS_ITEM_BYTES = 1200

@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 import re
 from fractions import Fraction
 
@@ -475,21 +478,24 @@ def _reference_enumeration(level: CongruenceLevel, height: int) -> list[QuadMatr
     return matrices
 
 
-# pi, n: the tower of PSL2(Z[sqrt(-2)]), ramified and unit levels, the
-# non-cyclic quotient mod 3, and levels in other rings.
+# pi, n, the top height: the tower of PSL2(Z[sqrt(-2)]), ramified and unit
+# levels, the non-cyclic quotient mod 3, and levels in other rings.  The
+# levels where pi^n divides 2, the only ones that run the +/- filter, go to
+# height 5, and so does pi^3 = (3 + sqrt(-2))^3, whose residue groups are all
+# singletons there: each a meets only d = -a.
 REFERENCE_LEVELS = [
-    (PI, 1), (PI, 2), (q2(0, 1), 1), (q2(0, 1), 2),
-    (QuadInt(1, 1, 1), 1), (QuadInt(1, 1, 1), 2), (QuadInt(1, 1, 1), 3),
-    (q2(1, 0), 1), (q2(3, 0), 1), (QuadInt(1, 1, 3), 1), (QuadInt(1, 1, 5), 1),
-    (QuadInt(2, 1, 7), 2),
+    (PI, 1, 4), (PI, 2, 4), (PI, 3, 5), (q2(0, 1), 1, 5), (q2(0, 1), 2, 5),
+    (QuadInt(1, 1, 1), 1, 5), (QuadInt(1, 1, 1), 2, 5), (QuadInt(1, 1, 1), 3, 4),
+    (q2(1, 0), 1, 5), (q2(3, 0), 1, 4), (QuadInt(1, 1, 3), 1, 4), (QuadInt(1, 1, 5), 1, 4),
+    (QuadInt(2, 1, 7), 2, 4),
 ]
 
 
-@pytest.mark.parametrize("pi, n", REFERENCE_LEVELS,
-                         ids=[f"{pi.a},{pi.b},d={pi.d}^{n}" for pi, n in REFERENCE_LEVELS])
-def test_enumeration_equals_the_two_pass_reference(pi, n):
+@pytest.mark.parametrize("pi, n, top", REFERENCE_LEVELS,
+                         ids=[f"{pi.a},{pi.b},d={pi.d}^{n}" for pi, n, _ in REFERENCE_LEVELS])
+def test_enumeration_equals_the_two_pass_reference(pi, n, top):
     level = CongruenceLevel(pi, n)
-    for height in range(5):
+    for height in range(top + 1):
         got = enumerate_congruence_elements(level, height)
         want = _reference_enumeration(level, height)
         assert ([tuple(x for e in _entries(m) for x in (e.a, e.b)) for m in got]
@@ -514,6 +520,19 @@ def test_enumeration_shares_one_entry_per_coordinate_pair():
     mats = enumerate_congruence_elements(CongruenceLevel(PI, 1), 3)
     entries = [e for m in mats for e in _entries(m)]
     assert len({id(e) for e in entries}) == len({(e.a, e.b) for e in entries}) <= 2 * 7**2
+
+
+def test_census_matrices_are_slotted_values():
+    # The census sets the slots of its matrices directly; they must equal, hash,
+    # pickle and copy as the public constructor's do, and carry no __dict__.
+    mats = enumerate_congruence_elements(CongruenceLevel(PI, 1), 2)
+    for m in mats:
+        public = QuadMatrix(*(QuadInt(e.a, e.b, e.d) for e in _entries(m)))
+        assert m == public and hash(m) == hash(public)
+        assert pickle.loads(pickle.dumps(m)) == m and copy.deepcopy(m) == m
+        assert not hasattr(m, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mats[0].m11 = mats[0].m22
 
 
 @pytest.mark.parametrize("pi, n", [(PI, 1), (q2(0, 1), 2), (q2(1, 0), 1), (QuadInt(1, 1, 1), 1)])
