@@ -21,6 +21,8 @@ import functools
 import itertools
 import json
 import math
+import os
+import stat
 import sys
 from collections.abc import Iterable
 from contextlib import nullcontext
@@ -31,7 +33,7 @@ from . import bianchi, bounds, certify
 from .cusp import CuspLattice
 from .mobius import ElementClass, MoebiusElement
 
-_CSV_BLOCK = 4096  # rows per block of the CSV writer: no ``%`` call formats a whole file
+_CSV_BLOCK = 4096  # rows per block of the CSV writer: no block's text is a whole file
 
 
 class _UsageError(Exception):
@@ -58,13 +60,118 @@ def _fmt(x, spec=".17g") -> str:
     return format(float(x) + 0.0, spec)
 
 
-def _write_csv(fh, header, blocks, cell="%s") -> None:
-    """The header, then the rows of each block, a flat list of their fields:
-    each field in ``cell``, comma-separated, a block per ``%`` call, not a row."""
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into two 26-bit halves
+
+
+@functools.cache
+def _real_tables():
+    """The four ASCII digits of each of 0..9999, packed in a uint32, and 10^q for
+    q = 0..20 (exact doubles) with the halves of their Veltkamp split."""
+    import numpy as np  # here, so that sysbound.certify stays the one module that loads numpy
+    n = np.arange(10_000, dtype=np.uint16)[:, None]  # 16-bit, so that no temporary passes 80 KB
+    digits = (n // np.array([1000, 100, 10, 1], np.uint16) % 10 + ord("0")).astype(np.uint8)
+    power = 10.0 ** np.arange(21)
+    power_hi = power * _SPLIT - (power * _SPLIT - power)
+    return digits.view(np.uint32).ravel(), power, power_hi, power - power_hi
+
+
+def _decimal(x):
+    """The decimal exponent X and 17-digit integer D of each real of ``x``, whose
+    ``%.17g`` text is D * 10^(X - 16) in fixed notation; X is 17 on the lanes
+    this cannot decide, which ``%`` itself formats.
+
+    It takes 1e-4 <= |x| < 1e17.  For a guess k of X, |x| * 10^(16 - k) is
+    hi + lo exactly (Dekker's product; 10^q is exact for q <= 22).  If
+    hi + lo >= 10^16, hi is an even integer, so D = hi + rint(lo) is the
+    17-digit integer rounded to nearest with ties to even, which is what the
+    correctly rounded conversion behind ``%`` prints (Gay, 1990), provided
+    D < 10^17.
+    """
+    import numpy as np  # here, so that sysbound.certify stays the one module that loads numpy
+    _, power, power_hi, power_lo = _real_tables()
+    a = np.abs(x)
+    taken = (a >= 1e-4) & (a < 1e17)
+    a[~taken] = 1.0
+    k = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int8)
+    hi = a * power[16 - k]
+    a_hi = a * _SPLIT - (a * _SPLIT - a)
+    a_lo = a - a_hi
+    p_hi, p_lo = power_hi[16 - k], power_lo[16 - k]
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    taken &= ((hi > 1e16) | ((hi == 1e16) & (lo >= 0))) & (d < 10**17)
+    k[~taken] = 17
+    return k, d
+
+
+def _fixed_cells(x, cells, width):
+    """Writes the fixed-notation text of each real of ``x`` that ``_decimal``
+    decides into its row of ``cells``, after the sign column, and its length
+    into ``width``; returns the indices of the other lanes."""
+    import numpy as np  # here, so that sysbound.certify stays the one module that loads numpy
+    digits = _real_tables()[0]
+    x10, d = _decimal(x)
+    # A sort by exponent (stable: a radix sort of int8 keys) makes each
+    # exponent's lanes one slice, and puts the lanes left to ``%`` (17) last.
+    order = np.argsort(x10, kind="stable")
+    starts = np.searchsorted(x10[order], np.arange(-4, 18))
+    lane = order[:starts[-1]]
+    # D's 17 digits: 000d, then four chunks of four, from the table.
+    top, low = np.divmod(d[lane], 10**16)
+    high, low = np.divmod(low, 10**8)
+    chunks = np.empty((len(lane), 5), np.uint32)
+    for j, chunk in enumerate((top, *np.divmod(high, 10**4), *np.divmod(low, 10**4))):
+        chunks[:, j] = digits[chunk]
+    dig = chunks.view(np.uint8)[:, 3:]
+    figures = 17 - np.argmax(dig[:, ::-1] != ord("0"), axis=1)  # digits before the trailing zeros
+    for e, start, stop in zip(range(-4, 17), starts, starts[1:]):
+        rows, src, f = lane[start:stop], dig[start:stop], figures[start:stop]
+        if e < 0:  # 0.000ddd
+            cells[rows, 1:2 - e] = ord("0")
+            cells[rows, 2] = ord(".")
+            cells[rows, 2 - e:19 - e] = src
+            width[rows] = 1 - e + f
+        else:  # ddd.ddd
+            cells[rows, 1:e + 2] = src[:, :e + 1]
+            cells[rows, e + 2] = ord(".")
+            cells[rows, e + 3:19] = src[:, e + 1:]
+            width[rows] = np.maximum(f, e + 1) + (f > e + 1)
+    return order[starts[-1]:]
+
+
+def _real_cells(block) -> str:
+    """The rows of a 2-D float array as CSV lines, each real as ``'%.17g' % (x + 0.0)``:
+    by ``_fixed_cells`` where it can, else by ``%``."""
+    import numpy as np  # here, so that sysbound.certify stays the one module that loads numpy
+    x = block.ravel()
+    n = len(x)
+    cells = np.empty((n, 26), np.uint8)  # a sign, up to 24 bytes of text and a separator
+    width = np.empty(n, np.uint8)
+    rest = _fixed_cells(x, cells, width)
+    texts = ["%.17g" % (v + 0.0) for v in x[rest].tolist()]
+    cells[rest, 1:25] = np.array(texts, "S24").view(np.uint8).reshape(-1, 24)
+    width[rest] = [len(t) for t in texts]
+    cells[:, 0] = ord("-")
+    sep = np.full(n, ord(","), np.uint8)
+    sep[block.shape[1] - 1::block.shape[1]] = ord("\n")
+    cells[np.arange(n), width + 1] = sep
+    keep = np.arange(26) < width[:, None] + 2
+    keep[:, 0] = x < 0
+    keep[rest, 0] = False
+    return cells[keep].tobytes().decode("ascii")
+
+
+def _write_csv(fh, header, blocks) -> None:
+    """The header, then the rows of each block, comma-separated.  A block is a
+    2-D float array of reals, rendered by ``_real_cells``, or a flat list of the
+    fields of its rows, each in ``%s``, a block per ``%`` call, not a row."""
     fh.write(",".join(header) + "\n")
-    line = ",".join([cell] * len(header)) + "\n"
+    line = ",".join(["%s"] * len(header)) + "\n"
     for cells in blocks:
-        fh.write(line * (len(cells) // len(header)) % tuple(cells))
+        if isinstance(cells, list):
+            fh.write(line * (len(cells) // len(header)) % tuple(cells))
+        else:
+            fh.write(_real_cells(cells))
 
 
 def _emit(fmt: str, out: _Output) -> None:
@@ -242,18 +349,22 @@ def _cmd_verify(args) -> _Output:
     params = {p.name: _resolve(args, config, p) for p in claim.params}
     if args.jobs < 1:
         raise _UsageError(f"jobs must be at least 1, got {args.jobs}")
-    # Opened before the sweep, so that an unwritable path costs no sweep.
+    # Opened before the sweep, so that an unwritable path costs no sweep, but
+    # emptied only once there are rows to write, so that a refusal keeps the file.
     try:
-        fh = open(args.margins_csv, "w", newline="") if args.margins_csv else nullcontext()
+        fh = (open(os.open(args.margins_csv, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="")
+              if args.margins_csv is not None else nullcontext())
     except OSError as exc:
         raise _UsageError(f"cannot write --margins-csv: {exc}") from None
     with fh:
-        rows: list | None = [] if args.margins_csv else None
+        rows: list | None = [] if args.margins_csv is not None else None
         report = _call(_UsageError, claim.run, params, rows)
         if rows is not None:
-            _write_csv(fh, claim.header, ((block[i:i + _CSV_BLOCK] + 0.0).ravel().tolist()
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # O_TRUNC's rule: no pipe or device
+                fh.truncate()
+            _write_csv(fh, claim.header, (block[i:i + _CSV_BLOCK]
                                           for block in rows
-                                          for i in range(0, len(block), _CSV_BLOCK)), "%.17g")
+                                          for i in range(0, len(block), _CSV_BLOCK)))
     worst_point = [_fmt(x) for x in report.worst_point]
     record = {
         "claim_id": report.claim_id,
@@ -500,4 +611,12 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (as `| head` does).  Pointing fd 1 at
+        # /dev/null keeps the interpreter's final flush from failing again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)

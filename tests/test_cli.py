@@ -2,9 +2,11 @@ import argparse
 import cmath
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -373,12 +375,9 @@ def test_verify_margins_csv(tmp_path, capsys):
 
 
 def test_margin_writer_gives_the_bytes_of_csv_writer_and_fmt():
-    def written(header, rows, *cell):
-        # two rows to a block, the last block short
+    def written(header, blocks):
         fh = io.StringIO()
-        flat = [x for row in rows for x in row]
-        step = 2 * len(header)
-        _write_csv(fh, header, (flat[i:i + step] for i in range(0, len(flat), step)), *cell)
+        _write_csv(fh, header, blocks)
         return fh.getvalue()
 
     def csv_writer(header, rows):
@@ -388,19 +387,57 @@ def test_margin_writer_gives_the_bytes_of_csv_writer_and_fmt():
         writer.writerows(rows)
         return fh.getvalue()
 
-    # margin rows of reals, as verify --margins-csv writes them
+    # margin rows of reals, as verify --margins-csv writes them: float arrays,
+    # two rows to a block, the last block short
     header = ("vc", "x", "margin")
     rows = [(math.nan, math.inf, -math.inf), (-0.0, 5e-324, 1e308), (3, -2.5, 0.0),
             (-1e-300, 1 / 3, 10**20), (-5e-324, -1e308, 0)]
-    got = written(header, (tuple(x + 0.0 for x in row) for row in rows), "%.17g")
+    reals = np.array(rows, dtype=float)
+    got = written(header, (reals[i:i + 2] for i in range(0, len(reals), 2)))
     assert got == csv_writer(header, (map(_fmt, row) for row in rows))
     assert "-0," not in got
-    # stdout rows of strings and ints, as the csv format prints them
+    # stdout rows of strings and ints, as the csv format prints them: flat
+    # lists of fields, two rows to a block, the last block short
     header = ["p", "d", "split", "a", "b", "norm"]
     rows = [[5, 1, "true", 1, 2, 5], [7, 1, "false", "", "", ""],
             [10**3999, -(10**3999), "true", -3, "", "1.2345678901234567e-300"]]
-    assert written(header, rows) == csv_writer(header, rows)
+    flat = [x for row in rows for x in row]
+    step = 2 * len(header)
+    assert written(header, (flat[i:i + step] for i in range(0, len(flat), step))) \
+        == csv_writer(header, rows)
     assert written(header, []) == csv_writer(header, [])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(values=st.lists(st.floats(), min_size=1, max_size=40), columns=st.integers(1, 4))
+def test_real_cells_give_the_bytes_of_a_format_call(values, columns):
+    block = np.resize(np.array(values), (-(-len(values) // columns), columns))
+    header = [f"c{j}" for j in range(columns)]
+    fh = io.StringIO()
+    _write_csv(fh, header, [block])
+    rows = [[x + 0.0 for x in row] for row in block.tolist()]
+    assert fh.getvalue() == _rows_a_call_each(header, rows, "%.17g")
+
+
+def test_real_cells_give_the_bytes_of_a_format_call_on_the_seeded_families():
+    """Normals, log-uniform reals, integers, each power of ten in [1e-5, 1e18]
+    and the ulps around it (the 1e-4, 1e16 and 1e17 ends of fixed notation
+    among them), exact ties at the 17th digit, raw bit patterns and the
+    specials: one seed of the families that scripts/check_real_cells.py runs."""
+    spec = importlib.util.spec_from_file_location(
+        "check_real_cells", Path(__file__).resolve().parents[1] / "scripts" / "check_real_cells.py")
+    check = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check)
+    values = check.families(0)
+    assert np.isin([0.09999999999999999, 1e-4, 1e16, 1e17], values).all()
+    assert check.first_mismatch(values) is None
+
+
+def test_fixed_notation_reals_are_rendered_by_the_kernel_not_format():
+    x = np.random.default_rng(0).standard_normal(3000) * 30
+    assert (abs(x) >= 1e-4).all()
+    cells, width = np.empty((len(x), 26), np.uint8), np.empty(len(x), np.uint8)
+    assert len(cli._fixed_cells(x, cells, width)) == 0
 
 
 def _rows_a_call_each(header, rows, cell="%s"):
@@ -442,6 +479,48 @@ def test_margin_file_has_the_bytes_of_a_format_call_per_row(r_max, tmp_path, mon
     want = _rows_a_call_each(certify.CLAIMS["length-lemma"].header, rows, "%.17g")
     assert got.splitlines() == want.splitlines() and got.endswith("\n")
     assert "-0," not in got and "\n0,nan,inf\n" in got
+
+
+def test_a_refused_verify_keeps_an_existing_margin_file(tmp_path, capsys):
+    path, fresh = tmp_path / "old.csv", tmp_path / "new.csv"
+    path.write_text("vc,worst_ell,margin\n" + "1,2,3\n" * 1000)
+    before = path.read_bytes()
+    code, _, err = run(capsys, ["verify", "techlem2", "--vc-min", "1", "--margins-csv", str(path)])
+    assert code == 2 and err.startswith("usage error: ")
+    assert path.read_bytes() == before
+    # A run that writes rows replaces the whole file: no tail of the longer old content stays.
+    for target in (path, fresh):
+        assert run(capsys, ["verify", "cubic", "--vc-points", "3", "--margins-csv", str(target)])[0] == 0
+    assert path.read_bytes() == fresh.read_bytes() and len(before) > len(fresh.read_bytes())
+
+
+def test_margins_go_to_a_pipe_or_device_as_to_a_file(tmp_path):
+    """Only a regular file is emptied before the rows are written, as O_TRUNC
+    would: /dev/stdout on a pipe and /dev/null take the rows as they are."""
+    src = str(Path(sysbound.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "sysbound", "verify", "cubic", "--vc-points", "3",
+            "--format", "json", "--margins-csv"]
+    file = tmp_path / "m.csv"
+    report = subprocess.run(argv + [str(file)], capture_output=True, text=True, env=env, check=True)
+    piped = subprocess.run(argv + ["/dev/stdout"], capture_output=True, text=True, env=env, check=True)
+    assert piped.stdout == file.read_text() + report.stdout and piped.stderr == ""
+    nulled = subprocess.run(argv + ["/dev/null"], capture_output=True, text=True, env=env, check=True)
+    assert nulled.stdout == report.stdout and nulled.stderr == ""
+
+
+@pytest.mark.parametrize("fmt", ["csv", "human"])
+def test_a_closed_stdout_pipe_exits_1_without_a_traceback(fmt):
+    """``sysbound ... | head -1``: the reader goes after one line."""
+    src = str(Path(sysbound.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sysbound", "bianchi", "ideals", "--d", "1", "--max-modulus", "100",
+         "--format", fmt], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1 and err == ""  # no traceback, nor any other word
 
 
 def test_csv_stdout_has_the_bytes_of_a_format_call_per_row(capsys):
@@ -732,6 +811,7 @@ def test_non_finite_input_is_one_line_usage_error(argv, tmp_path, capsys):
         (["verify", "techlem2", "--vc-min", "1.3e231", "--vc-max", "2e231", "--vc-points", "2"],
          "techlem2 needs every slope's ell^4 finite, got vc = 1.3e+231\n"),
         (["verify", "cubic", "--margins-csv", "/nonexistent/x.csv"], "cannot write --margins-csv"),
+        (["verify", "cubic", "--margins-csv", ""], "cannot write --margins-csv"),
         (["verify", "crossing", "--monotonic-samples", "1"],
          "need at least 2 monotonic samples, got 1\n"),
         (["verify", "crossing", "--monotonic-samples", "0"],

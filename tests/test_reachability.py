@@ -24,7 +24,8 @@ PACKAGE = Path(sysbound.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
 
 ALLOWED_UNCALLED = {
-    "cli.entry",  # the console script: it only calls main
+    "cli.entry",  # the console script: main, and exit 1 on a closed stdout pipe, which
+    # test_cli's test_a_closed_stdout_pipe_exits_1_without_a_traceback runs
     # perfbench's bounds.lobachevsky.ns microbenchmark calls these three
     "bounds.lobachevsky",
     "bounds._bernoulli",
