@@ -5,7 +5,9 @@ Each test draws seeded, log-spread inputs, evaluates the mathematical
 function of those exact float inputs with exact constants in mpmath, and
 bounds the float result's error in ulps of the true value.  The budgets are
 the largest errors measured on x86-64 Linux (glibc libm), rounded up to the
-next half ulp.
+next half ulp.  Two tests differ, at 160 bits: ``lobachevsky``'s budget is
+absolute, since the function is 0 at pi/2, and the length-lemma margin file's
+is in ulps of the claim's bound.
 """
 
 import math
@@ -16,6 +18,7 @@ import mpmath as mp
 import pytest
 
 from sysbound import bounds, mobius
+from sysbound.cli import main
 from sysbound.cusp import CuspLattice
 
 DIGITS = 60
@@ -189,6 +192,25 @@ def test_loxodromic_length_bound_is_within_one_ulp():
     assert worst <= 1, worst
 
 
+def test_lobachevsky_is_within_5e_15_on_its_whole_domain():
+    """Budget: an absolute 5e-15.  Measured: 3.3e-16 up to theta = 3.1,
+    7.4e-16 on (3.1, pi), and 4.2e-15 at the float just below pi, where the
+    rounding of pi, scaled by |log|2 sin theta||, dominates.
+
+    The budget is absolute, not in ulps, because the function is 0 at pi/2.
+    The truth is Cl_2(2 theta)/2 at 160 bits.  theta is uniform in (0, pi),
+    log-uniform in (1e-300, 1), and the floats next to pi/2 and pi.
+    """
+    rng = random.Random(27)
+    draws = [rng.uniform(0, math.pi) for _ in range(2000)]
+    draws += [_log_uniform(rng, 1e-300, 1.0) for _ in range(200)]
+    draws += [math.pi / 2, math.nextafter(math.pi / 2, 0), math.nextafter(math.pi / 2, 4),
+              math.nextafter(math.pi, 0)]
+    with mp.workprec(160):
+        worst = max(abs(bounds.lobachevsky(t) - mp.clsin(2, 2 * mp.mpf(t)) / 2) for t in draws)
+    assert worst <= 5e-15, worst
+
+
 def test_length_of_a_trace_is_within_two_ulps():
     """Budget: 2 ulps.  Measured: 1.98 ulps.
 
@@ -211,6 +233,39 @@ def test_length_of_a_trace_is_within_two_ulps():
             return +abs((2 * mp.acosh(mp.mpc(t.real, t.imag) / 2)).real)
 
     worst = _worst_ulps(draws, mobius._length, exact)
+    assert worst <= 2, worst
+
+
+_EIGENVALUE_CANCELLATION = (
+    "the length kernel replays mobius._eigenvalue, which takes (t + root)/2 with the principal "
+    "root and cancels when Re t < 0; lengths from the trace (ROADMAP item 7) mend it, but move "
+    "the length-lemma margins")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_EIGENVALUE_CANCELLATION)
+def test_length_lemma_margins_are_within_two_ulps_of_the_bound(tmp_path):
+    """Budget: 2 ulps of the bound log 10004.  Measured: 935 ulps; margins
+    computed as ``bound - mobius._length(t)`` measure 1.02.
+
+    ``verify length-lemma --margins-csv`` at its defaults (seed 42, r_max
+    100), and 2000 seeded rows of its file recomputed as
+    log(100^2 + 4) - |Re(2 acosh(t/2))| at 160 bits.  Only the budget is an
+    assertion: a failed run or a file of another shape fails the test
+    outright instead of counting as the expected failure.
+    """
+    path = tmp_path / "margins.csv"
+    if main(["verify", "length-lemma", "--margins-csv", str(path)]) != 0:
+        pytest.fail("verify length-lemma --margins-csv did not exit 0")
+    lines = random.Random(28).sample(path.read_text().splitlines()[1:], 2000)
+    rows = [tuple(map(float, line.split(","))) for line in lines]
+    if any(len(row) != 3 for row in rows):
+        pytest.fail("a margin row is not x, y, margin")
+    ulp = math.ulp(bounds.loxodromic_length_bound(100.0))
+    with mp.workprec(160):
+        bound = mp.log(10004)
+        worst = max(
+            float(abs(margin - (bound - abs((2 * mp.acosh(mp.mpc(x, y) / 2)).real)))) / ulp
+            for x, y, margin in rows)
     assert worst <= 2, worst
 
 

@@ -23,9 +23,7 @@ from sysbound.mobius import MoebiusElement
 # ---------------------------------------------------------------------------
 
 def test_tetrahedron_volume_matches_series():
-    assert 3 * bounds.lobachevsky(math.pi / 3) == pytest.approx(
-        bounds.IDEAL_TETRAHEDRON_VOLUME, abs=1e-15
-    )
+    assert 3 * bounds.lobachevsky(math.pi / 3) == bounds.IDEAL_TETRAHEDRON_VOLUME
 
 
 def test_tetrahedron_volume_matches_quadrature():
@@ -41,23 +39,41 @@ def test_lobachevsky_domain():
         bounds.lobachevsky(math.pi)
 
 
-def _lobachevsky_rebuilding_coefficients(theta, terms):
-    # Reference: the same series with each zeta(2n)/pi^(2n) rebuilt from
-    # Fractions on every call.
+def _lobachevsky_series(theta):
+    # Reference: the 30-term series, with each zeta(2n)/pi^(2n) rebuilt from
+    # Bernoulli numbers by the Akiyama-Tanigawa algorithm (B_1 = +1/2; the even
+    # ones agree with every convention).
+    a, bernoulli = [], []
+    for m in range(61):
+        a.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            a[j - 1] = j * (a[j - 1] - a[j])
+        bernoulli.append(a[0])
     total = theta * (1 - math.log(2 * theta))
     theta_sq = theta * theta
     power = theta_sq
-    for n in range(1, terms + 1):
-        coeff = (-1) ** (n + 1) * bounds._bernoulli(2 * n) * (2 ** (2 * n - 1)) / Fraction(math.factorial(2 * n))
+    for n in range(1, 31):
+        coeff = (-1) ** (n + 1) * bernoulli[2 * n] * (2 ** (2 * n - 1)) / Fraction(math.factorial(2 * n))
         total += float(coeff) * power * theta / (n * (2 * n + 1))
         power *= theta_sq
     return total
 
 
-@pytest.mark.parametrize("terms", [60, 0, 1, 5, 30])
-@pytest.mark.parametrize("theta", [1e-3, 0.5, 1.0, math.pi / 3, 2.0, 3.1])
-def test_lobachevsky_cached_coefficients_are_bit_identical(theta, terms):
-    assert bounds.lobachevsky(theta, terms) == _lobachevsky_rebuilding_coefficients(theta, terms)
+@pytest.mark.parametrize("theta", [1e-300, 1e-3, 0.5, 1.0, math.pi / 3, math.pi / 2,
+                                   math.nextafter(math.pi / 2, 4), 2.0, 3.0, 3.1,
+                                   math.nextafter(math.pi, 0)])
+def test_lobachevsky_is_the_series_on_half_its_domain_reflected_on_the_rest(theta):
+    expected = _lobachevsky_series(theta) if theta <= math.pi / 2 else -_lobachevsky_series(math.pi - theta)
+    assert bounds.lobachevsky(theta) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_lobachevsky_coefficient_is_zeta_over_pi_power_rounded_once(n):
+    # An independent reference for the table: mpmath's zeta at 200 bits, not
+    # Bernoulli numbers, rounded to the nearest double.
+    with mp.workprec(200):
+        expected = float(mp.zeta(2 * n) / mp.pi ** (2 * n))
+    assert bounds._zeta_ratios()[n - 1] == expected
 
 
 def test_cusp_density_bound():

@@ -26,10 +26,9 @@ TESTS = Path(__file__).resolve().parent
 ALLOWED_UNCALLED = {
     "cli.entry",  # the console script: main, and exit 1 on a closed stdout pipe, which
     # test_cli's test_a_closed_stdout_pipe_exits_1_without_a_traceback runs
-    # perfbench's bounds.lobachevsky.ns microbenchmark calls these three
+    # perfbench's bounds.lobachevsky.ns microbenchmark calls these two
     "bounds.lobachevsky",
-    "bounds._bernoulli",
-    "bounds._zeta_ratio",
+    "bounds._zeta_ratios",
     # the length kernel's element path, which only a lane with an entry part of DBL_MAX/4
     # or more takes, and no golden line draws; perfbench's tracer and microbenchmark name them
     "mobius.MoebiusElement.from_trace",
