@@ -306,26 +306,37 @@ def enumerate_congruence_elements(level: CongruenceLevel, height: int) -> list[Q
     The parameters x of the box are sorted once by their entry x*pi^n, and
     the enumeration works on positions in that order: positions compare as
     the entries' coordinates do, for the diagonal x*pi^n + 1 as well, so the
-    4-tuples of positions (a, b, c, d) sort exactly as the matrices'
-    coordinate tuples.  The box is symmetric, so negation reverses the order:
-    -x sits at position last - k when x sits at k.
+    positions (a, b, c, d) of a matrix, packed as the int
+    ((a*size + b)*size + c)*size + d with size the number of parameters, sort
+    exactly as the matrices' coordinate tuples.  The box is symmetric, so
+    negation reverses the order: -x sits at position last - k when x sits at k.
 
-    The determinant condition forces b*c = a*d + (a+d)/pi^n exactly.  Pass 1
-    indexes every (a, d) pair whose trace part a+d is divisible by w = pi^n
-    under the product b*c it forces.  It groups the box's pairs x by the
-    residue of x*conj(w) mod N(w), taken componentwise: w divides a+d exactly
-    when the residues of a and d sum to (0, 0), so each a meets only the d it
+    The determinant condition forces b*c = a*d + (a+d)/pi^n exactly.  Both
+    parts of a product of parameters in the box lie within +/- reach =
+    (d+1)*height^2, so a product is keyed by the one int
+    bc1*span + bc2, span = 2*reach + 1.  Pass 1 indexes every (a, d) pair
+    whose trace part a+d is divisible by w = pi^n, as the int a*size^3 + d,
+    under the key of the product b*c it forces; a forced product with a part
+    beyond reach is skipped, since no b*c in the box equals it (and its key
+    could alias one that does).  It groups the box's pairs x by the residue
+    of x*conj(w) mod N(w), taken componentwise: w divides a+d exactly when
+    the residues of a and d sum to (0, 0), so each a meets only the d it
     admits, for any nonzero w.  Pass 2 looks b*c up in that index once per
     orbit of (b, c) under swapping b and c and negating both, which leave
-    b*c unchanged, and checks each distinct (b, c) of the orbit against the
-    determinant exactly.  Representatives are kept in the congruence form
+    b*c unchanged.  For each (a, d) found it forms the diagonal product
+    (a*pi^n + 1)(d*pi^n + 1) once and compares it exactly with b*c + 1 of
+    each distinct (b, c) of the orbit, so the determinant of every matrix is
+    checked.  Representatives are kept in the congruence form
     (diagonal = 1 mod pi^n) so the exact trace s*pi^(2n) + 2 stays
     recoverable.  A matrix and its negative both lie in the box only when
     pi^n divides 2: -(a*pi^n + 1) = a'*pi^n + 1 gives (a + a')*pi^n = -2.
     Only then is the +/- filter run, keeping of such a pair the smaller
     coordinate tuple; the negative's diagonal is the entry -a*pi^n - 2, found
-    by its position.  The matrices share their entries: one ``QuadInt`` per
-    distinct coordinate pair, built once.
+    by its position.  The sorted ints are then replaced in their list, one by
+    one, by their matrices, so each int is freed as its matrix is made and
+    the enumeration's peak memory is about that of its result.  The matrices
+    share their entries: one ``QuadInt`` per distinct coordinate pair, built
+    once.
     """
     if not isinstance(height, int) or height < 0:
         raise ValueError(f"height must be a nonnegative int, got {height!r}")
@@ -338,55 +349,84 @@ def enumerate_congruence_elements(level: CongruenceLevel, height: int) -> list[Q
                      xa * w1 + d * xb * w2, xb * w1 - xa * w2) for xa in box for xb in box)
     entries = [x[:2] for x in params]
     diagonal = [(e1 + 1, e2) for e1, e2 in entries]
-    last = len(params) - 1
+    size = len(params)
+    last, square, cube = size - 1, size * size, size**3
+    # both parts of a product of box parameters lie within +/- reach
+    reach = (d + 1) * height * height
+    span = 2 * reach + 1
 
     groups: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for k, (_, _, xa, xb, u1, u2) in enumerate(params):
         groups.setdefault((u1 % nw, u2 % nw), []).append((k, xa, xb, u1, u2))
-    # forced b*c -> the positions of the diagonals that force it
-    index: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    # the key of a forced b*c -> the diagonals pa * size^3 + pd that force it
+    index: dict[int, list[int]] = {}
     for (k1, k2), admitted in groups.items():
         # the box is symmetric and -x has residue (-k1, -k2): the partner group exists
+        partners = groups[-k1 % nw, -k2 % nw]
         for pa, aa, ab, ua1, ua2 in admitted:
-            for pd, da, db, ud1, ud2 in groups[-k1 % nw, -k2 % nw]:
-                bc = (aa * da - d * ab * db + (ua1 + ud1) // nw,
-                      aa * db + ab * da + (ua2 + ud2) // nw)
-                index.setdefault(bc, []).append((pa, pd))
+            a_part = pa * cube
+            for pd, da, db, ud1, ud2 in partners:
+                bc1 = aa * da - d * ab * db + (ua1 + ud1) // nw
+                bc2 = aa * db + ab * da + (ua2 + ud2) // nw
+                if -reach <= bc1 <= reach and -reach <= bc2 <= reach:  # else no b*c equals it
+                    index.setdefault(bc1 * span + bc2, []).append(a_part + pd)
     del groups
 
-    # each orbit has one pair of positions with i <= j, i + j <= last
+    # b*c has the key b1 * (c1*span + c2) + b2 * (c1 - d*span*c2)
     pairs = [x[2:4] for x in params]
-    found: list[tuple[int, int, int, int]] = []
+    keyed = [(ca * span + cb, ca - d * span * cb) for ca, cb in pairs]
+    found = []
+    # each orbit has one pair of positions with i <= j, i + j <= last
     for i in range(last // 2 + 1):
         ba, bb = pairs[i]
-        products = [(ba * ca - d * bb * cb, ba * cb + bb * ca) for ca, cb in pairs[i:last - i + 1]]
+        products = [ba * u + bb * v for u, v in keyed[i:last - i + 1]]
         for j, diagonals in enumerate(map(index.get, products), i):
             if diagonals is None:
                 continue
+            # each distinct (b, c) of the orbit: its b*c + 1, and its positions' part of the key
+            orbit = []
             for p, q in {(i, j), (j, i), (last - i, last - j), (last - j, last - i)}:
                 (b1, b2), (c1, c2) = entries[p], entries[q]
-                off_a = b1 * c1 - d * b2 * c2
-                off_b = b1 * c2 + b2 * c1
-                for pa, pd in diagonals:
-                    (x1, x2), (y1, y2) = diagonal[pa], diagonal[pd]
-                    if x1 * y1 - d * x2 * y2 - off_a != 1 or x1 * y2 + x2 * y1 != off_b:
+                orbit.append(((b1 * c1 - d * b2 * c2 + 1, b1 * c2 + b2 * c1),
+                              (p * size + q) * size))
+            for key in diagonals:
+                pa, pd = divmod(key, cube)
+                (x1, x2), (y1, y2) = diagonal[pa], diagonal[pd]
+                xy = (x1 * y1 - d * x2 * y2, x1 * y2 + x2 * y1)
+                for bc_plus_one, offset in orbit:
+                    if xy != bc_plus_one:
                         raise RuntimeError("enumerated matrix failed the exact determinant check")
-                    found.append((pa, p, q, pd))
+                    found.append(key + offset)
     del index
     found.sort()
     if (2 * w1) % nw == 0 and (2 * w2) % nw == 0:  # pi^n divides 2
         # -(x + 1) = (-x - 2) + 1: the position of the negative's diagonal, or -1 outside the box
         where = {e: k for k, e in enumerate(entries)}
         negated = [where.get((-e1 - 2, -e2), -1) for e1, e2 in entries]
+        # (last - b) * size^2 + (last - c) * size = mirror - (b * size^2 + c * size)
+        mirror = last * (square + size)
         members = set(found)
-        found = [t for t in found if (neg := (negated[t[0]], last - t[1], last - t[2],
-                                              negated[t[3]])) > t or neg not in members]
+        kept = []
+        for key in found:
+            pa, rest = divmod(key, cube)
+            pd = rest % size
+            na, nd = negated[pa], negated[pd]
+            if na < 0 or nd < 0 or (neg := na * cube + mirror - rest + pd + nd) > key \
+                    or neg not in members:
+                kept.append(key)
+        found = kept
         del members
 
     quads = {e: _quad(*e, d) for e in entries + diagonal}
     off = [quads[e] for e in entries]
     diag = [quads[e] for e in diagonal]
-    return [_matrix(diag[a], off[b], off[c], diag[dd]) for a, b, c, dd in found]
+    # each key gives way to its matrix as the matrix is made: the result is the peak
+    for k, key in enumerate(found):
+        pa, rest = divmod(key, cube)
+        p, rest = divmod(rest, square)
+        q, pd = divmod(rest, size)
+        found[k] = _matrix(diag[pa], off[p], off[q], diag[pd])
+    return found
 
 
 @dataclass(frozen=True)

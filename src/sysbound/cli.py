@@ -390,18 +390,20 @@ def _cmd_verify(args) -> _Output:
 # ---------------------------------------------------------------------------
 
 _MAX_INDEX_DIGITS = 4300  # CPython's default limit on int-to-str conversion
-# A census --height h holds about (2h+1)^2 parameter pairs and, at n = 1, about
-# (2h+1)^4 / N(pi) index entries with the matrices they yield.  Each costs
-# under 2 KiB: peaks of the height check were 0.44-0.70 KiB resident per pair
-# plus entry at h = 4-12 and N(pi) = 3-43, and the largest height accepted at
-# N(pi) = 11, 23, peaked at 226 MiB resident.  Heights past the budget are refused.
+# A census --height h holds (2h+1)^2 parameter pairs and, at n = 1, about
+# (2h+1)^4 / N(pi) index entries with the matrices they yield.  Measured as peak
+# resident minus that of the census without --height (Python 3.11, 2-vCPU
+# x86-64), an index entry cost at most 309 bytes (N(pi) = 3, 11, 43 at h = 8-40)
+# and a pair at most 2877 (N(pi) = 1e18 at h = 20-77, where each pair yields
+# about 15 matrices); the limits are those costs times 1.45 and 1.42.  Heights
+# past the budget are refused.
 _CENSUS_BYTES = 1 << 30
-_CENSUS_ITEM_BYTES = 2048
-# It also looks up products b*c per level, whatever N(pi).  The limit was set at
-# 0.6 us per ordered pair (b, c), about 30 s; with one lookup per orbit, about
-# 0.19 us each at N(pi) = 1e18 (Python 3.11, 2-vCPU x86-64), an ordered pair
-# costs about 0.05 us, so the limit is conservative by about 13x.
-_CENSUS_LOOKUPS = 50_000_000
+_CENSUS_PAIR_BYTES = 4096
+_CENSUS_ENTRY_BYTES = 448
+# It also looks up products b*c per level, whatever N(pi): an ordered pair (b, c)
+# cost at most 53 ns, all else included (N(pi) = 1e18 at h = 41-77), so the limit
+# stands for about 27 s.
+_CENSUS_LOOKUPS = 500_000_000
 # bianchi ideals --format json peaked at 1.0-1.1 KiB resident per candidate walked (d = 1).
 _IDEALS_ITEM_BYTES = 1200
 
@@ -419,16 +421,23 @@ def _census_height_check(pi, table, height) -> bool:
     for row in table:
         n, lb = row.n, row.trace_lb
         mats = bianchi.enumerate_congruence_elements(bianchi.CongruenceLevel(pi, n), height)
-        lox = [(m.m11.a + m.m22.a) ** 2 + pi.d * (m.m11.b + m.m22.b) ** 2
-               for m in mats if m.classify_exact() is ElementClass.LOXODROMIC]
+        # the loxodromics and their least trace norm, in one pass
+        lox, attained_norm = 0, None
+        for m in mats:
+            if m.classify_exact() is ElementClass.LOXODROMIC:
+                lox += 1
+                norm = (m.m11.a + m.m22.a) ** 2 + pi.d * (m.m11.b + m.m22.b) ** 2
+                if attained_norm is None or norm < attained_norm:
+                    attained_norm = norm
+        elements = len(mats)
+        del mats  # before the next level is enumerated
         if not lox:
-            print(f"n={n}: {len(mats)} elements in box, no loxodromic", file=sys.stderr)
+            print(f"n={n}: {elements} elements in box, no loxodromic", file=sys.stderr)
             continue
-        attained_norm = min(lox)
         holds = attained_norm >= lb * lb
         ok = ok and holds
         print(
-            f"n={n}: {len(mats)} elements in box, {len(lox)} loxodromic, "
+            f"n={n}: {elements} elements in box, {lox} loxodromic, "
             f"min |trace| = {_fmt(math.sqrt(attained_norm), '.6g')} vs bound {lb} "
             f"[{'ok' if holds else 'VIOLATION'}]",
             file=sys.stderr,
@@ -474,7 +483,8 @@ def _bianchi_census(args) -> _Output:
     table = _call(_Failure, bianchi.systole_growth_table, pi, args.n_max, base)
     if args.height is not None:  # the table has checked that N(pi) is an odd prime
         pairs = (2 * args.height + 1) ** 2
-        if _CENSUS_ITEM_BYTES * (pairs + pairs * pairs // pi.norm) > _CENSUS_BYTES:
+        entries = pairs * pairs // pi.norm
+        if _CENSUS_PAIR_BYTES * pairs + _CENSUS_ENTRY_BYTES * entries > _CENSUS_BYTES:
             raise _UsageError(f"--height must keep the census within {_CENSUS_BYTES >> 20} MiB, "
                               f"got {args.height} for N(pi) = {pi.norm}")
         if args.n_max * pairs * pairs > _CENSUS_LOOKUPS:

@@ -5,9 +5,10 @@ Each test draws seeded, log-spread inputs, evaluates the mathematical
 function of those exact float inputs with exact constants in mpmath, and
 bounds the float result's error in ulps of the true value.  The budgets are
 the largest errors measured on x86-64 Linux (glibc libm), rounded up to the
-next half ulp.  Two tests differ, at 160 bits: ``lobachevsky``'s budget is
-absolute, since the function is 0 at pi/2, and the length-lemma margin file's
-is in ulps of the claim's bound.
+next half ulp.  Three tests differ, at 160 bits: ``lobachevsky``'s budget is
+absolute, since the function is 0 at pi/2, the length-lemma margin file's is
+in ulps of the claim's bound, and the cubic margin file's is in ulps of its
+largest term.
 """
 
 import math
@@ -267,6 +268,27 @@ def test_length_lemma_margins_are_within_two_ulps_of_the_bound(tmp_path):
             float(abs(margin - (bound - abs((2 * mp.acosh(mp.mpc(x, y) / 2)).real)))) / ulp
             for x, y, margin in rows)
     assert worst <= 2, worst
+
+
+def test_cubic_margins_are_within_two_ulps_of_the_leading_term(tmp_path):
+    """Budget: each margin within 2 ulps of 4x^3 of f(x) = 4x^3 - x^2 + 16x -
+    4vc^2, taken at the printed vc and x, and each x within 4 ulps of
+    sqrt(2) vc^(2/3).  Measured: 1.36 and 3.46 ulps.
+
+    ``verify cubic --margins-csv`` at its defaults, all 200 rows (vc, x,
+    margin), recomputed at 160 bits.  The margin's budget is in ulps of 4x^3,
+    not of f(x): f cancels, and x carries the error of ``v ** (2/3)``.
+    """
+    path = tmp_path / "margins.csv"
+    if main(["verify", "cubic", "--margins-csv", str(path)]) != 0:
+        pytest.fail("verify cubic --margins-csv did not exit 0")
+    rows = [tuple(map(float, line.split(","))) for line in path.read_text().splitlines()[1:]]
+    assert len(rows) == 200 and all(len(row) == 3 for row in rows)
+    with mp.workprec(160):
+        margin = max(float(abs(m - (4 * x**3 - x**2 + 16 * x - 4 * vc**2)) / math.ulp(4 * x**3))
+                     for vc, x, m in ((mp.mpf(vc), mp.mpf(x), m) for vc, x, m in rows))
+        root = max(_ulps(x, mp.sqrt(2) * mp.mpf(vc) ** (mp.mpf(2) / 3)) for vc, x, _ in rows)
+    assert margin <= 2 and root <= 4, (margin, root)
 
 
 def _exponent_errors(draws, f, formula):

@@ -668,10 +668,10 @@ def test_bianchi_census_height_check(capsys):
     assert "loxodromic" in err
 
 
-@pytest.mark.parametrize("pi, largest", [("3,1", 23), ("1,1", 17)])
+@pytest.mark.parametrize("pi, largest", [("3,1", 35), ("1,1", 25)])
 def test_census_height_is_refused_just_past_the_memory_budget(pi, largest, monkeypatch, capsys):
     # The largest height within the budget reaches the enumeration (stubbed
-    # here: the real one takes seconds there); the next one is refused.
+    # here: the real one takes about 25 s there); the next one is refused.
     heights = []
     monkeypatch.setattr(bianchi, "enumerate_congruence_elements",
                         lambda level, height: heights.append(height) or [])
@@ -684,17 +684,17 @@ def test_census_height_is_refused_just_past_the_memory_budget(pi, largest, monke
     assert heights == [largest]
 
 
-@pytest.mark.parametrize("n_max, largest", [("1", 41), ("5", 27)])
+@pytest.mark.parametrize("n_max, largest", [("1", 74), ("5", 49)])
 def test_census_height_is_refused_just_past_the_lookup_budget(n_max, largest, monkeypatch, capsys):
     # At N(pi) = 1000000190000009027 the memory budget would take heights up
-    # to 361; the lookups, n_max * (2h + 1)^4, refuse them long before.
+    # to 255; the lookups, n_max * (2h + 1)^4, refuse them long before.
     heights = []
     monkeypatch.setattr(bianchi, "enumerate_congruence_elements",
                         lambda level, height: heights.append(height) or [])
     argv = ["bianchi", "census", "--d", "2", "--pi", "1000000095,1", "--n-max", n_max, "--height"]
     assert run(capsys, argv + [str(largest)])[0] == 0
     assert run(capsys, argv + [str(largest + 1)]) == (
-        2, "", f"usage error: --height must keep the census within 50000000 lookups, "
+        2, "", f"usage error: --height must keep the census within 500000000 lookups, "
                f"got {largest + 1} for --n-max {n_max}\n")
     assert heights == [largest] * int(n_max)
 
@@ -799,8 +799,8 @@ def test_non_finite_input_is_one_line_usage_error(argv, tmp_path, capsys):
         (["bianchi", "census", "--d", "2", "--pi", "3,1", "--height", "-1"], "--height must be"),
         (["bianchi", "census", "--d", "2", "--pi", "3,1", "--height", str(10**20)],
          "--height must be"),
-        (["bianchi", "census", "--d", "2", "--pi", "3,1", "--height", "24"],
-         "--height must keep the census within 1024 MiB, got 24 for N(pi) = 11\n"),
+        (["bianchi", "census", "--d", "2", "--pi", "3,1", "--height", "36"],
+         "--height must keep the census within 1024 MiB, got 36 for N(pi) = 11\n"),
         (["bianchi", "census", "--d", "2", "--pi", "1,1", "--height", str(2**62)],
          f"--height must keep the census within 1024 MiB, got {2**62} for N(pi) = 3\n"),
         (["bianchi", "index", "--d", "2", "--pi", "3,1", "--n", "2000"], "--n must"),
