@@ -227,32 +227,38 @@ def filling_slope_trace_bound(x: float, v: float) -> float:
     return math.sqrt(16 * math.pi**4 / denom**2 + 4)
 
 
-def _crossing_trace_bounds(xs, v: float):
+def _crossing_trace_bounds(xs, v):
     """Arrays ``drilled_trace_bound(x)`` and ``filling_slope_trace_bound(x, v)``
-    over the 1-d float64 array ``xs`` of complement volumes, each above v and
-    below 1e231, past which the scalar drilled bound leaves its direct formula.
+    over the float64 array ``xs`` of complement volumes and the closed
+    volumes ``v`` that broadcast against it, in the broadcast shape: each x
+    above its v and below 1e231, past which the scalar drilled bound leaves
+    its direct formula.  A refusal names the first lane that fails a guard.
 
     Equal, lane for lane and bit for bit, to the scalar calls.  numpy does
     only sqrt, *, /, + and -, which are correctly rounded as Python's floats
     are; every power is Python's float ``pow`` (libm pow), streamed one lane
     at a time, because numpy's power differs from it in the last bit on a few
-    percent of lanes, and ``d * d`` differs from ``d**2`` on some.
+    percent of lanes, and ``d * d`` differs from ``d**2`` on some.  The square
+    is ``pow(d, 2.0)``: Python converts ``d**2``'s int 2 to 2.0 before libm.
     """
     import numpy as np  # here, so that sysbound.certify stays the one module that loads numpy
 
-    v = float(v)
-    _require(v >= 0, "closed volume must be nonnegative, got {}", v)
-    x_min, x_max, n = float(np.min(xs)), float(np.max(xs)), len(xs)
-    _require(x_min > v, "complement volume {} must exceed closed volume {}", x_min, v)
-    _require(x_max < 1e231, "complement volume {} must be below 1e231", x_max)
-    vc = (CUSP_DENSITY_BOUND * xs).tolist()
+    xs, v = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(v, dtype=float))
+    n = xs.size
+    if n:  # the guards, on the first lane that fails one (else on the first lane)
+        i = np.argmin((v >= 0) & (xs > v) & (xs < 1e231))
+        x, w = float(xs.flat[i]), float(v.flat[i])
+        _require(w >= 0, "closed volume must be nonnegative, got {}", w)
+        _require(x > w, "complement volume {} must exceed closed volume {}", x, w)
+        _require(x < 1e231, "complement volume {} must be below 1e231", x)
+    vc = (CUSP_DENSITY_BOUND * xs).ravel().tolist()
     drilled = np.sqrt(2 * np.fromiter(map(pow, vc, repeat(4 / 3)), float, n) + 4)
-    denom = 1 - np.fromiter(map(pow, (v / xs).tolist(), repeat(2 / 3)), float, n)
-    filling = np.full(xs.shape, math.inf)  # where denom <= 0, as in the scalar bound
+    denom = 1 - np.fromiter(map(pow, (v / xs).ravel().tolist(), repeat(2 / 3)), float, n)
+    filling = np.full(n, math.inf)  # where denom <= 0, as in the scalar bound
     live = denom > 0
-    squares = np.fromiter(map(pow, denom[live].tolist(), repeat(2)), float, int(live.sum()))
+    squares = np.fromiter(map(pow, denom[live].tolist(), repeat(2.0)), float, int(live.sum()))
     filling[live] = np.sqrt(16 * math.pi**4 / squares + 4)
-    return drilled, filling
+    return drilled.reshape(xs.shape), filling.reshape(xs.shape)
 
 
 def crossing_volume(v: float) -> float:

@@ -37,6 +37,8 @@ CROSSING_REL_TOL = 1e-10
 IDENTITY_REL_TOL = 1e-12
 
 _BISECTION_MAX_STEPS = 200
+# Volumes per bisection block, and lanes per monotonic-gate call past one volume's samples.
+_LANE_BLOCK = 8192
 # Uniform pairs per draw, and traces per kernel call: the stream of scalar draws,
 # at a call per block and flat memory.
 _DRAW_BLOCK = 4096
@@ -113,16 +115,23 @@ def _report(claim_id: str, points: int, ineqs, gates) -> CertificateReport:
 
 
 def _bisect(f, lo, hi, floor):
-    """Midpoint of a bracket [lo, hi] with f(lo) <= 0 < f(hi), bisected down
-    to a width of 1e-13 * max(hi, floor)."""
-    for _ in range(_BISECTION_MAX_STEPS):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-13 * max(hi, floor):
-            break
+    """Midpoints of the brackets [lo, hi] of 1-d float arrays, with f(lo) <= 0 <
+    f(hi), each lane bisected as a scalar loop would: midpoint, then high on f >
+    0 (a NaN goes low), until the width is at most 1e-13 * max(hi, floor) or
+    after 200 steps.  ``f(x, lanes)`` takes the midpoints of the lanes still
+    live, indices into lo, in blocks of at most _LANE_BLOCK lanes."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    for start in range(0, len(lo), _LANE_BLOCK):
+        lanes = np.arange(start, min(start + _LANE_BLOCK, len(lo)))
+        for _ in range(_BISECTION_MAX_STEPS):
+            a, b = lo[lanes], hi[lanes]
+            mid = 0.5 * (a + b)
+            up = f(mid, lanes) > 0
+            a, b = np.where(up, a, mid), np.where(up, mid, b)
+            lo[lanes], hi[lanes] = a, b
+            lanes = lanes[~(b - a <= 1e-13 * np.where(floor > b, floor, b))]
+            if not len(lanes):
+                break
     return 0.5 * (lo + hi)
 
 
@@ -195,25 +204,41 @@ def certify_cusp_trace_bound(
 # Crossing of the drilled and filling-slope trace bounds (CLI claim "crossing")
 # ---------------------------------------------------------------------------
 
-def _bisect_crossing(v: float):
-    """Root of drilled - filling on (v, inf), with a proven sign change."""
+def _crossing_roots(vs):
+    """Root of drilled - filling on (v, inf) per volume of the 1-d array vs, NaN
+    where no sign change is proven: bisected from lo just above v, where h < 0,
+    to hi = 2*max(v, 1) doubled until h > 0.
 
-    def h(x):
-        return bounds.drilled_trace_bound(x) - bounds.filling_slope_trace_bound(x, v)
+    Every bound is evaluated by ``bounds._crossing_trace_bounds``, all live
+    lanes per call, and each lane takes the steps of a scalar search.  hi
+    doubles only while h(hi) <= 0, below the root, so it stays below
+    2*max(crossing, 2); the grid is refused where the crossing rounds to v,
+    from about 1.93e24, so no bracket reaches the arrays' limit of 1e231.
+    """
 
-    lo = max(v * (1 + 1e-9), math.nextafter(v, math.inf))
-    if not h(lo) < 0:
-        lo = math.nextafter(v, math.inf)  # above about 1e16 the root lies within v*1e-9 of v
-    if not h(lo) < 0:
-        return None
-    hi = 2 * max(v, 1.0)
+    def h(x, lanes):
+        drilled, filling = bounds._crossing_trace_bounds(x, vs[lanes])
+        return drilled - filling
+
+    every = np.arange(len(vs))
+    above = np.nextafter(vs, math.inf)
+    lo = np.maximum(vs * (1 + 1e-9), above)
+    bracketed = h(lo, every) < 0
+    retry = every[~bracketed]  # above about 1e16 the root lies within v*1e-9 of v
+    lo[retry] = above[retry]
+    bracketed[retry] = h(lo[retry], retry) < 0
+    hi = 2 * np.maximum(vs, 1.0)
+    lanes = every[bracketed]
     for _ in range(_BISECTION_MAX_STEPS):
-        if h(hi) > 0:
+        lanes = lanes[~(h(hi[lanes], lanes) > 0)]
+        if not len(lanes):
             break
-        hi *= 2
-    else:
-        return None
-    return _bisect(h, lo, hi, 0.0)
+        hi[lanes] *= 2
+    bracketed[lanes] = False
+    roots = np.full(len(vs), math.nan)
+    found = every[bracketed]
+    roots[found] = _bisect(lambda x, lanes: h(x, found[lanes]), lo[found], hi[found], 0.0)
+    return roots
 
 
 def certify_crossing(
@@ -230,31 +255,36 @@ def certify_crossing(
     compared with the closed-form crossing volume; the margin is
     ``rel_tol - relative difference``.  Monotonicity of the two bounds
     (nondecreasing / nonincreasing) is checked as a gate on a log-spaced
-    sample of (v, 100 * crossing].
+    sample of (v, 100 * crossing], the samples of whole volumes per call, at
+    most max(monotonic_samples, _LANE_BLOCK) lanes.
     """
     if v_grid.lo <= 0:
         raise ValueError("crossing certification needs positive volumes")
     if monotonic_samples < 2:
         raise ValueError(f"need at least 2 monotonic samples, got {monotonic_samples}")
-    vs = v_grid.values().tolist()
-    closeds = [bounds.crossing_volume(v) for v in vs]
+    vs = v_grid.values()
+    closeds = np.array([bounds.crossing_volume(v) for v in vs.tolist()])
     # Every volume is checked before any is swept.
-    for v, closed in zip(vs, closeds):
+    for v, closed in zip(vs.tolist(), closeds.tolist()):
         if not closed > v:  # the closed form rounds to v or below from about 1e24 on
             raise ValueError(f"crossing needs crossing_volume(v) > v in doubles, got v = {v}")
-    rows, gates = [], []
-    for v, closed in zip(vs, closeds):
-        root = _bisect_crossing(v)
-        rows.append((v, closed, -math.inf if root is None else rel_tol - abs(root - closed) / closed))
-        xs = np.geomspace(max(v * (1 + 1e-6), math.nextafter(v, math.inf)), 100 * closed,
-                          monotonic_samples)
-        f1, f2 = bounds._crossing_trace_bounds(xs, v)
-        gates.append(min(float(np.min(np.diff(f1))), float(np.min(-np.diff(f2)))))
-    block = np.array(rows, dtype=float)
+    roots = _crossing_roots(vs)
+    margins = np.where(np.isnan(roots), -math.inf, rel_tol - np.abs(roots - closeds) / closeds)
+    starts = np.maximum(vs * (1 + 1e-6), np.nextafter(vs, math.inf))
+    gates = np.empty(len(vs))
+    group = max(1, _LANE_BLOCK // monotonic_samples)
+    for i in range(0, len(vs), group):
+        span = slice(i, i + group)
+        xs = np.geomspace(starts[span], 100 * closeds[span], monotonic_samples, axis=1)
+        f1, f2 = bounds._crossing_trace_bounds(xs, vs[span, None])
+        rising = np.min(np.diff(f1, axis=1), axis=1)
+        falling = np.min(-np.diff(f2, axis=1), axis=1)
+        gates[span] = np.where(falling < rising, falling, rising)  # min(rising, falling)
+    block = np.column_stack((vs, closeds, margins))
     if margin_rows is not None:
         margin_rows.append(block)
     return _report("crossing", len(vs) * (1 + 2 * monotonic_samples),
-                   [_worst(block[:, 2], block[:, 0])], [_worst(np.array(gates), block[:, 0])])
+                   [_worst(margins, vs)], [_worst(gates, vs)])
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +395,9 @@ def certify_cubic_claims(
     # > 0 (f(0) = -4*vc^2 < 0 but at vc = 0, where x_star = 0); without one the claim fails.
     bracket = m_claim > 0
     vb, xb = vc[bracket], x_star[bracket]
-    x0 = np.array([_bisect(lambda x, v=v: _cubic(x, v), 0.0, x, 1.0)
-                   for v, x in zip(vb.tolist(), xb.tolist())])
+    x0 = _bisect(lambda x, lanes: np.fromiter(map(_cubic, x.tolist(), vb[lanes].tolist()), float,
+                                              len(x)),
+                 np.zeros(len(xb)), xb, 1.0)
     # The endpoint value t = 7*vc/sqrt(3) (a gate), and t < 8*vc^(4/3) + 16 above the threshold.
     endpoint = 4 * vb / math.sqrt(3)
     expected = 7 * vb / math.sqrt(3)

@@ -5,10 +5,11 @@ Each test draws seeded, log-spread inputs, evaluates the mathematical
 function of those exact float inputs with exact constants in mpmath, and
 bounds the float result's error in ulps of the true value.  The budgets are
 the largest errors measured on x86-64 Linux (glibc libm), rounded up to the
-next half ulp.  Three tests differ, at 160 bits: ``lobachevsky``'s budget is
-absolute, since the function is 0 at pi/2, the length-lemma margin file's is
-in ulps of the claim's bound, and the cubic margin file's is in ulps of its
-largest term.
+next half ulp.  Five tests differ, at 160 bits: ``lobachevsky``'s budget is
+absolute, since the function is 0 at pi/2, the length-lemma and techlem2
+margin files' are in ulps of the claim's bound, the cubic margin file's is in
+ulps of its largest term, and the crossing margin file's bisected gap is
+relative to the crossing.
 """
 
 import math
@@ -19,6 +20,7 @@ import mpmath as mp
 import pytest
 
 from sysbound import bounds, mobius
+from sysbound.certify import CROSSING_REL_TOL
 from sysbound.cli import main
 from sysbound.cusp import CuspLattice
 
@@ -237,6 +239,19 @@ def test_length_of_a_trace_is_within_two_ulps():
     assert worst <= 2, worst
 
 
+def _margin_rows(tmp_path, *argv):
+    """The rows of ``sysbound verify *argv --margins-csv``, three floats each.
+    A failed run or a file of another shape fails the test outright, so that
+    it never counts as a strict xfail's expected failure."""
+    path = tmp_path / "margins.csv"
+    if main(["verify", *argv, "--margins-csv", str(path)]) != 0:
+        pytest.fail(f"verify {' '.join(argv)} --margins-csv did not exit 0")
+    rows = [tuple(map(float, line.split(","))) for line in path.read_text().splitlines()[1:]]
+    if any(len(row) != 3 for row in rows):
+        pytest.fail("a margin row does not have three cells")
+    return rows
+
+
 _EIGENVALUE_CANCELLATION = (
     "the length kernel replays mobius._eigenvalue, which takes (t + root)/2 with the principal "
     "root and cancels when Re t < 0; lengths from the trace (ROADMAP item 7) mend it, but move "
@@ -254,13 +269,7 @@ def test_length_lemma_margins_are_within_two_ulps_of_the_bound(tmp_path):
     assertion: a failed run or a file of another shape fails the test
     outright instead of counting as the expected failure.
     """
-    path = tmp_path / "margins.csv"
-    if main(["verify", "length-lemma", "--margins-csv", str(path)]) != 0:
-        pytest.fail("verify length-lemma --margins-csv did not exit 0")
-    lines = random.Random(28).sample(path.read_text().splitlines()[1:], 2000)
-    rows = [tuple(map(float, line.split(","))) for line in lines]
-    if any(len(row) != 3 for row in rows):
-        pytest.fail("a margin row is not x, y, margin")
+    rows = random.Random(28).sample(_margin_rows(tmp_path, "length-lemma"), 2000)
     ulp = math.ulp(bounds.loxodromic_length_bound(100.0))
     with mp.workprec(160):
         bound = mp.log(10004)
@@ -279,16 +288,60 @@ def test_cubic_margins_are_within_two_ulps_of_the_leading_term(tmp_path):
     margin), recomputed at 160 bits.  The margin's budget is in ulps of 4x^3,
     not of f(x): f cancels, and x carries the error of ``v ** (2/3)``.
     """
-    path = tmp_path / "margins.csv"
-    if main(["verify", "cubic", "--margins-csv", str(path)]) != 0:
-        pytest.fail("verify cubic --margins-csv did not exit 0")
-    rows = [tuple(map(float, line.split(","))) for line in path.read_text().splitlines()[1:]]
-    assert len(rows) == 200 and all(len(row) == 3 for row in rows)
+    rows = _margin_rows(tmp_path, "cubic")
+    assert len(rows) == 200
     with mp.workprec(160):
         margin = max(float(abs(m - (4 * x**3 - x**2 + 16 * x - 4 * vc**2)) / math.ulp(4 * x**3))
                      for vc, x, m in ((mp.mpf(vc), mp.mpf(x), m) for vc, x, m in rows))
         root = max(_ulps(x, mp.sqrt(2) * mp.mpf(vc) ** (mp.mpf(2) / 3)) for vc, x, _ in rows)
     assert margin <= 2 and root <= 4, (margin, root)
+
+
+def test_crossing_margins_are_within_the_bisection_width_of_the_truth(tmp_path):
+    """Budget: each closed-form crossing volume within 7.5 ulps of the true
+    crossing, and each bisected gap ``rel_tol - margin`` within 5.5e-14 of the
+    true gap |x* - closed| / closed.  Measured: 7.40 ulps and 4.59e-14.
+
+    ``verify crossing --margins-csv`` at its defaults, all 100 rows (v,
+    crossing_volume, margin), with the true crossing x* =
+    (v^(2/3) + 4 pi^2 / (sqrt(2) C0^(2/3)))^(3/2) at 160 bits.  The gap's
+    budget is half the bisection's stopping width, 1e-13 of hi, with 10% for
+    the rounding of the two bounds near the root: the midpoint is within
+    5e-14 of where their float difference changes sign.
+    """
+    rows = _margin_rows(tmp_path, "crossing")
+    assert len(rows) == 100
+    with mp.workprec(160):
+        shift = 4 * mp.pi**2 / (mp.sqrt(2) * _exact_cusp_density() ** (mp.mpf(2) / 3))
+        crossings = [(mp.mpf(v) ** (mp.mpf(2) / 3) + shift) ** mp.mpf(1.5) for v, _, _ in rows]
+        closed = max(_ulps(c, x) for (_, c, _), x in zip(rows, crossings))
+        gap = max(float(abs((CROSSING_REL_TOL - m) - abs(x - c) / c))
+                  for (_, c, m), x in zip(rows, crossings))
+    assert closed <= 7.5 and gap <= 5.5e-14, (closed, gap)
+
+
+def test_techlem2_margins_err_by_the_rounded_exponent_of_the_bound(tmp_path):
+    """Budget: 5 ulps of the bound against the truth, and 1.5 ulps against
+    the same margins with the bound's exponent 4/3 rounded to a float.
+    Measured: 4.65 and 1.27 ulps.
+
+    ``verify techlem2 --ell-points 500 --margins-csv``, each volume's worst
+    row (vc, worst_ell, margin), recomputed at 160 bits as
+    sqrt(2 vc^(4/3) + 4) - min(sqrt(ell^2/4 + vc^2/ell^2), sqrt(ell^4 + 4)).
+    ``vc ** (4/3)`` raises vc to 4/3 - 7.4e-17, a relative error of
+    7.4e-17 log(vc) that sqrt halves: about 4 ulps of the bound near vc = 1e6.
+    """
+    rows = _margin_rows(tmp_path, "techlem2", "--ell-points", "500")
+    assert len(rows) == 200
+    errors = {}
+    with mp.workprec(160):
+        for exponent in (mp.mpf(4) / 3, mp.mpf(4 / 3)):
+            errors[exponent == mp.mpf(4 / 3)] = max(
+                float(abs(m - (mp.sqrt(2 * vc**exponent + 4)
+                               - min(mp.sqrt(ell**2 / 4 + vc**2 / ell**2), mp.sqrt(ell**4 + 4)))))
+                / math.ulp(bounds.cusp_volume_trace_bound(float(vc)))
+                for vc, ell, m in ((mp.mpf(vc), mp.mpf(ell), m) for vc, ell, m in rows))
+    assert errors[False] <= 5 and errors[True] <= 1.5, errors
 
 
 def _exponent_errors(draws, f, formula):

@@ -179,6 +179,82 @@ def test_report_status_matches_margin_sign():
 
 
 # ---------------------------------------------------------------------------
+# bisection
+# ---------------------------------------------------------------------------
+
+def _scalar_bisect(f, lo, hi, floor):
+    """The scalar loop that certify._bisect runs on every lane: the midpoint of
+    [lo, hi] after the bisection, and the number of steps it took."""
+    for step in range(1, 201):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-13 * max(hi, floor):
+            break
+    return 0.5 * (lo + hi), step
+
+
+def _line(x, root, slope):
+    """f of one lane: slope * (x - root), NaN above the root where slope is NaN."""
+    if math.isnan(slope):
+        return math.nan if x > root else x - root
+    return slope * (x - root)
+
+
+def _assert_bisect_is_the_scalar_loop(lanes, floor):
+    """lanes: (lo, hi, root, slope) per lane; the array bisection equals the
+    scalar loop bit for bit on each, and f sees at most 8192 lanes per call."""
+    lo, hi, root, slope = (np.array(column, dtype=float).reshape(-1) for column in zip(*lanes))
+    calls = []
+
+    def f(x, live):
+        calls.append(len(live))
+        return np.array([_line(*args) for args in zip(x.tolist(), root[live].tolist(),
+                                                      slope[live].tolist())], dtype=float)
+
+    got = certify._bisect(f, lo, hi, floor)
+    want = [_scalar_bisect(lambda x, r=r, s=s: _line(x, r, s), a, b, floor)
+            for a, b, r, s in lanes]
+    assert got.tobytes() == np.array([w for w, _ in want], dtype=float).tobytes()
+    assert max(calls, default=0) <= 8192
+    return [steps for _, steps in want]
+
+
+_BISECT_LANE = st.tuples(
+    st.floats(-1e6, 1e6), st.floats(0, 1e6), st.floats(-1e6, 1e6),
+    st.sampled_from([1.0, -1.0, 0.5, 3.0, math.nan]),
+).map(lambda t: (t[0], t[0] + t[1], t[2], t[3]))
+
+
+@given(lanes=st.lists(_BISECT_LANE, min_size=1, max_size=12),
+       floor=st.one_of(st.sampled_from([0.0, 1.0, 1e7]), st.floats(0, 1e7)))
+def test_array_bisection_is_the_scalar_loop_on_every_lane(lanes, floor):
+    _assert_bisect_is_the_scalar_loop(lanes, floor)
+
+
+def test_array_bisection_on_fixed_lanes():
+    # One lane each: a root at 0 from [-1, 1], whose width stays above 1e-13 * hi
+    # (lo sticks at 0) to the 200-step cap; NaN above its root; lo == hi; a floor
+    # above hi that stops early; and a wide bracket that stops later than a narrow one.
+    cap, nan, point, floored = (-1.0, 1.0, 0.0, 1.0), (0.0, 8.0, 3.0, math.nan), \
+        (2.5, 2.5, 0.0, 1.0), (0.0, 1.0, 0.3, 1.0)
+    wide, narrow = (0.0, 1e6, 12345.678, 1.0), (0.0, 1e-3, 2e-4, 1.0)
+    assert _assert_bisect_is_the_scalar_loop([cap], 0.0) == [200]
+    assert _assert_bisect_is_the_scalar_loop([nan], 0.0)[0] < 200
+    assert _assert_bisect_is_the_scalar_loop([point], 0.0) == [1]
+    floored_steps = _assert_bisect_is_the_scalar_loop([floored], 1e9)[0]
+    assert floored_steps < _assert_bisect_is_the_scalar_loop([floored], 0.0)[0]
+    steps = _assert_bisect_is_the_scalar_loop([cap, nan, point, floored, wide, narrow], 0.0)
+    assert len(set(steps)) == len(steps)
+    # More lanes than one block; each stops after its first step.
+    _assert_bisect_is_the_scalar_loop([(float(i), i + 1e-3, i + 0.4, 1.0) for i in range(9000)],
+                                      1e12)
+    assert certify._bisect(lambda x, live: x, np.zeros(0), np.zeros(0), 0.0).shape == (0,)
+
+
+# ---------------------------------------------------------------------------
 # cusp-volume trace bound sweep
 # ---------------------------------------------------------------------------
 
@@ -254,13 +330,14 @@ def test_crossing_rejects_nonpositive_volumes():
         certify_crossing(GridSpec(0.0, 1.0, 5, "linear"))
 
 
-def _gated_volumes(monkeypatch, grid, samples):
-    """Each (xs, v) at which certify_crossing's monotonicity gate evaluates the bounds."""
+def _trace_bound_calls(monkeypatch, grid, samples):
+    """Each (xs, v) at which certify_crossing evaluates the bounds: the bracket
+    search and bisection steps (1-d xs), then the monotonicity gate (2-d)."""
     calls = []
     original = bounds._crossing_trace_bounds
 
     def recording(xs, v):
-        calls.append((xs.copy(), v))
+        calls.append((xs.copy(), np.array(v, dtype=float)))
         return original(xs, v)
 
     with monkeypatch.context() as patch:
@@ -282,17 +359,28 @@ def _gated_volumes(monkeypatch, grid, samples):
     ],
 )
 def test_crossing_gate_arrays_equal_the_scalar_bounds_bit_for_bit(grid, samples, monkeypatch):
-    calls = _gated_volumes(monkeypatch, grid, samples)
-    assert [v for _, v in calls] == grid.values().tolist()
+    calls = _trace_bound_calls(monkeypatch, grid, samples)
+    gate = [(xs, np.broadcast_to(v, xs.shape)) for xs, v in calls if xs.ndim == 2]
+    assert len(gate) < len(calls)  # the bracket search and the bisection call it too
+    # The gate's calls cover each grid volume's whole sample once, in grid order,
+    # at most max(samples, 8192) lanes per call.
+    rows = [(x, v[0]) for xs, vs in gate for x, v in zip(xs, vs)]
+    assert [float(v) for _, v in rows] == grid.values().tolist()
+    for x, v in rows:
+        start = max(v * (1 + 1e-6), math.nextafter(v, math.inf))
+        assert x.tobytes() == np.geomspace(start, 100 * bounds.crossing_volume(v), samples).tobytes()
+    assert all(xs.size <= max(samples, 8192) for xs, _ in gate)
     for xs, v in calls:
-        # The smallest complement volumes there are: one and two ulps above v.
-        xs = np.concatenate([[math.nextafter(v, math.inf)], xs])
-        xs = np.concatenate([[math.nextafter(xs[0], math.inf)], xs])
+        xs, v = (a.ravel() for a in np.broadcast_arrays(xs, v))
+        # The smallest complement volumes there are: one and two ulps above each v.
+        once = np.nextafter(np.unique(v), math.inf)
+        xs = np.concatenate([once, np.nextafter(once, math.inf), xs])
+        v = np.concatenate([np.unique(v), np.unique(v), v])
         drilled, filling = bounds._crossing_trace_bounds(xs, v)
-        scalar = xs.tolist()
-        assert np.array_equal(drilled, [bounds.drilled_trace_bound(x) for x in scalar])
+        lanes = list(zip(xs.tolist(), v.tolist()))
+        assert np.array_equal(drilled, [bounds.drilled_trace_bound(x) for x, _ in lanes])
         # inf == inf, so lanes where the scalar bound is inf count as equal.
-        assert np.array_equal(filling, [bounds.filling_slope_trace_bound(x, v) for x in scalar])
+        assert np.array_equal(filling, [bounds.filling_slope_trace_bound(x, w) for x, w in lanes])
 
 
 def test_crossing_gate_arrays_keep_the_scalar_domain_guards():
@@ -322,7 +410,10 @@ def test_crossing_gate_fails_on_a_filling_bound_that_is_not_monotone(monkeypatch
 
     def rising_filling(xs, v):
         drilled, filling = original(xs, v)
-        return (drilled, filling[::-1]) if v == bad_v else (drilled, filling)
+        if xs.ndim == 2:  # a gate call: reverse the bad volume's row only
+            bad = np.broadcast_to(v, xs.shape)[:, 0] == bad_v
+            filling[bad] = filling[bad, ::-1]
+        return drilled, filling
 
     monkeypatch.setattr(bounds, "_crossing_trace_bounds", rising_filling)
     report = certify_crossing(grid, monotonic_samples=50)
@@ -346,7 +437,7 @@ def test_crossing_gate_fails_on_a_filling_bound_that_is_not_monotone(monkeypatch
         (lambda grid: certify_crossing(grid, monotonic_samples=3),
          GridSpec(1.0, 10.0, 2, "log"), GridSpec(1.0, 1e30, 5, "log"),
          "crossing needs crossing_volume(v) > v in doubles, got v = 1e+30",
-         (bounds, "drilled_trace_bound")),
+         (certify, "_bisect")),
         (certify_cubic_claims,
          GridSpec(2.0, 10.0, 2, "log"), GridSpec(2.0, 6.9e153, 5, "log"),
          "cubic claims need 4*vc^2 normal and the cubic finite, got vc = 6.9e+153",
@@ -509,7 +600,7 @@ def _cubic_oracle(vc_grid):
         if not m_claim > 0:
             ineqs.append((-math.inf, (vc, x_star)))
             continue
-        x0 = certify._bisect(lambda x: 4 * x**3 - x**2 + 16 * x - 4 * vc * vc, 0.0, x_star, 1.0)
+        x0, _ = _scalar_bisect(lambda x: 4 * x**3 - x**2 + 16 * x - 4 * vc * vc, 0.0, x_star, 1.0)
         ineqs.append(((4 * x_star * x_star + 16) - (4 * x0 * x0 + 16), (vc, x0)))
         endpoint = 4 * vc / math.sqrt(3)
         t_end = endpoint + 4 * vc * vc / endpoint
