@@ -195,7 +195,12 @@ def split_prime(p: int, d: int) -> QuadInt | None:
 
 @dataclass(frozen=True)
 class CongruenceLevel:
-    """Principal ideal (pi^n) defining the congruence subgroup at that level."""
+    """Principal ideal (pi^n) defining the congruence subgroup at that level.
+
+    The census is defined where Newman's index formula is: at an odd prime
+    norm N(pi).  Any other pi is refused here, and every census function
+    assumes it.
+    """
 
     pi: QuadInt
     n: int
@@ -203,8 +208,9 @@ class CongruenceLevel:
     def __post_init__(self):
         if not isinstance(self.pi, QuadInt):
             raise TypeError("pi must be a QuadInt")
-        if self.pi.is_zero():
-            raise ValueError("pi must be nonzero")
+        q = self.pi.norm
+        if q == 2 or not _is_prime(q):
+            raise ValueError(f"index formula requires an odd prime norm, got N(pi) = {q}")
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"n must be a positive int, got {self.n!r}")
 
@@ -219,14 +225,9 @@ class CongruenceLevel:
 
 def newman_index(level: CongruenceLevel) -> int:
     """Index of the principal congruence subgroup at pi^n in PSL2 of the
-    ring, by Newman's formula (N(pi)^(3n)/2) * (1 - 1/N(pi)^2).
-
-    Only valid as printed for an odd prime norm; anything else is refused
-    rather than extrapolated.
-    """
+    ring, by Newman's formula (N(pi)^(3n)/2) * (1 - 1/N(pi)^2), which holds
+    as printed at the odd prime norms that ``CongruenceLevel`` admits."""
     q = level.pi.norm
-    if q % 2 == 0 or not _is_prime(q):
-        raise ValueError(f"index formula requires an odd prime norm, got N(pi) = {q}")
     return q ** (3 * level.n - 2) * (q * q - 1) // 2
 
 
@@ -235,7 +236,10 @@ def level_volume(level: CongruenceLevel, base_covolume: float) -> float:
     base_covolume = float(base_covolume)
     if not base_covolume > 0:
         raise ValueError(f"base covolume must be positive, got {base_covolume}")
-    volume = base_covolume * newman_index(level)
+    try:
+        volume = base_covolume * newman_index(level)
+    except OverflowError:  # an index past the doubles
+        volume = math.inf
     if not math.isfinite(volume):
         raise OverflowError("level volume overflows floating point")
     return volume
@@ -248,7 +252,7 @@ def min_loxodromic_trace_lower_bound(level: CongruenceLevel) -> int:
     Traces have the form s*pi^(2n) + 2 with s in (pi^n) nonzero for a
     loxodromic, so |trace| >= |pi^(2n)| - 2 by the triangle inequality.
     """
-    return max(0, level.norm - 2)
+    return level.norm - 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -300,8 +304,9 @@ def _matrix(m11: QuadInt, m12: QuadInt, m21: QuadInt, m22: QuadInt, _new=object.
 
 def enumerate_congruence_elements(level: CongruenceLevel, height: int) -> list[QuadMatrix]:
     """All matrices (a*pi^n + 1, b*pi^n; c*pi^n, d*pi^n + 1) of determinant 1
-    whose parameter coordinates lie in [-height, height]^8, deduplicated up
-    to global sign.
+    whose parameter coordinates lie in [-height, height]^8.  No two of them
+    are negatives of each other: -(a*pi^n + 1) = a'*pi^n + 1 would make pi^n
+    divide 2, so N(pi)^n divide 4, which an odd prime norm rules out.
 
     The parameters x of the box are sorted once by their entry x*pi^n, and
     the enumeration works on positions in that order: positions compare as
@@ -328,11 +333,7 @@ def enumerate_congruence_elements(level: CongruenceLevel, height: int) -> list[Q
     each distinct (b, c) of the orbit, so the determinant of every matrix is
     checked.  Representatives are kept in the congruence form
     (diagonal = 1 mod pi^n) so the exact trace s*pi^(2n) + 2 stays
-    recoverable.  A matrix and its negative both lie in the box only when
-    pi^n divides 2: -(a*pi^n + 1) = a'*pi^n + 1 gives (a + a')*pi^n = -2.
-    Only then is the +/- filter run, keeping of such a pair the smaller
-    coordinate tuple; the negative's diagonal is the entry -a*pi^n - 2, found
-    by its position.  The sorted ints are then replaced in their list, one by
+    recoverable.  The sorted ints are then replaced in their list, one by
     one, by their matrices, so each int is freed as its matrix is made and
     the enumeration's peak memory is about that of its result.  The matrices
     share their entries: one ``QuadInt`` per distinct coordinate pair, built
@@ -399,23 +400,6 @@ def enumerate_congruence_elements(level: CongruenceLevel, height: int) -> list[Q
                     found.append(key + offset)
     del index
     found.sort()
-    if (2 * w1) % nw == 0 and (2 * w2) % nw == 0:  # pi^n divides 2
-        # -(x + 1) = (-x - 2) + 1: the position of the negative's diagonal, or -1 outside the box
-        where = {e: k for k, e in enumerate(entries)}
-        negated = [where.get((-e1 - 2, -e2), -1) for e1, e2 in entries]
-        # (last - b) * size^2 + (last - c) * size = mirror - (b * size^2 + c * size)
-        mirror = last * (square + size)
-        members = set(found)
-        kept = []
-        for key in found:
-            pa, rest = divmod(key, cube)
-            pd = rest % size
-            na, nd = negated[pa], negated[pd]
-            if na < 0 or nd < 0 or (neg := na * cube + mirror - rest + pd + nd) > key \
-                    or neg not in members:
-                kept.append(key)
-        found = kept
-        del members
 
     quads = {e: _quad(*e, d) for e in entries + diagonal}
     off = [quads[e] for e in entries]
@@ -447,7 +431,7 @@ def systole_growth_table(
 ) -> list[GrowthRow]:
     """Census of the congruence tower: per level n, the index, cover volume,
     trace lower bound N(pi)^n - 2, the systole lower bound
-    log(max(2, N(pi)^n - 2)^2 / 4) (the trivial 0 when N(pi)^n <= 4), and its
+    log(max(2, N(pi)^n - 2)^2 / 4) (the trivial 0 when N(pi)^n = 3), and its
     ratio to log(volume).  A level whose volume is not above 1 is refused:
     there log(volume) is not positive."""
     if not isinstance(n_max, int) or n_max < 1:

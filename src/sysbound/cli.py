@@ -466,7 +466,7 @@ def _bianchi_index(args) -> _Output:
     if 3 * args.n * math.log10(pi.norm) > _MAX_INDEX_DIGITS:
         raise _UsageError(f"--n must keep the index within {_MAX_INDEX_DIGITS} digits, "
                           f"got {args.n} for N(pi) = {pi.norm}")
-    value = _call(_Failure, bianchi.newman_index, level)
+    value = bianchi.newman_index(level)
     return _Output({"pi": [pi.a, pi.b], "d": args.d, "n": args.n, "index": value},
                    ["index"], [[value]], [str(value)])
 
@@ -481,7 +481,7 @@ def _bianchi_census(args) -> _Output:
     if args.height is not None and args.height < 0:
         raise _UsageError(f"--height must be nonnegative, got {args.height}")
     table = _call(_Failure, bianchi.systole_growth_table, pi, args.n_max, base)
-    if args.height is not None:  # the table has checked that N(pi) is an odd prime
+    if args.height is not None:  # the table's levels have an odd prime N(pi)
         pairs = (2 * args.height + 1) ** 2
         entries = pairs * pairs // pi.norm
         if _CENSUS_PAIR_BYTES * pairs + _CENSUS_ENTRY_BYTES * entries > _CENSUS_BYTES:

@@ -283,11 +283,12 @@ def test_newman_index_equals_the_printed_formula():
             assert newman_index(CongruenceLevel(pi, n)) == value, (q, n)
 
 
-def test_newman_index_gates():
-    with pytest.raises(ValueError):
-        newman_index(CongruenceLevel(q2(0, 1), 1))  # even norm 2
-    with pytest.raises(ValueError):
-        newman_index(CongruenceLevel(q2(3, 0), 1))  # norm 9, not prime
+@pytest.mark.parametrize("pi, norm", [(q2(0, 0), 0), (q2(1, 0), 1), (q2(0, 1), 2),
+                                      (q2(2, 0), 4), (q2(3, 0), 9)])
+def test_congruence_level_refuses_a_norm_that_is_not_an_odd_prime(pi, norm):
+    message = f"index formula requires an odd prime norm, got N(pi) = {norm}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CongruenceLevel(pi, 1)
 
 
 def test_level_volume():
@@ -297,6 +298,13 @@ def test_level_volume():
     assert v2 / v1 == pytest.approx(1331, rel=1e-12)
     with pytest.raises(ValueError):
         level_volume(CongruenceLevel(PI, 1), 0)
+
+
+@pytest.mark.parametrize("n, base", [(99, PSL2_O2_COVOLUME), (1, 1e308)])
+def test_level_volume_past_the_doubles_has_one_message(n, base):
+    # An index past the doubles and a product past them overflow alike.
+    with pytest.raises(OverflowError, match="^level volume overflows floating point$"):
+        level_volume(CongruenceLevel(PI, n), base)
 
 
 def test_covolume_matches_humbert_formula():
@@ -370,20 +378,27 @@ def test_enumeration_no_elliptics_at_level_eleven():
     assert all(m.classify_exact() is not ElementClass.ELLIPTIC for m in mats)
 
 
-def test_enumeration_deduplicates_sign_pairs():
-    # ramified generator: pi^n divides 2, so the box can contain both a
-    # matrix and its negative; they must be identified
-    level = CongruenceLevel(q2(0, 1), 2)
-    mats = enumerate_congruence_elements(level, 2)
+# Levels at odd prime norms beyond the tower of PSL2(Z[sqrt(-2)]): the
+# ramified sqrt(-3) at n = 2, whose quotient ring Z[sqrt(-3)]/(3) is not
+# cyclic; the non-maximal orders Z[sqrt(-3)] and Z[sqrt(-7)]; and Z[i].
+RAMIFIED_3 = QuadInt(0, 1, 3)
+NON_MAXIMAL_3, NON_MAXIMAL_7 = QuadInt(2, 1, 3), QuadInt(2, 1, 7)
+GAUSSIAN_5 = QuadInt(2, 1, 1)
+
+
+@pytest.mark.parametrize("pi, n", [(PI, 1), (PI, 2), (RAMIFIED_3, 2), (NON_MAXIMAL_3, 1),
+                                   (NON_MAXIMAL_7, 1), (GAUSSIAN_5, 1)])
+def test_enumeration_lists_no_matrix_with_its_negative(pi, n):
+    # -(a*pi^n + 1) = a'*pi^n + 1 would need pi^n to divide 2, which no odd
+    # prime norm allows, so the negative of a listed matrix is never listed.
+    mats = enumerate_congruence_elements(CongruenceLevel(pi, n), 2)
     coords = {tuple((e.a, e.b) for e in _entries(m)) for m in mats}
-    for m in mats:
-        negated = tuple((-e.a, -e.b) for e in _entries(m))
-        assert negated not in coords or negated == tuple((e.a, e.b) for e in _entries(m))
+    assert len(coords) == len(mats) > 1
+    assert not any(tuple((-a, -b) for a, b in c) in coords for c in coords)
 
 
 def _brute_force_elements(level, height):
-    # Every parameter vector in the box, checked against det == 1 directly;
-    # one matrix per +/- pair, the smaller coordinate tuple kept.
+    # Every parameter vector in the box, checked against det == 1 directly.
     d, w = level.pi.d, level.level
     box = np.arange(-height, height + 1)
     params = np.stack(np.meshgrid(*[box] * 8, indexing="ij"), axis=-1).reshape(-1, 4, 2)
@@ -395,24 +410,19 @@ def _brute_force_elements(level, height):
     det_im = (re[:, 0] * im[:, 3] + im[:, 0] * re[:, 3]
               - (re[:, 1] * im[:, 2] + im[:, 1] * re[:, 2]))
     keep = (det_re == 1) & (det_im == 0)
-    found = {}
-    for row in np.stack([re, im], axis=-1)[keep].reshape(-1, 8).tolist():
-        coords = tuple(row)
-        key = min(coords, tuple(-x for x in coords))
-        found[key] = min(found.get(key, coords), coords)
-    return sorted(found.values())
+    return sorted(map(tuple, np.stack([re, im], axis=-1)[keep].reshape(-1, 8).tolist()))
 
 
 @pytest.mark.parametrize(
     "pi, n, height",
     [
-        *[(pi, n, h) for pi, n in [(PI, 1), (PI, 2), (q2(0, 1), 1), (q2(0, 1), 2),
-                                   (QuadInt(1, 1, 1), 1), (q2(1, 0), 1),
+        *[(pi, n, h) for pi, n in [(PI, 1), (PI, 2), (q2(1, 1), 1), (RAMIFIED_3, 1),
+                                   (GAUSSIAN_5, 1), (GAUSSIAN_5, 2),
                                    # a non-cyclic quotient and two non-maximal levels
-                                   (q2(3, 0), 1), (QuadInt(1, 1, 1), 2), (QuadInt(1, 1, 3), 1)]
+                                   (RAMIFIED_3, 2), (NON_MAXIMAL_3, 1), (NON_MAXIMAL_7, 1)]
           for h in (0, 1)],
         (PI, 1, 2),
-        (q2(0, 1), 2, 2),
+        (RAMIFIED_3, 2, 2),
     ],
     ids=lambda v: f"{v.a},{v.b},d={v.d}" if isinstance(v, QuadInt) else str(v),
 )
@@ -423,21 +433,10 @@ def test_enumeration_is_complete(pi, n, height):
     assert got == _brute_force_elements(level, height)
 
 
-def _reference_sign_key(coords: tuple[int, ...]) -> tuple[int, ...]:
-    # Identify a matrix with its negative: flip so the first nonzero entry
-    # has positive a-coordinate (or a = 0 and positive b).
-    for a, b in zip(coords[0::2], coords[1::2]):
-        if a != 0 or b != 0:
-            if a < 0 or (a == 0 and b < 0):
-                return tuple(-x for x in coords)
-            return coords
-    return coords
-
-
 def _reference_enumeration(level: CongruenceLevel, height: int) -> list[QuadMatrix]:
-    """The two-pass enumerator before residue grouping, kept verbatim: it
-    tests divisibility for every (a, d) in the box and builds every entry
-    through the public constructors."""
+    """The two-pass enumerator before residue grouping: it tests divisibility
+    for every (a, d) in the box and builds every entry through the public
+    constructors."""
     if not isinstance(height, int) or height < 0:
         raise ValueError(f"height must be a nonnegative int, got {height!r}")
     d = level.pi.d
@@ -456,7 +455,7 @@ def _reference_enumeration(level: CongruenceLevel, height: int) -> list[QuadMatr
         index.setdefault(bc, []).append((aa * w1 - d * ab * w2 + 1, aa * w2 + ab * w1,
                                          da * w1 - d * db * w2 + 1, da * w2 + db * w1))
 
-    found: dict[tuple[int, ...], tuple[int, ...]] = {}
+    found: list[tuple[int, ...]] = []
     for ba, bb, ca, cb in itertools.product(box, repeat=4):
         diagonals = index.get((ba * ca - d * bb * cb, ba * cb + bb * ca))
         if diagonals is None:
@@ -468,28 +467,26 @@ def _reference_enumeration(level: CongruenceLevel, height: int) -> list[QuadMatr
         for x1, x2, y1, y2 in diagonals:
             if x1 * y1 - d * x2 * y2 - off_a != 1 or x1 * y2 + x2 * y1 != off_b:
                 raise RuntimeError("enumerated matrix failed the exact determinant check")
-            coords = (x1, x2, *m12, *m21, y1, y2)
-            key = _reference_sign_key(coords)
-            found[key] = min(found.get(key, coords), coords)
+            found.append((x1, x2, *m12, *m21, y1, y2))
     del index
 
     matrices = []
-    for coords in sorted(found.values()):
+    for coords in sorted(found):
         q = [QuadInt(coords[i], coords[i + 1], d) for i in range(0, 8, 2)]
         matrices.append(QuadMatrix(*q))
     return matrices
 
 
-# pi, n, the top height: the tower of PSL2(Z[sqrt(-2)]), ramified and unit
-# levels, the non-cyclic quotient mod 3, and levels in other rings.  The
-# levels where pi^n divides 2, the only ones that run the +/- filter, go to
-# height 5, and so does pi^3 = (3 + sqrt(-2))^3, whose residue groups are all
-# singletons there: each a meets only d = -a.
+# pi, n, the top height: the tower of PSL2(Z[sqrt(-2)]), the ramified
+# sqrt(-3) with its non-cyclic quotient at n = 2, the non-maximal orders, and
+# levels in other rings.  The norm-3 levels, whose residue groups are the
+# largest, go to height 5, and so does pi^3 = (3 + sqrt(-2))^3, whose residue
+# groups are all singletons there: each a meets only d = -a.
 REFERENCE_LEVELS = [
-    (PI, 1, 4), (PI, 2, 4), (PI, 3, 5), (q2(0, 1), 1, 5), (q2(0, 1), 2, 5),
-    (QuadInt(1, 1, 1), 1, 5), (QuadInt(1, 1, 1), 2, 5), (QuadInt(1, 1, 1), 3, 4),
-    (q2(1, 0), 1, 5), (q2(3, 0), 1, 4), (QuadInt(1, 1, 3), 1, 4), (QuadInt(1, 1, 5), 1, 4),
-    (QuadInt(2, 1, 7), 2, 4),
+    (PI, 1, 4), (PI, 2, 4), (PI, 3, 5), (q2(1, 1), 1, 5), (RAMIFIED_3, 1, 5),
+    (RAMIFIED_3, 2, 4), (GAUSSIAN_5, 1, 5), (GAUSSIAN_5, 2, 4), (GAUSSIAN_5, 3, 4),
+    (NON_MAXIMAL_3, 1, 4), (NON_MAXIMAL_7, 1, 4), (NON_MAXIMAL_7, 2, 4),
+    (QuadInt(3, 2, 5), 1, 4),
 ]
 
 
@@ -566,7 +563,7 @@ def test_census_matrices_are_slotted_values():
         mats[0].m11 = mats[0].m22
 
 
-@pytest.mark.parametrize("pi, n", [(PI, 1), (q2(0, 1), 2), (q2(1, 0), 1), (QuadInt(1, 1, 1), 1)])
+@pytest.mark.parametrize("pi, n", [(PI, 1), (q2(1, 1), 1), (RAMIFIED_3, 2), (GAUSSIAN_5, 1)])
 def test_classify_exact_agrees_with_the_trace(pi, n):
     def by_trace(m):
         if m.is_identity_up_to_sign():
@@ -579,10 +576,28 @@ def test_classify_exact_agrees_with_the_trace(pi, n):
         return ElementClass.LOXODROMIC
 
     mats = enumerate_congruence_elements(CongruenceLevel(pi, n), 3)
-    kinds = [m.classify_exact() for m in mats]
-    assert kinds == [by_trace(m) for m in mats]
-    if pi == q2(1, 0):  # the whole group has every class
-        assert set(kinds) == set(ElementClass)
+    assert [m.classify_exact() for m in mats] == [by_trace(m) for m in mats]
+
+
+@pytest.mark.parametrize("entries, kind", [
+    # trace 0, trace 0 with entries off the real line, and trace 1
+    (((0, 0), (-1, 0), (1, 0), (0, 0)), ElementClass.ELLIPTIC),
+    (((0, 1), (1, 0), (1, 0), (0, -1)), ElementClass.ELLIPTIC),
+    (((1, 0), (-1, 0), (1, 0), (0, 0)), ElementClass.ELLIPTIC),
+    # trace 2 and -2, the first with entries off the real line
+    (((1, 1), (1, 0), (2, 0), (1, -1)), ElementClass.PARABOLIC),
+    (((-1, 0), (0, 1), (0, 0), (-1, 0)), ElementClass.PARABOLIC),
+    # +I and -I
+    (((1, 0), (0, 0), (0, 0), (1, 0)), ElementClass.IDENTITY),
+    (((-1, 0), (0, 0), (0, 0), (-1, 0)), ElementClass.IDENTITY),
+    # trace 3, and 2 + sqrt(-2) with real part 2
+    (((2, 0), (1, 0), (1, 0), (1, 0)), ElementClass.LOXODROMIC),
+    (((1, 1), (1, 0), (0, 1), (1, 0)), ElementClass.LOXODROMIC),
+])
+def test_classify_exact_on_hand_built_matrices(entries, kind):
+    m = QuadMatrix(*(q2(a, b) for a, b in entries))
+    assert _det(m) == q2(1, 0)
+    assert m.classify_exact() is kind
 
 
 def test_enumeration_deterministic():

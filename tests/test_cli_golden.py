@@ -172,6 +172,9 @@ CASES = [
     CENSUS + ["--n-max", "2", "--height", "5", "--format", "json"],
     ["bianchi", "census", "--d", "1", "--pi", "1,1", "--n-max", "1"],
     CENSUS + ["--n-max", "1", "--base-covolume", "-1"],
+    # a cover volume past the doubles: an index past them, and a product past them
+    CENSUS + ["--n-max", "99"],
+    CENSUS + ["--n-max", "1", "--base-covolume", "1e308"],
     ["bianchi", "census", "--d", "2"],
     ["bianchi", "ideals", "--d", "2", "--max-modulus", "0.5"],
     ["bianchi", "ideals", "--d", "4"],
