@@ -16,7 +16,6 @@ from .bianchi import (
     QuadMatrix,
     elements_of_bounded_modulus,
     enumerate_congruence_elements,
-    level_volume,
     min_loxodromic_trace_lower_bound,
     newman_index,
     split_prime,

@@ -21,12 +21,16 @@ from .mobius import ElementClass
 PSL2_O2_COVOLUME = 1.0038410033411982
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The least strong pseudoprime to all of _MR_WITNESSES (Sorenson-Webster, Math. Comp. 2017).
+_MR_BOUND = 318665857834031151167461
 
 
 def _is_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin, valid far beyond any norm used here.
+    # Miller-Rabin on _MR_WITNESSES, a proof below _MR_BOUND; from there n is refused.
     if n < 2:
         return False
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality is decided only below {_MR_BOUND}, got {n}")
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
@@ -231,20 +235,6 @@ def newman_index(level: CongruenceLevel) -> int:
     return q ** (3 * level.n - 2) * (q * q - 1) // 2
 
 
-def level_volume(level: CongruenceLevel, base_covolume: float) -> float:
-    """Volume of the congruence cover: base orbifold covolume times index."""
-    base_covolume = float(base_covolume)
-    if not base_covolume > 0:
-        raise ValueError(f"base covolume must be positive, got {base_covolume}")
-    try:
-        volume = base_covolume * newman_index(level)
-    except OverflowError:  # an index past the doubles
-        volume = math.inf
-    if not math.isfinite(volume):
-        raise OverflowError("level volume overflows floating point")
-    return volume
-
-
 def min_loxodromic_trace_lower_bound(level: CongruenceLevel) -> int:
     """Lower bound N(pi)^n - 2 on the trace modulus of any loxodromic element
     of the congruence subgroup.
@@ -429,34 +419,40 @@ class GrowthRow:
 def systole_growth_table(
     pi: QuadInt, n_max: int, base_covolume: float
 ) -> list[GrowthRow]:
-    """Census of the congruence tower: per level n, the index, cover volume,
-    trace lower bound N(pi)^n - 2, the systole lower bound
-    log(max(2, N(pi)^n - 2)^2 / 4) (the trivial 0 when N(pi)^n = 3), and its
-    ratio to log(volume).  A level whose volume is not above 1 is refused:
-    there log(volume) is not positive."""
+    """Census of the congruence tower: per level n, the index, the cover
+    volume base_covolume * index, the trace lower bound N(pi)^n - 2, the
+    systole lower bound log(max(2, N(pi)^n - 2)^2 / 4) (the trivial 0 when
+    N(pi)^n = 3), and its ratio to log(volume).
+
+    After an ``n_max`` that is not a positive int, it refuses, in this order:
+    a pi whose norm is not an odd prime or not below ``_MR_BOUND`` (ValueError),
+    a base covolume that is not positive (ValueError), a level volume past the
+    doubles (OverflowError), and one not above 1, where log(volume) is not
+    positive (ValueError)."""
     if not isinstance(n_max, int) or n_max < 1:
         raise ValueError(f"n_max must be a positive int, got {n_max!r}")
+    CongruenceLevel(pi, 1)  # the norm is refused before the base covolume
+    base = float(base_covolume)
+    if not base > 0:
+        raise ValueError(f"base covolume must be positive, got {base}")
     rows = []
     for n in range(1, n_max + 1):
         level = CongruenceLevel(pi, n)
         index = newman_index(level)
-        volume = level_volume(level, base_covolume)
+        try:
+            volume = base * index
+        except OverflowError:  # an index past the doubles
+            volume = math.inf
+        if not math.isfinite(volume):
+            raise OverflowError("level volume overflows floating point")
         if not volume > 1:
             raise ValueError(f"level n = {n} has volume {volume}; the ratio to "
                              "log(volume) needs a volume above 1")
         trace_lb = min_loxodromic_trace_lower_bound(level)
         systole_lb = math.log(max(2, trace_lb) ** 2 / 4)
-        rows.append(
-            GrowthRow(
-                n=n,
-                index=index,
-                volume=volume,
-                level_norm=level.norm,
-                trace_lb=trace_lb,
-                systole_lb=systole_lb,
-                ratio=systole_lb / math.log(volume),
-            )
-        )
+        rows.append(GrowthRow(n=n, index=index, volume=volume, level_norm=level.norm,
+                              trace_lb=trace_lb, systole_lb=systole_lb,
+                              ratio=systole_lb / math.log(volume)))
     return rows
 
 

@@ -82,9 +82,13 @@ def _classify(a, b, c, d) -> ElementClass:
 
 
 def _eigenvalue(t: complex) -> complex:
-    """A nonzero root lam of lam^2 - t*lam + 1."""
+    """A nonzero root lam of lam^2 - t*lam + 1: (t + root)/2, or (t - root)/2
+    where the first is zero or cancels so far that its inverse is not finite."""
     root = cmath.sqrt(t * t - 4)
-    return (t + root) / 2 or (t - root) / 2
+    lam = (t + root) / 2
+    if lam == 0 or cmath.isfinite(lam) and not cmath.isfinite(1 / lam):
+        return (t - root) / 2
+    return lam
 
 
 def _length(t: complex) -> float:
@@ -114,8 +118,8 @@ def trace_translation_lengths(x, y):
     hypot (which c_sqrt and complex abs call); asinh goes through ``math``, as
     numpy's differs in the last bit on some lanes (3995 of 50 000 sweep
     traces).  Only a lane where lam or 1/lam has a part of DBL_MAX/4 or more
-    (or NaN) goes through the element, which raises the first such lane's
-    error; below the bound abs() stays finite and acosh on its ordinary
+    (or NaN) goes through the element (which may raise the first such lane's
+    error); below the bound abs() stays finite and acosh on its ordinary
     formula.  Where else CPython branches, the trace rules reach the element's
     verdict: a non-finite square-root argument makes an entry non-finite; one
     with both parts below DBL_MIN puts the trace within 1e-154 of +/-2; Smith's

@@ -12,6 +12,7 @@ ulps of its largest term, and the crossing margin file's bisected gap is
 relative to the crossing.
 """
 
+import cmath
 import math
 import random
 import sys
@@ -236,6 +237,39 @@ def test_length_of_a_trace_is_within_two_ulps():
             return +abs((2 * mp.acosh(mp.mpc(t.real, t.imag) / 2)).real)
 
     worst = _worst_ulps(draws, mobius._length, exact)
+    assert worst <= 2, worst
+
+
+def test_length_of_a_trace_whose_eigenvalue_cancels_is_within_two_ulps():
+    """Budget: 2 ulps, that of ``mobius._length``, which computes it.
+    Measured: 0.74 ulps, over 192 traces.
+
+    Of 200 000 traces whose parts are drawn independently, of either sign
+    and of magnitude log-uniform in (1e-320, 1e150), and -1e-292 + 1e24i, the
+    ones where (t + root)/2 cancels so far that its inverse is not finite.
+    There ``mobius._eigenvalue`` takes (t - root)/2, and the element's
+    translation length is checked against mpmath at 400 digits.
+    """
+    rng = random.Random(7)
+    draws = [complex(-1e-292, 1e24)]
+    for _ in range(200_000):
+        re, im = (rng.choice([-1, 1]) * 10 ** rng.uniform(-320, 150) for _ in range(2))
+        draws.append(complex(re, im))
+    cancelled = []
+    for t in draws:
+        first = (t + cmath.sqrt(t * t - 4)) / 2
+        if first and not cmath.isfinite(1 / first):
+            cancelled.append((t,))
+    assert len(cancelled) > 100
+
+    def exact(t):
+        with mp.workdps(400):
+            return +abs((2 * mp.acosh(mp.mpc(t.real, t.imag) / 2)).real)
+
+    def length(t):
+        return mobius.MoebiusElement.from_trace(t).translation_length()
+
+    worst = _worst_ulps(cancelled, length, exact)
     assert worst <= 2, worst
 
 

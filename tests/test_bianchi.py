@@ -23,7 +23,6 @@ from sysbound.bianchi import (
     QuadMatrix,
     elements_of_bounded_modulus,
     enumerate_congruence_elements,
-    level_volume,
     min_loxodromic_trace_lower_bound,
     newman_index,
     split_prime,
@@ -291,20 +290,66 @@ def test_congruence_level_refuses_a_norm_that_is_not_an_odd_prime(pi, norm):
         CongruenceLevel(pi, 1)
 
 
-def test_level_volume():
-    assert level_volume(CongruenceLevel(PI, 1), 1.5) == pytest.approx(990.0)
-    v1 = level_volume(CongruenceLevel(PI, 1), PSL2_O2_COVOLUME)
-    v2 = level_volume(CongruenceLevel(PI, 2), PSL2_O2_COVOLUME)
-    assert v2 / v1 == pytest.approx(1331, rel=1e-12)
-    with pytest.raises(ValueError):
-        level_volume(CongruenceLevel(PI, 1), 0)
+def test_growth_table_volume_is_the_base_covolume_times_the_index():
+    assert systole_growth_table(PI, 1, 1.5)[0].volume == pytest.approx(990.0)
+    rows = systole_growth_table(PI, 5, PSL2_O2_COVOLUME)
+    assert rows[1].volume / rows[0].volume == pytest.approx(1331, rel=1e-12)
+    assert [r.volume for r in rows] == [PSL2_O2_COVOLUME * r.index for r in rows]
+    with pytest.raises(ValueError, match="^base covolume must be positive, got 0.0$"):
+        systole_growth_table(PI, 1, 0)
 
 
-@pytest.mark.parametrize("n, base", [(99, PSL2_O2_COVOLUME), (1, 1e308)])
-def test_level_volume_past_the_doubles_has_one_message(n, base):
+@pytest.mark.parametrize("n_max, base", [(99, PSL2_O2_COVOLUME), (1, 1e308)])
+def test_growth_table_past_the_doubles_has_one_message(n_max, base):
     # An index past the doubles and a product past them overflow alike.
     with pytest.raises(OverflowError, match="^level volume overflows floating point$"):
-        level_volume(CongruenceLevel(PI, n), base)
+        systole_growth_table(PI, n_max, base)
+
+
+@pytest.mark.parametrize("pi, n_max, base, message", [
+    # the norm 6 is not an odd prime, and the base is negative
+    (q2(2, 1), 1, -1.0, "index formula requires an odd prime norm, got N(pi) = 6"),
+    # a norm past what _is_prime decides, and a negative base
+    (QuadInt(531485733169, 190233470430, 1), 1, -1.0,
+     f"primality is decided only below {bianchi._MR_BOUND}, got {bianchi._MR_BOUND}"),
+    # a negative base, and a level volume past the doubles at n = 99
+    (PI, 99, -1.0, "base covolume must be positive, got -1.0"),
+    # the volume 0.6 at n = 1, and one past the doubles at a later level
+    (q2(1, 1), 99, 0.05, "level n = 1 has volume 0.6000000000000001; the ratio "
+     "to log(volume) needs a volume above 1"),
+])
+def test_growth_table_refuses_in_the_documented_order(pi, n_max, base, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        systole_growth_table(pi, n_max, base)
+
+
+def test_growth_table_computes_each_index_once(monkeypatch):
+    levels = []
+
+    def counted(level):
+        levels.append(level.n)
+        return newman_index(level)
+
+    monkeypatch.setattr(bianchi, "newman_index", counted)
+    assert len(systole_growth_table(QuadInt(3, 1, 2), 60, PSL2_O2_COVOLUME)) == 60
+    assert levels == list(range(1, 61))
+
+
+def test_is_prime_matches_a_sieve_and_refuses_past_its_proof():
+    limit = 10**5
+    sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 2)
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+    assert [n for n in range(-5, limit) if bianchi._is_prime(n)] == \
+        [n for n in range(limit) if sieve[n]]
+    assert bianchi._is_prime(2**61 - 1) and not bianchi._is_prime(2**61 + 1)
+    # The bound is the least strong pseudoprime to the first 12 prime bases.
+    bound = bianchi._MR_BOUND
+    assert bound == 399165290221 * 798330580441
+    for n in (bound, bound + 1, bound + 2, 2**89 - 1, 10**40):
+        with pytest.raises(ValueError, match=f"^primality is decided only below {bound}, got {n}$"):
+            bianchi._is_prime(n)
 
 
 def test_covolume_matches_humbert_formula():

@@ -169,9 +169,13 @@ CASES = [
     ["bianchi", "index", "--d", "2"],
     ["bianchi", "index", "--d", "2", "--pi", "three"],
     ["bianchi", "index", "--d", "0", "--pi", "3,1"],
+    # N(pi) = 318665857834031151167461, where Miller-Rabin on the first 12 primes proves nothing
+    ["bianchi", "index", "--d", "1", "--pi=531485733169,190233470430"],
     CENSUS + ["--n-max", "2", "--height", "5", "--format", "json"],
     ["bianchi", "census", "--d", "1", "--pi", "1,1", "--n-max", "1"],
     CENSUS + ["--n-max", "1", "--base-covolume", "-1"],
+    # N(pi) = 6 is not an odd prime and the base is negative: the norm is refused first
+    ["bianchi", "census", "--d", "2", "--pi", "2,1", "--base-covolume", "-1"],
     # a cover volume past the doubles: an index past them, and a product past them
     CENSUS + ["--n-max", "99"],
     CENSUS + ["--n-max", "1", "--base-covolume", "1e308"],
