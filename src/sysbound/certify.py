@@ -18,6 +18,13 @@ inequality (and per draw block for ``length-lemma``), hands the results to
 
 Reports are deterministic given a grid and a seed; the seed of a randomized
 sweep is recorded in the claim id.
+
+This is the one module that evaluates on arrays: its twins of scalar code,
+``_crossing_trace_bounds`` and ``trace_translation_lengths``, give each lane
+the scalar result bit for bit.  In them numpy does only +, -, *, /, sqrt,
+abs, copysign and hypot, which round as Python's floats do; every pow, cos,
+sin, exp and asinh is Python's (libm), a lane at a time, because numpy's own
+differ in the last bit on a few percent of lanes.
 """
 
 from __future__ import annotations
@@ -25,12 +32,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import bounds, cusp
-from .mobius import trace_translation_lengths
+from .mobius import TAU_CLASS, MoebiusElement, NonLoxodromicError
 
 DEFAULT_SEED = 42
 CROSSING_REL_TOL = 1e-10
@@ -43,6 +51,9 @@ _LANE_BLOCK = 8192
 # at a call per block and flat memory.
 _DRAW_BLOCK = 4096
 _SCALES = ("linear", "log")
+MAX_LANES = sys.maxsize // 8  # the most float64 lanes one array can hold
+# The part above which cmath.acosh changes formula.
+_CM_LARGE_DOUBLE = sys.float_info.max / 4
 
 
 @dataclass(frozen=True)
@@ -64,6 +75,8 @@ class GridSpec:
             raise ValueError(f"grid needs lo < hi, got [{self.lo}, {self.hi}]")
         if self.points < 2:
             raise ValueError(f"grid needs at least 2 points, got {self.points}")
+        if self.points > MAX_LANES:
+            raise ValueError(f"grid needs at most {MAX_LANES} points, got {self.points}")
         if self.scale not in _SCALES:
             raise ValueError(f"scale must be 'linear' or 'log', got {self.scale!r}")
         if self.scale == "log" and self.lo <= 0:
@@ -160,6 +173,8 @@ def certify_cusp_trace_bound(
     """
     if ell_points < 2:
         raise ValueError(f"need at least 2 slope points, got {ell_points}")
+    if ell_points > MAX_LANES:
+        raise ValueError(f"need at most {MAX_LANES} slope points, got {ell_points}")
     if vc_grid.lo < bounds.CUSP_VOLUME_THRESHOLD:
         raise ValueError(f"grid starts below the trace-bound threshold {bounds.CUSP_VOLUME_THRESHOLD}")
     two_pi = 2 * math.pi
@@ -204,12 +219,41 @@ def certify_cusp_trace_bound(
 # Crossing of the drilled and filling-slope trace bounds (CLI claim "crossing")
 # ---------------------------------------------------------------------------
 
+def _crossing_trace_bounds(xs, v):
+    """Arrays ``drilled_trace_bound(x)`` and ``filling_slope_trace_bound(x, v)``
+    over the float64 array ``xs`` of complement volumes and the closed
+    volumes ``v`` that broadcast against it, in the broadcast shape: each x
+    above its v and below 1e231, past which the scalar drilled bound leaves
+    its direct formula.  A refusal names the first lane that fails a guard.
+
+    Equal, lane for lane and bit for bit, to the scalar calls.  Every power is
+    Python's, and ``d * d`` differs from ``d**2`` on some lanes, so the square
+    is ``pow(d, 2.0)``: Python converts ``d**2``'s int 2 to 2.0 before libm.
+    """
+    xs, v = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(v, dtype=float))
+    n = xs.size
+    if n:  # the guards, on the first lane that fails one (else on the first lane)
+        i = np.argmin((v >= 0) & (xs > v) & (xs < 1e231))
+        x, w = float(xs.flat[i]), float(v.flat[i])
+        bounds._require(w >= 0, "closed volume must be nonnegative, got {}", w)
+        bounds._require(x > w, "complement volume {} must exceed closed volume {}", x, w)
+        bounds._require(x < 1e231, "complement volume {} must be below 1e231", x)
+    vc = (bounds.CUSP_DENSITY_BOUND * xs).ravel().tolist()
+    drilled = np.sqrt(2 * np.fromiter(map(pow, vc, repeat(4 / 3)), float, n) + 4)
+    denom = 1 - np.fromiter(map(pow, (v / xs).ravel().tolist(), repeat(2 / 3)), float, n)
+    filling = np.full(n, math.inf)  # where denom <= 0, as in the scalar bound
+    live = denom > 0
+    squares = np.fromiter(map(pow, denom[live].tolist(), repeat(2.0)), float, int(live.sum()))
+    filling[live] = np.sqrt(16 * math.pi**4 / squares + 4)
+    return drilled.reshape(xs.shape), filling.reshape(xs.shape)
+
+
 def _crossing_roots(vs):
     """Root of drilled - filling on (v, inf) per volume of the 1-d array vs, NaN
     where no sign change is proven: bisected from lo just above v, where h < 0,
     to hi = 2*max(v, 1) doubled until h > 0.
 
-    Every bound is evaluated by ``bounds._crossing_trace_bounds``, all live
+    Every bound is evaluated by ``_crossing_trace_bounds``, all live
     lanes per call, and each lane takes the steps of a scalar search.  hi
     doubles only while h(hi) <= 0, below the root, so it stays below
     2*max(crossing, 2); the grid is refused where the crossing rounds to v,
@@ -217,7 +261,7 @@ def _crossing_roots(vs):
     """
 
     def h(x, lanes):
-        drilled, filling = bounds._crossing_trace_bounds(x, vs[lanes])
+        drilled, filling = _crossing_trace_bounds(x, vs[lanes])
         return drilled - filling
 
     every = np.arange(len(vs))
@@ -262,6 +306,8 @@ def certify_crossing(
         raise ValueError("crossing certification needs positive volumes")
     if monotonic_samples < 2:
         raise ValueError(f"need at least 2 monotonic samples, got {monotonic_samples}")
+    if monotonic_samples > MAX_LANES:
+        raise ValueError(f"need at most {MAX_LANES} monotonic samples, got {monotonic_samples}")
     vs = v_grid.values()
     closeds = np.array([bounds.crossing_volume(v) for v in vs.tolist()])
     # Every volume is checked before any is swept.
@@ -276,7 +322,7 @@ def certify_crossing(
     for i in range(0, len(vs), group):
         span = slice(i, i + group)
         xs = np.geomspace(starts[span], 100 * closeds[span], monotonic_samples, axis=1)
-        f1, f2 = bounds._crossing_trace_bounds(xs, vs[span, None])
+        f1, f2 = _crossing_trace_bounds(xs, vs[span, None])
         rising = np.min(np.diff(f1, axis=1), axis=1)
         falling = np.min(-np.diff(f2, axis=1), axis=1)
         gates[span] = np.where(falling < rising, falling, rising)  # min(rising, falling)
@@ -291,6 +337,70 @@ def certify_crossing(
 # Loxodromic length bound and its sharpness (CLI claim "length-lemma")
 # ---------------------------------------------------------------------------
 
+def _c_sqrt(re, im):
+    """``cmath.sqrt(complex(re, im))`` on arrays, for finite parts not both below DBL_MIN."""
+    ax, ay = np.abs(re), np.abs(im)
+    s = 2.0 * np.sqrt(ax / 8.0 + np.hypot(ax / 8.0, ay / 8.0))
+    d = ay / (2.0 * s)
+    return np.where(re >= 0.0, s, d), np.copysign(np.where(re >= 0.0, d, s), im)
+
+
+def _halved(re, im):
+    """``complex(re, im) / 2`` as CPython's Smith division by 2 + 0j takes it, with ratio 0.0."""
+    return (re + im * 0.0) / 2.0, (im - re * 0.0) / 2.0
+
+
+def trace_translation_lengths(x, y):
+    """``MoebiusElement.from_trace(complex(x, y)).translation_length()`` over
+    float64 arrays of real and imaginary parts, lane for lane and bit for bit.
+
+    Returns the lengths, NaN where not loxodromic, and that mask.  The arrays
+    replay CPython's complex steps, and asinh is Python's.  Only a lane where
+    lam or 1/lam has a part of DBL_MAX/4 or more (or NaN) goes through the
+    element (which may raise the first such lane's error); below the bound
+    abs() stays finite and acosh on its ordinary formula.  Where else CPython
+    branches, the trace rules reach the element's verdict: a non-finite
+    square-root argument makes an entry non-finite; one with both parts below
+    DBL_MIN puts the trace within 1e-154 of +/-2; Smith's 1/lam keeps the
+    determinant within about 1e-16 of 1, far inside TAU_DET; and lam within
+    TAU_CLASS of +/-1 puts the trace within 1e-18 of +/-2.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # mobius._eigenvalue: the root of t*t - (4 + 0j), then (t + root)/2 or (t - root)/2.
+        root_re, root_im = _c_sqrt(x * x - y * y - 4.0, x * y + y * x - 0.0)
+        a_re, a_im = _halved(x + root_re, y + root_im)
+        b_re, b_im = _halved(x - root_re, y - root_im)
+        zero = (a_re == 0.0) & (a_im == 0.0)
+        a_re, a_im = np.where(zero, b_re, a_re), np.where(zero, b_im, a_im)
+        # d = (1 + 0j)/a by Smith's algorithm, which divides by a's larger part.
+        wide = np.abs(a_re) >= np.abs(a_im)
+        ratio = np.where(wide, a_im / a_re, a_re / a_im)
+        denom = np.where(wide, a_re + a_im * ratio, a_re * ratio + a_im)
+        d_re = np.where(wide, 1.0 + 0.0 * ratio, 1.0 * ratio + 0.0) / denom
+        d_im = np.where(wide, 0.0 - 1.0 * ratio, 0.0 * ratio - 1.0) / denom
+        scalar = ~(np.abs(np.stack((a_re, a_im, d_re, d_im))) < _CM_LARGE_DOUBLE).all(axis=0)
+        # MoebiusElement.classify at b = c = 0: parabolic or elliptic (an identity is parabolic too).
+        t_re, t_im = a_re + d_re, a_im + d_im
+        nonlox = (np.abs(t_im) <= TAU_CLASS) & (
+            (np.abs(np.abs(t_re) - 2.0) <= TAU_CLASS) | (np.abs(t_re) < 2.0))
+        # mobius._length: |2 Re acosh(h)| at h = t/2; Re acosh(h) = asinh(Re(conj(sqrt(h-1)) sqrt(h+1))).
+        h_re, h_im = _halved(t_re, t_im)
+        s1_re, s1_im = _c_sqrt(h_re - 1.0, h_im)
+        s2_re, s2_im = _c_sqrt(1.0 + h_re, h_im)
+        fast = ~(nonlox | scalar)
+        lengths = np.full(x.shape, math.nan)
+        args = (s1_re * s2_re + s1_im * s2_im)[fast].tolist()
+        lengths[fast] = np.abs(2.0 * np.fromiter(map(math.asinh, args), float, len(args)))
+    for i in np.flatnonzero(scalar).tolist():
+        try:
+            lengths[i] = MoebiusElement.from_trace(complex(x[i], y[i])).translation_length()
+            nonlox[i] = False
+        except NonLoxodromicError:
+            nonlox[i] = True
+    return lengths, nonlox
+
+
 def certify_length_lemma(
     samples: int,
     r_max: float = 100.0,
@@ -303,8 +413,8 @@ def certify_length_lemma(
 
     Traces are drawn with modulus uniform on (0, r_max] and uniform argument,
     _DRAW_BLOCK pairs at a time from the stream of scalar draws, and measured
-    by ``mobius.trace_translation_lengths``, which gives each the length of
-    its ``MoebiusElement.from_trace`` bit for bit; the margin rows come in one
+    by ``trace_translation_lengths``, which gives each the length of its
+    ``MoebiusElement.from_trace`` bit for bit; the margin rows come in one
     block per draw.  The same kernel measures the gates: the purely-imaginary
     trace family, where the eigenvalue bound (r + sqrt(r^2 + 4))/2 is
     attained, checked to a relative IDENTITY_REL_TOL at its loxodromic
@@ -314,6 +424,8 @@ def certify_length_lemma(
         raise ValueError(f"need at least one sample, got {samples}")
     if sharpness_points < 0:
         raise ValueError(f"need a nonnegative number of sharpness points, got {sharpness_points}")
+    if sharpness_points > MAX_LANES:
+        raise ValueError(f"need at most {MAX_LANES} sharpness points, got {sharpness_points}")
     if r_max < 0:
         raise ValueError(f"r_max must be nonnegative, got {r_max}")
     if not math.isfinite(r_max * r_max):
@@ -330,8 +442,6 @@ def certify_length_lemma(
     for start in range(0, samples, _DRAW_BLOCK):
         u = rng.uniform(size=2 * min(_DRAW_BLOCK, samples - start))
         r, theta = r_max * u[::2], (2 * math.pi * u[1::2]).tolist()
-        # cos and sin through math (libm), as the scalar draws take them: numpy's own
-        # vectorized ones, on CPUs that have them, need not agree in the last bit.
         x = r * np.fromiter(map(math.cos, theta), float, len(theta))
         y = r * np.fromiter(map(math.sin, theta), float, len(theta))
         lengths, nonlox = trace_translation_lengths(x, y)
@@ -342,7 +452,7 @@ def certify_length_lemma(
         points += len(block)
 
     # The sharpness traces r*i, then the pinned trace as one more lane; a NaN length
-    # (not loxodromic) never wins.  exp is math's: numpy's differs in the last bit.
+    # (not loxodromic) never wins.
     r, pin = np.geomspace(min(0.1, r_max), r_max, sharpness_points), (2 * math.pi) ** 2
     lengths, nonlox = trace_translation_lengths(np.append(0 * r, 2.0), np.append(r, pin))
     lam = np.fromiter(map(math.exp, (lengths[:-1] / 2).tolist()), float, len(r))

@@ -29,6 +29,8 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from . import bianchi, bounds, certify
 from .cusp import CuspLattice
 from .mobius import ElementClass, MoebiusElement
@@ -67,7 +69,6 @@ _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into two 26-bit h
 def _real_tables():
     """The four ASCII digits of each of 0..9999, packed in a uint32, and 10^q for
     q = 0..20 (exact doubles) with the halves of their Veltkamp split."""
-    import numpy as np  # here, so that sysbound.certify stays the one module that loads numpy
     n = np.arange(10_000, dtype=np.uint16)[:, None]  # 16-bit, so that no temporary passes 80 KB
     digits = (n // np.array([1000, 100, 10, 1], np.uint16) % 10 + ord("0")).astype(np.uint8)
     power = 10.0 ** np.arange(21)
@@ -87,7 +88,6 @@ def _decimal(x):
     correctly rounded conversion behind ``%`` prints (Gay, 1990), provided
     D < 10^17.
     """
-    import numpy as np  # here, so that sysbound.certify stays the one module that loads numpy
     _, power, power_hi, power_lo = _real_tables()
     a = np.abs(x)
     taken = (a >= 1e-4) & (a < 1e17)
@@ -108,7 +108,6 @@ def _fixed_cells(x, cells, width):
     """Writes the fixed-notation text of each real of ``x`` that ``_decimal``
     decides into its row of ``cells``, after the sign column, and its length
     into ``width``; returns the indices of the other lanes."""
-    import numpy as np  # here, so that sysbound.certify stays the one module that loads numpy
     digits = _real_tables()[0]
     x10, d = _decimal(x)
     # A sort by exponent (stable: a radix sort of int8 keys) makes each
@@ -142,7 +141,6 @@ def _fixed_cells(x, cells, width):
 def _real_cells(block) -> str:
     """The rows of a 2-D float array as CSV lines, each real as ``'%.17g' % (x + 0.0)``:
     by ``_fixed_cells`` where it can, else by ``%``."""
-    import numpy as np  # here, so that sysbound.certify stays the one module that loads numpy
     x = block.ravel()
     n = len(x)
     cells = np.empty((n, 26), np.uint8)  # a sign, up to 24 bytes of text and a separator
@@ -346,6 +344,9 @@ def _cmd_lattice(args) -> _Output:
 def _cmd_verify(args) -> _Output:
     claim = certify.CLAIMS[args.claim]
     config = _load_config(args.config) if args.config else {}
+    keys = {"jobs", *(p.name for c in certify.CLAIMS.values() for p in c.params)}
+    if unknown := [key for key in config if key not in keys]:
+        raise _UsageError(f"unknown config key {unknown[0]!r}")
     params = {p.name: _resolve(args, config, p) for p in claim.params}
     if args.jobs < 1:
         raise _UsageError(f"jobs must be at least 1, got {args.jobs}")

@@ -22,9 +22,8 @@ from enum import Enum
 TAU_DET = 1e-12
 TAU_CLASS = 1e-9
 
-# The least normal double, and the part above which cmath.acosh changes formula.
+# The least normal double.
 _DBL_MIN = sys.float_info.min
-_CM_LARGE_DOUBLE = sys.float_info.max / 4
 
 
 class NonLoxodromicError(ValueError):
@@ -51,36 +50,6 @@ def _unit_scaled(entries) -> tuple[list[complex], int]:
     return [complex(math.ldexp(z.real, -k), math.ldexp(z.imag, -k)) for z in entries], k
 
 
-def _normalized(a, b, c, d) -> list[complex]:
-    """The finite entries of (a b; c d), rescaled to determinant 1 when off by more than TAU_DET."""
-    entries = [_as_finite_complex(z, name) for z, name in zip((a, b, c, d), "abcd")]
-    det = entries[0] * entries[3] - entries[1] * entries[2]
-    if not (cmath.isfinite(det) and max(abs(det.real), abs(det.imag)) >= _DBL_MIN):
-        entries = _unit_scaled(entries)[0]  # det over- or underflows: take it at unit scale
-        det = entries[0] * entries[3] - entries[1] * entries[2]
-    if det == 0:
-        raise ValueError("matrix is singular")
-    if abs(det - 1) > TAU_DET:
-        root = cmath.sqrt(det)
-        entries = [z / root for z in entries]
-    return entries
-
-
-def _classify(a, b, c, d) -> ElementClass:
-    """Conjugacy type of the normalized matrix (a b; c d); see MoebiusElement.classify."""
-    tol = TAU_CLASS
-    for sign in (1, -1):
-        if abs(a - sign) <= tol and abs(b) <= tol and abs(c) <= tol and abs(d - sign) <= tol:
-            return ElementClass.IDENTITY
-    t = a + d
-    if abs(t.imag) <= tol:
-        if abs(abs(t.real) - 2) <= tol:
-            return ElementClass.PARABOLIC
-        if abs(t.real) < 2:
-            return ElementClass.ELLIPTIC
-    return ElementClass.LOXODROMIC
-
-
 def _eigenvalue(t: complex) -> complex:
     """A nonzero root lam of lam^2 - t*lam + 1: (t + root)/2, or (t - root)/2
     where the first is zero or cancels so far that its inverse is not finite."""
@@ -94,74 +63,6 @@ def _eigenvalue(t: complex) -> complex:
 def _length(t: complex) -> float:
     """|Re(2*arccosh(t/2))|, the translation length of a loxodromic of trace t."""
     return abs((2 * cmath.acosh(t / 2)).real)
-
-
-def _c_sqrt(np, re, im):
-    """``cmath.sqrt(complex(re, im))`` on arrays, for finite parts not both below DBL_MIN."""
-    ax, ay = np.abs(re), np.abs(im)
-    s = 2.0 * np.sqrt(ax / 8.0 + np.hypot(ax / 8.0, ay / 8.0))
-    d = ay / (2.0 * s)
-    return np.where(re >= 0.0, s, d), np.copysign(np.where(re >= 0.0, d, s), im)
-
-
-def _halved(re, im):
-    """``complex(re, im) / 2`` as CPython's Smith division by 2 + 0j takes it, with ratio 0.0."""
-    return (re + im * 0.0) / 2.0, (im - re * 0.0) / 2.0
-
-
-def trace_translation_lengths(x, y):
-    """``MoebiusElement.from_trace(complex(x, y)).translation_length()`` over
-    float64 arrays of real and imaginary parts, lane for lane and bit for bit.
-
-    Returns the lengths, NaN where not loxodromic, and that mask.  numpy
-    replays CPython's complex steps with +, -, *, /, sqrt, abs, copysign and
-    hypot (which c_sqrt and complex abs call); asinh goes through ``math``, as
-    numpy's differs in the last bit on some lanes (3995 of 50 000 sweep
-    traces).  Only a lane where lam or 1/lam has a part of DBL_MAX/4 or more
-    (or NaN) goes through the element (which may raise the first such lane's
-    error); below the bound abs() stays finite and acosh on its ordinary
-    formula.  Where else CPython branches, the trace rules reach the element's
-    verdict: a non-finite square-root argument makes an entry non-finite; one
-    with both parts below DBL_MIN puts the trace within 1e-154 of +/-2; Smith's
-    1/lam keeps the determinant within about 1e-16 of 1, far inside TAU_DET;
-    and lam within TAU_CLASS of +/-1 puts the trace within 1e-18 of +/-2.
-    """
-    import numpy as np  # here, so that sysbound.certify stays the one module that loads numpy
-
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # _eigenvalue: the root of t*t - (4 + 0j), then (t + root)/2 or (t - root)/2.
-        root_re, root_im = _c_sqrt(np, x * x - y * y - 4.0, x * y + y * x - 0.0)
-        a_re, a_im = _halved(x + root_re, y + root_im)
-        b_re, b_im = _halved(x - root_re, y - root_im)
-        zero = (a_re == 0.0) & (a_im == 0.0)
-        a_re, a_im = np.where(zero, b_re, a_re), np.where(zero, b_im, a_im)
-        # d = (1 + 0j)/a by Smith's algorithm, which divides by a's larger part.
-        wide = np.abs(a_re) >= np.abs(a_im)
-        ratio = np.where(wide, a_im / a_re, a_re / a_im)
-        denom = np.where(wide, a_re + a_im * ratio, a_re * ratio + a_im)
-        d_re = np.where(wide, 1.0 + 0.0 * ratio, 1.0 * ratio + 0.0) / denom
-        d_im = np.where(wide, 0.0 - 1.0 * ratio, 0.0 * ratio - 1.0) / denom
-        scalar = ~(np.abs(np.stack((a_re, a_im, d_re, d_im))) < _CM_LARGE_DOUBLE).all(axis=0)
-        # _classify, with b = c = 0: parabolic or elliptic (an identity is parabolic too).
-        t_re, t_im = a_re + d_re, a_im + d_im
-        nonlox = (np.abs(t_im) <= TAU_CLASS) & (
-            (np.abs(np.abs(t_re) - 2.0) <= TAU_CLASS) | (np.abs(t_re) < 2.0))
-        # _length: |2 Re acosh(h)| at h = t/2; Re acosh(h) = asinh(Re(conj(sqrt(h-1)) sqrt(h+1))).
-        h_re, h_im = _halved(t_re, t_im)
-        s1_re, s1_im = _c_sqrt(np, h_re - 1.0, h_im)
-        s2_re, s2_im = _c_sqrt(np, 1.0 + h_re, h_im)
-        fast = ~(nonlox | scalar)
-        lengths = np.full(x.shape, math.nan)
-        args = (s1_re * s2_re + s1_im * s2_im)[fast].tolist()
-        lengths[fast] = np.abs(2.0 * np.fromiter(map(math.asinh, args), float, len(args)))
-    for i in np.flatnonzero(scalar).tolist():
-        try:
-            lengths[i] = MoebiusElement.from_trace(complex(x[i], y[i])).translation_length()
-            nonlox[i] = False
-        except NonLoxodromicError:
-            nonlox[i] = True
-    return lengths, nonlox
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,7 +93,18 @@ class MoebiusElement:
     d: complex
 
     def __post_init__(self):
-        for name, z in zip("abcd", _normalized(self.a, self.b, self.c, self.d)):
+        # The finite entries, rescaled to determinant 1 when off by more than TAU_DET.
+        entries = [_as_finite_complex(getattr(self, name), name) for name in "abcd"]
+        det = entries[0] * entries[3] - entries[1] * entries[2]
+        if not (cmath.isfinite(det) and max(abs(det.real), abs(det.imag)) >= _DBL_MIN):
+            entries = _unit_scaled(entries)[0]  # det over- or underflows: take it at unit scale
+            det = entries[0] * entries[3] - entries[1] * entries[2]
+        if det == 0:
+            raise ValueError("matrix is singular")
+        if abs(det - 1) > TAU_DET:
+            root = cmath.sqrt(det)
+            entries = [z / root for z in entries]
+        for name, z in zip("abcd", entries):
             object.__setattr__(self, name, z)
 
     @classmethod
@@ -217,7 +129,17 @@ class MoebiusElement:
         traces within TAU_CLASS of +/-2 as parabolic.  Exact-arithmetic callers
         should classify with exact predicates instead of this.
         """
-        return _classify(self.a, self.b, self.c, self.d)
+        a, b, c, d, tol = self.a, self.b, self.c, self.d, TAU_CLASS
+        for sign in (1, -1):
+            if abs(a - sign) <= tol and abs(b) <= tol and abs(c) <= tol and abs(d - sign) <= tol:
+                return ElementClass.IDENTITY
+        t = a + d
+        if abs(t.imag) <= tol:
+            if abs(abs(t.real) - 2) <= tol:
+                return ElementClass.PARABOLIC
+            if abs(t.real) < 2:
+                return ElementClass.ELLIPTIC
+        return ElementClass.LOXODROMIC
 
     def translation_length(self) -> float:
         """Distance the element moves points on its axis.

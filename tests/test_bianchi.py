@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from sysbound import bianchi, cli
+from sysbound import bianchi, bounds, cli, mobius
 from sysbound.bianchi import (
     PSL2_O2_COVOLUME,
     _is_squarefree,
@@ -28,6 +28,7 @@ from sysbound.bianchi import (
     split_prime,
     systole_growth_table,
 )
+from sysbound.cusp import CuspLattice
 from sysbound.mobius import ElementClass
 
 ints = st.integers(-50, 50)
@@ -707,6 +708,30 @@ def test_growth_table_bound_is_zero_where_the_trace_bound_is_at_most_two():
     assert second.trace_lb == 7
     assert second.systole_lb == math.log(7**2 / 4)
     assert second.ratio == second.systole_lb / math.log(second.volume)
+
+
+def test_per_slope_trace_bound_is_below_the_least_loxodromic_trace_at_3_plus_sqrt_minus_2():
+    # Pins a recorded finding (CHANGES.md, FOUND on Gamma(pi^n)): at pi = 3 + sqrt(-2),
+    # n = 1, with the single maximal cusp at infinity, min_trace_bound(waist, vc) is
+    # below the exact least loxodromic |trace|, while the links that the headline
+    # bound rests on hold.  A change to either side shows here.
+    lox_norms = [(m.m11.a + m.m22.a) ** 2 + 2 * (m.m11.b + m.m22.b) ** 2
+                 for m in enumerate_congruence_elements(CongruenceLevel(PI, 1), 2)
+                 if m.classify_exact() is ElementClass.LOXODROMIC]
+    assert min(lox_norms) == 97
+    pi = complex(3, math.sqrt(2))
+    lattice = CuspLattice(pi * abs(pi), pi * complex(0, math.sqrt(2)) * abs(pi))
+    vc = math.sqrt(2) * 121 / 2
+    assert lattice.waist_size() == 11
+    assert lattice.reduce().area == pytest.approx(2 * vc, rel=1e-15)
+    assert lattice.torus_diameter() == bounds.min_trace_bound(11, vc) == 9.526279441628827
+    assert bounds.min_trace_bound(11, vc) < math.sqrt(97)
+    assert bounds.cusp_volume_trace_bound(vc) == pytest.approx(27.53, abs=5e-3)
+    assert bounds.cusp_volume_trace_bound(vc) > math.sqrt(97)
+    systole = mobius._length(complex(-5, -6 * math.sqrt(2)))
+    assert systole == pytest.approx(4.5849, abs=5e-5)
+    assert bounds.cusped_systole_bound(660 * PSL2_O2_COVOLUME) == pytest.approx(9.14, abs=5e-3)
+    assert bounds.cusped_systole_bound(660 * PSL2_O2_COVOLUME) > systole
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import sysbound
-from sysbound import bounds
+from sysbound import bounds, certify
 from sysbound.cusp import CuspLattice, max_waist_for_cusp_volume
 from sysbound.mobius import MoebiusElement
 
@@ -538,12 +538,15 @@ def test_guard_messages(fn, args, message):
 def test_guard_messages_are_formatted_only_on_failure():
     # An f-string message is built on every call, passing or not; the hot
     # bounds run millions of times per sweep, so each guard passes a template
-    # and its arguments, and _require formats them only when it raises.
-    calls = [node for node in ast.walk(ast.parse(inspect.getsource(bounds)))
-             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_require"]
+    # and its arguments, and _require formats them only when it raises.  The
+    # crossing sweep's array twin in certify calls bounds._require as well.
+    calls = [(module.__name__, node) for module in (bounds, certify)
+             for node in ast.walk(ast.parse(inspect.getsource(module)))
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func) in ("_require", "bounds._require")]
     assert len(calls) >= 17
-    eager = [node.lineno for node in calls if isinstance(node.args[1], ast.JoinedStr)]
-    assert eager == [], f"_require calls with an f-string message at bounds.py lines {eager}"
+    eager = [(name, node.lineno) for name, node in calls if isinstance(node.args[1], ast.JoinedStr)]
+    assert eager == [], f"_require calls with an f-string message at (module, line) {eager}"
 
 
 def test_the_package_reexports_every_public_bound():

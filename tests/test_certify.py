@@ -1,6 +1,8 @@
+import ast
 import math
 import re
 import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
@@ -178,6 +180,36 @@ def test_report_status_matches_margin_sign():
     assert report.status in ("pass", "fail")
 
 
+def test_numpy_is_imported_only_at_the_top_of_certify_and_cli():
+    # certify is the one array layer and cli renders; bianchi, bounds, cusp and
+    # mobius are scalar references, and no function imports numpy.
+    importers = {}
+    for path in sorted(Path(certify.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.partition(".")[0] == "numpy" for name in names):
+                importers.setdefault(path.name, []).append(node in tree.body)
+    assert importers == {"certify.py": [True], "cli.py": [True]}
+
+
+def test_counts_past_the_float64_lanes_of_one_array_are_refused():
+    limit = certify.MAX_LANES
+    assert limit == sys.maxsize // 8
+    past = sys.maxsize
+    with pytest.raises(ValueError, match=f"^grid needs at most {limit} points, got {past}$"):
+        GridSpec(1, 2, past)
+    assert GridSpec(1, 2, limit).points == limit
+    for sweep, message in [
+        (lambda n: certify_cusp_trace_bound(SMALL_VC_GRID, n), "slope points"),
+        (lambda n: certify_crossing(GridSpec(1, 2, 2), monotonic_samples=n), "monotonic samples"),
+        (lambda n: certify_length_lemma(1, sharpness_points=n), "sharpness points"),
+    ]:
+        with pytest.raises(ValueError, match=f"^need at most {limit} {message}, got {past}$"):
+            sweep(past)
+
+
 # ---------------------------------------------------------------------------
 # bisection
 # ---------------------------------------------------------------------------
@@ -334,14 +366,14 @@ def _trace_bound_calls(monkeypatch, grid, samples):
     """Each (xs, v) at which certify_crossing evaluates the bounds: the bracket
     search and bisection steps (1-d xs), then the monotonicity gate (2-d)."""
     calls = []
-    original = bounds._crossing_trace_bounds
+    original = certify._crossing_trace_bounds
 
     def recording(xs, v):
         calls.append((xs.copy(), np.array(v, dtype=float)))
         return original(xs, v)
 
     with monkeypatch.context() as patch:
-        patch.setattr(bounds, "_crossing_trace_bounds", recording)
+        patch.setattr(certify, "_crossing_trace_bounds", recording)
         certify_crossing(grid, monotonic_samples=samples)
     return calls
 
@@ -376,7 +408,7 @@ def test_crossing_gate_arrays_equal_the_scalar_bounds_bit_for_bit(grid, samples,
         once = np.nextafter(np.unique(v), math.inf)
         xs = np.concatenate([once, np.nextafter(once, math.inf), xs])
         v = np.concatenate([np.unique(v), np.unique(v), v])
-        drilled, filling = bounds._crossing_trace_bounds(xs, v)
+        drilled, filling = certify._crossing_trace_bounds(xs, v)
         lanes = list(zip(xs.tolist(), v.tolist()))
         assert np.array_equal(drilled, [bounds.drilled_trace_bound(x) for x, _ in lanes])
         # inf == inf, so lanes where the scalar bound is inf count as equal.
@@ -385,9 +417,9 @@ def test_crossing_gate_arrays_equal_the_scalar_bounds_bit_for_bit(grid, samples,
 
 def test_crossing_gate_arrays_keep_the_scalar_domain_guards():
     with pytest.raises(ValueError, match="complement volume 2.0 must exceed closed volume 2.0"):
-        bounds._crossing_trace_bounds(np.array([3.0, 2.0]), 2.0)
+        certify._crossing_trace_bounds(np.array([3.0, 2.0]), 2.0)
     with pytest.raises(ValueError, match="closed volume must be nonnegative, got -1.0"):
-        bounds._crossing_trace_bounds(np.array([3.0]), -1.0)
+        certify._crossing_trace_bounds(np.array([3.0]), -1.0)
 
 
 def test_crossing_gate_arrays_stop_where_the_drilled_bound_leaves_its_direct_formula():
@@ -395,18 +427,18 @@ def test_crossing_gate_arrays_stop_where_the_drilled_bound_leaves_its_direct_for
     1e231 on they are refused by name, though the scalar bound is finite
     there (from about 1.08e231 it is sqrt(2)*vc^(2/3))."""
     xs = np.geomspace(1e200, math.nextafter(1e231, 0), 1000)
-    drilled, _ = bounds._crossing_trace_bounds(xs, 1.0)
+    drilled, _ = certify._crossing_trace_bounds(xs, 1.0)
     assert np.array_equal(drilled, [bounds.drilled_trace_bound(x) for x in xs.tolist()])
     for x in (1e231, 1.0818688035559486e231, 2e231, sys.float_info.max):
         assert math.isfinite(bounds.drilled_trace_bound(x))
         with pytest.raises(ValueError, match=re.escape(f"complement volume {x} must be below 1e231")):
-            bounds._crossing_trace_bounds(np.array([2.0, x]), 1.0)
+            certify._crossing_trace_bounds(np.array([2.0, x]), 1.0)
 
 
 def test_crossing_gate_fails_on_a_filling_bound_that_is_not_monotone(monkeypatch):
     grid = GridSpec(0.5, 100, 5, "log")
     bad_v = grid.values().tolist()[2]
-    original = bounds._crossing_trace_bounds
+    original = certify._crossing_trace_bounds
 
     def rising_filling(xs, v):
         drilled, filling = original(xs, v)
@@ -415,7 +447,7 @@ def test_crossing_gate_fails_on_a_filling_bound_that_is_not_monotone(monkeypatch
             filling[bad] = filling[bad, ::-1]
         return drilled, filling
 
-    monkeypatch.setattr(bounds, "_crossing_trace_bounds", rising_filling)
+    monkeypatch.setattr(certify, "_crossing_trace_bounds", rising_filling)
     report = certify_crossing(grid, monotonic_samples=50)
     assert report.status == "fail"
     assert report.worst_margin < 0
@@ -433,7 +465,7 @@ def test_crossing_gate_fails_on_a_filling_bound_that_is_not_monotone(monkeypatch
         (lambda grid: certify_crossing(grid, monotonic_samples=3),
          GridSpec(1.0, 10.0, 2, "log"), GridSpec(1.0, 1e30, 5, "log"),
          "crossing needs crossing_volume(v) > v in doubles, got v = 1e+30",
-         (bounds, "_crossing_trace_bounds")),
+         (certify, "_crossing_trace_bounds")),
         (lambda grid: certify_crossing(grid, monotonic_samples=3),
          GridSpec(1.0, 10.0, 2, "log"), GridSpec(1.0, 1e30, 5, "log"),
          "crossing needs crossing_volume(v) > v in doubles, got v = 1e+30",

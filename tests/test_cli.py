@@ -974,7 +974,7 @@ def test_verify_rejects_jobs_below_one(claim, how, capsys):
 
 @pytest.mark.parametrize("claim", ["techlem2", "cubic"])
 def test_verify_ignores_a_jobs_config_line(claim, tmp_path, capsys):
-    # jobs is no claim's parameter, so its config line is ignored, as another claim's key is.
+    # jobs is no claim's parameter, but its config line is ignored, as another claim's key is.
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("vc-min = 17.1\nvc-max = 100\nvc-points = 2\nell-points = 10\n")
     plain = run(capsys, ["verify", claim, "--config", str(cfg), "--format", "json"])
@@ -1046,18 +1046,18 @@ def _pairs(n, *tiny):
 VERIFY_SLOTS = {
     "vc-min": _real("17.1", "2", "1"),
     "vc-max": _real("40", "100"),
-    "vc-points": _count("2", "3"),
+    "vc-points": _count("2", "3", str(sys.maxsize)),
     "vc-scale": st.sampled_from(["linear", "log"]),
-    "ell-points": _count("2", "5"),
+    "ell-points": _count("2", "5", str(sys.maxsize)),
     "v-min": _real("0.5", "0.1"),
     "v-max": _real("50"),
-    "points": _count("2", "3"),
+    "points": _count("2", "3", str(sys.maxsize)),
     "scale": st.sampled_from(["linear", "log"]),
     "rel-tol": _real("1e-10", "1e-18"),
-    "monotonic-samples": _count("2", "5"),
+    "monotonic-samples": _count("2", "5", str(sys.maxsize)),
     "samples": _count("1", "5"),
     "r-max": _real("30", "5"),
-    "sharpness-points": _count("2", "3"),
+    "sharpness-points": _count("2", "3", str(sys.maxsize)),
     "seed": st.sampled_from(["0", "9", "-1", HUGE]),
 }
 CLAIM_FLAGS = {name: [p.name for p in claim.params] for name, claim in certify.CLAIMS.items()}

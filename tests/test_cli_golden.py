@@ -39,6 +39,7 @@ CONFIGS = {
     "bad-scale": "vc-scale = cubic\nvc-min = 17.1\nvc-max = 100\nvc-points = 4\nell-points = 30\n",
     "crossing": "v-min = 0.5\nv-max = 50\npoints = 4\nmonotonic-samples = 40\nrel-tol = 1e-9\n",
     "length": "samples = 300\nr-max = 20\nseed = 5\nsharpness-points = 30\n",
+    "misspelled": "vc-mni = 100\nvc-points = 3\n",
 }
 
 FORMATS = ("json", "csv", "human")
@@ -139,6 +140,7 @@ CASES = [
     ["verify", "techlem2", "--config", CFG + "bad-scale"],
     ["verify", "crossing", "--config", CFG + "bad-value", "--points", "3"],
     ["verify", "techlem2", "--config", CFG + "missing"],
+    ["verify", "cubic", "--config", CFG + "misspelled"],
     ["verify", "techlem2", "--vc-min", "100", "--vc-max", "10"],
     ["verify", "techlem2", "--vc-min", "17.1", "--vc-max", "100", "--vc-points", "1"],
     ["verify", "techlem2", "--vc-min", "17.1", "--vc-max", "100", "--vc-points", "2",
@@ -146,6 +148,8 @@ CASES = [
     ["verify", "techlem2", "--vc-min", "10", "--vc-max", "100", "--vc-points", "4",
      "--ell-points", "20", "--format", "json"],
     ["verify", "cubic", "--vc-min", "0", "--vc-max", "10"],
+    # a count past the float64 lanes of one array
+    ["verify", "cubic", "--vc-points", "9223372036854775807"],
     # bianchi
     *_in_formats(
         ["bianchi", "split", "--d", "2", "--p", "11"],

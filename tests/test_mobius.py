@@ -6,12 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given
 
-from sysbound.mobius import (
-    ElementClass,
-    MoebiusElement,
-    NonLoxodromicError,
-    trace_translation_lengths,
-)
+from sysbound.certify import trace_translation_lengths
+from sysbound.mobius import ElementClass, MoebiusElement, NonLoxodromicError
 
 finite = st.floats(-30, 30, allow_nan=False, allow_infinity=False)
 complexes = st.builds(complex, finite, finite)
@@ -42,6 +38,14 @@ def test_determinant_normalized_on_construction():
     g = MoebiusElement(2, 0, 0, 2)
     assert g.a * g.d - g.b * g.c == pytest.approx(1)
     assert g.a == pytest.approx(1)
+
+
+def test_large_entries_are_normalized_by_their_determinant():
+    # det is 1e8 * (d - 1e8) = 50.66..., computed as 50 or 52 at this scale:
+    # far from 1, so the entries are divided by its root.
+    d = 1e8 + 5e-7
+    g = MoebiusElement(1e8, 1e8, 1e8, d)
+    assert g.trace == pytest.approx((1e8 + d) / math.sqrt(50.66394805908203), rel=0.03)
 
 
 def test_rejects_nonfinite_entries():

@@ -26,7 +26,7 @@ TESTS = Path(__file__).resolve().parent
 ALLOWED_UNCALLED = {
     "cli.entry",  # the console script: main, and exit 1 on a closed stdout pipe, which
     # test_cli's test_a_closed_stdout_pipe_exits_1_without_a_traceback runs
-    # the scalar reference of the crossing sweep's array twin, bounds._crossing_trace_bounds,
+    # the scalar reference of the crossing sweep's array twin, certify._crossing_trace_bounds,
     # which test_certify checks them against; perfbench's microbenchmarks call them
     "bounds.drilled_trace_bound",
     "bounds.filling_slope_trace_bound",
