@@ -301,16 +301,17 @@ def enumerate_congruence_elements(level: CongruenceLevel, height: int) -> list[Q
     The parameters x of the box are sorted once by their entry x*pi^n, and
     the enumeration works on positions in that order: positions compare as
     the entries' coordinates do, for the diagonal x*pi^n + 1 as well, so the
-    positions (a, b, c, d) of a matrix, packed as the int
-    ((a*size + b)*size + c)*size + d with size the number of parameters, sort
-    exactly as the matrices' coordinate tuples.  The box is symmetric, so
-    negation reverses the order: -x sits at position last - k when x sits at k.
+    matrices of one position of a, each packed as the int
+    (b*size + c)*size + d of its other positions with size the number of
+    parameters, sort exactly as their coordinate tuples.  The box is
+    symmetric, so negation reverses the order: -x sits at position last - k
+    when x sits at k.
 
     The determinant condition forces b*c = a*d + (a+d)/pi^n exactly.  Both
     parts of a product of parameters in the box lie within +/- reach =
     (d+1)*height^2, so a product is keyed by the one int
     bc1*span + bc2, span = 2*reach + 1.  Pass 1 indexes every (a, d) pair
-    whose trace part a+d is divisible by w = pi^n, as the int a*size^3 + d,
+    whose trace part a+d is divisible by w = pi^n, as the int a*size + d,
     under the key of the product b*c it forces; a forced product with a part
     beyond reach is skipped, since no b*c in the box equals it (and its key
     could alias one that does).  It groups the box's pairs x by the residue
@@ -323,11 +324,12 @@ def enumerate_congruence_elements(level: CongruenceLevel, height: int) -> list[Q
     each distinct (b, c) of the orbit, so the determinant of every matrix is
     checked.  Representatives are kept in the congruence form
     (diagonal = 1 mod pi^n) so the exact trace s*pi^(2n) + 2 stays
-    recoverable.  The sorted ints are then replaced in their list, one by
-    one, by their matrices, so each int is freed as its matrix is made and
-    the enumeration's peak memory is about that of its result.  The matrices
-    share their entries: one ``QuadInt`` per distinct coordinate pair, built
-    once.
+    recoverable.  Pass 2 files each matrix's int in a bucket of 8-byte ints
+    for its position of a.  The buckets are then taken in that order, each sorted,
+    turned into its matrices with its one entry a*pi^n + 1 and emptied, so
+    the enumeration's peak memory is about that of its result.  The
+    matrices share their entries: one ``QuadInt`` per distinct coordinate
+    pair, built once.
     """
     if not isinstance(height, int) or height < 0:
         raise ValueError(f"height must be a nonnegative int, got {height!r}")
@@ -341,7 +343,7 @@ def enumerate_congruence_elements(level: CongruenceLevel, height: int) -> list[Q
     entries = [x[:2] for x in params]
     diagonal = [(e1 + 1, e2) for e1, e2 in entries]
     size = len(params)
-    last, square, cube = size - 1, size * size, size**3
+    last = size - 1
     # both parts of a product of box parameters lie within +/- reach
     reach = (d + 1) * height * height
     span = 2 * reach + 1
@@ -349,13 +351,13 @@ def enumerate_congruence_elements(level: CongruenceLevel, height: int) -> list[Q
     groups: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for k, (_, _, xa, xb, u1, u2) in enumerate(params):
         groups.setdefault((u1 % nw, u2 % nw), []).append((k, xa, xb, u1, u2))
-    # the key of a forced b*c -> the diagonals pa * size^3 + pd that force it
+    # the key of a forced b*c -> the diagonals pa * size + pd that force it
     index: dict[int, list[int]] = {}
     for (k1, k2), admitted in groups.items():
         # the box is symmetric and -x has residue (-k1, -k2): the partner group exists
         partners = groups[-k1 % nw, -k2 % nw]
         for pa, aa, ab, ua1, ua2 in admitted:
-            a_part = pa * cube
+            a_part = pa * size
             for pd, da, db, ud1, ud2 in partners:
                 bc1 = aa * da - d * ab * db + (ua1 + ud1) // nw
                 bc2 = aa * db + ab * da + (ua2 + ud2) // nw
@@ -366,7 +368,11 @@ def enumerate_congruence_elements(level: CongruenceLevel, height: int) -> list[Q
     # b*c has the key b1 * (c1*span + c2) + b2 * (c1 - d*span*c2)
     pairs = [x[2:4] for x in params]
     keyed = [(ca * span + cb, ca - d * span * cb) for ca, cb in pairs]
-    found = []
+    # per position pa of a, the rest (p*size + q)*size + pd of each matrix found,
+    # in 8 bytes rather than an int object and a pointer: it is below size^3,
+    # which is below 2^63 at every height under 724, far past any whose lookups end
+    from array import array  # here, not at the top: no other command needs it
+    found = [array("q") for _ in range(size)]
     # each orbit has one pair of positions with i <= j, i + j <= last
     for i in range(last // 2 + 1):
         ba, bb = pairs[i]
@@ -381,26 +387,27 @@ def enumerate_congruence_elements(level: CongruenceLevel, height: int) -> list[Q
                 orbit.append(((b1 * c1 - d * b2 * c2 + 1, b1 * c2 + b2 * c1),
                               (p * size + q) * size))
             for key in diagonals:
-                pa, pd = divmod(key, cube)
+                pa, pd = divmod(key, size)
                 (x1, x2), (y1, y2) = diagonal[pa], diagonal[pd]
                 xy = (x1 * y1 - d * x2 * y2, x1 * y2 + x2 * y1)
                 for bc_plus_one, offset in orbit:
                     if xy != bc_plus_one:
                         raise RuntimeError("enumerated matrix failed the exact determinant check")
-                    found.append(key + offset)
+                    found[pa].append(offset + pd)
     del index
-    found.sort()
 
     quads = {e: _quad(*e, d) for e in entries + diagonal}
     off = [quads[e] for e in entries]
     diag = [quads[e] for e in diagonal]
-    # each key gives way to its matrix as the matrix is made: the result is the peak
-    for k, key in enumerate(found):
-        pa, rest = divmod(key, cube)
-        p, rest = divmod(rest, square)
-        q, pd = divmod(rest, size)
-        found[k] = _matrix(diag[pa], off[p], off[q], diag[pd])
-    return found
+    matrices = []
+    # each bucket gives way to its matrices as they are made: the result is the peak
+    for m11, bucket in zip(diag, found):
+        for v in sorted(bucket):
+            pq, pd = divmod(v, size)
+            p, q = divmod(pq, size)
+            matrices.append(_matrix(m11, off[p], off[q], diag[pd]))
+        del bucket[:]
+    return matrices
 
 
 @dataclass(frozen=True)

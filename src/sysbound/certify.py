@@ -56,6 +56,18 @@ MAX_LANES = sys.maxsize // 8  # the most float64 lanes one array can hold
 _CM_LARGE_DOUBLE = sys.float_info.max / 4
 
 
+def _spaced(space, *args, **kwargs) -> np.ndarray:
+    """``space(*args, **kwargs)``, for ``np.linspace`` or ``np.geomspace`` on
+    arguments checked beforehand, so that numpy's one ValueError left is its
+    refusal of an array past the address space: its arange takes the count
+    as a double, which rounds a count from MAX_LANES - 63 on up to 2**60.
+    It is raised as the MemoryError of every other count too large to allocate."""
+    try:
+        return space(*args, **kwargs)
+    except ValueError as exc:
+        raise MemoryError(str(exc)) from None
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """A 1-d evaluation grid, linear or logarithmic."""
@@ -84,8 +96,8 @@ class GridSpec:
 
     def values(self) -> np.ndarray:
         if self.scale == "log":
-            return np.geomspace(self.lo, self.hi, self.points)
-        return np.linspace(self.lo, self.hi, self.points)
+            return _spaced(np.geomspace, self.lo, self.hi, self.points)
+        return _spaced(np.linspace, self.lo, self.hi, self.points)
 
 
 @dataclass(frozen=True)
@@ -203,7 +215,7 @@ def certify_cusp_trace_bound(
     for vc, bound, ell_hi in sweeps:
         # A scalar fold by _worst's rule: an array of the margins costs 5-12% more.
         worst, worst_ell = math.inf, two_pi
-        for ell in np.linspace(two_pi, ell_hi, ell_points).tolist():
+        for ell in _spaced(np.linspace, two_pi, ell_hi, ell_points).tolist():
             m = bound - trace_bound(ell, vc)
             if m < worst:
                 worst, worst_ell = m, ell
@@ -321,7 +333,7 @@ def certify_crossing(
     group = max(1, _LANE_BLOCK // monotonic_samples)
     for i in range(0, len(vs), group):
         span = slice(i, i + group)
-        xs = np.geomspace(starts[span], 100 * closeds[span], monotonic_samples, axis=1)
+        xs = _spaced(np.geomspace, starts[span], 100 * closeds[span], monotonic_samples, axis=1)
         f1, f2 = _crossing_trace_bounds(xs, vs[span, None])
         rising = np.min(np.diff(f1, axis=1), axis=1)
         falling = np.min(-np.diff(f2, axis=1), axis=1)
@@ -453,7 +465,7 @@ def certify_length_lemma(
 
     # The sharpness traces r*i, then the pinned trace as one more lane; a NaN length
     # (not loxodromic) never wins.
-    r, pin = np.geomspace(min(0.1, r_max), r_max, sharpness_points), (2 * math.pi) ** 2
+    r, pin = _spaced(np.geomspace, min(0.1, r_max), r_max, sharpness_points), (2 * math.pi) ** 2
     lengths, nonlox = trace_translation_lengths(np.append(0 * r, 2.0), np.append(r, pin))
     lam = np.fromiter(map(math.exp, (lengths[:-1] / 2).tolist()), float, len(r))
     expected = (r + np.sqrt(r * r + 4)) / 2

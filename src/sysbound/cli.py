@@ -396,8 +396,10 @@ _MAX_INDEX_DIGITS = 4300  # CPython's default limit on int-to-str conversion
 # resident minus that of the census without --height (Python 3.11, 2-vCPU
 # x86-64), an index entry cost at most 309 bytes (N(pi) = 3, 11, 43 at h = 8-40)
 # and a pair at most 2877 (N(pi) = 1e18 at h = 20-77, where each pair yields
-# about 15 matrices); the limits are those costs times 1.45 and 1.42.  Heights
-# past the budget are refused.
+# about 15 matrices), and the limits were set at those costs times 1.45 and
+# 1.42.  Since the enumeration holds the matrices it finds as 8-byte ints, an
+# entry costs 222 bytes at N(pi) = 3, h = 25 and 203 at N(pi) = 11, h = 35, and
+# a pair 2503 bytes at N(pi) = 1e18, h = 74.  Heights past the budget are refused.
 _CENSUS_BYTES = 1 << 30
 _CENSUS_PAIR_BYTES = 4096
 _CENSUS_ENTRY_BYTES = 448
@@ -422,12 +424,19 @@ def _census_height_check(pi, table, height) -> bool:
     for row in table:
         n, lb = row.n, row.trace_lb
         mats = bianchi.enumerate_congruence_elements(bianchi.CongruenceLevel(pi, n), height)
-        # the loxodromics and their least trace norm, in one pass
-        lox, attained_norm = 0, None
+        # the loxodromics and their least trace norm, in one pass; whether a
+        # matrix is loxodromic depends only on its exact trace (a trace of +/-2
+        # is the identity's or a parabolic's), so each distinct trace is
+        # classified once, by the first matrix that has it
+        lox, attained_norm, loxodromic = 0, None, {}
         for m in mats:
-            if m.classify_exact() is ElementClass.LOXODROMIC:
+            trace = (m.m11.a + m.m22.a, m.m11.b + m.m22.b)
+            is_lox = loxodromic.get(trace)
+            if is_lox is None:
+                is_lox = loxodromic[trace] = m.classify_exact() is ElementClass.LOXODROMIC
+            if is_lox:
                 lox += 1
-                norm = (m.m11.a + m.m22.a) ** 2 + pi.d * (m.m11.b + m.m22.b) ** 2
+                norm = trace[0] ** 2 + pi.d * trace[1] ** 2
                 if attained_norm is None or norm < attained_norm:
                     attained_norm = norm
         elements = len(mats)

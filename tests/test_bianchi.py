@@ -562,10 +562,10 @@ def test_benchmark_size_census(n, elements, loxodromic, min_trace_norm):
 
 
 def test_census_memory_peaks_at_the_enumerated_matrices(monkeypatch, capsys):
-    # The enumeration's sorted ints give way to their matrices one by one, and
-    # the height check folds the matrices in one pass without a list of its own,
-    # so neither peaks far above the result.  Measured: 1.17x for both, against
-    # 2.1x when the enumeration sorted tuples and the check listed trace norms.
+    # The enumeration's buckets of ints give way to their matrices one by one,
+    # and the height check folds the matrices in one pass without a list of its
+    # own, so neither peaks far above the result.  Measured: 1.04x for both,
+    # against 2.1x when the enumeration sorted tuples and the check listed trace norms.
     enumerate_elements, traced = bianchi.enumerate_congruence_elements, []
 
     def enumerate_traced(level, height):
@@ -588,6 +588,39 @@ def test_census_memory_peaks_at_the_enumerated_matrices(monkeypatch, capsys):
     assert "n=1: 42457 elements in box, 38216 loxodromic" in capsys.readouterr().err
     [(result, enumeration)] = traced
     assert enumeration <= 1.3 * result and check <= 1.4 * result, (result, enumeration, check)
+
+
+# The height check's levels beyond the goldens' d = 2, pi = 3 + sqrt(-2): the
+# norm-3 torsion level, Z[i], the ramified sqrt(-3) and the non-maximal sqrt(-7).
+HEIGHT_CHECK_LEVELS = [(pi, n) for pi, n, _ in REFERENCE_LEVELS
+                       if pi in (q2(1, 1), GAUSSIAN_5, RAMIFIED_3, NON_MAXIMAL_7)]
+
+
+def _reference_height_check(pi, row, height, kinds):
+    """The lines and verdict of the height check at one level, from
+    ``classify_exact()`` of every matrix; adds each matrix's class to kinds."""
+    mats = enumerate_congruence_elements(CongruenceLevel(pi, row.n), height)
+    classes = [m.classify_exact() for m in mats]
+    kinds.update(classes)
+    norms = [_trace(m).norm for m, kind in zip(mats, classes) if kind is ElementClass.LOXODROMIC]
+    if not norms:
+        return f"n={row.n}: {len(mats)} elements in box, no loxodromic\n", True
+    holds = min(norms) >= row.trace_lb ** 2
+    return (f"n={row.n}: {len(mats)} elements in box, {len(norms)} loxodromic, "
+            f"min |trace| = {cli._fmt(math.sqrt(min(norms)), '.6g')} vs bound {row.trace_lb} "
+            f"[{'ok' if holds else 'VIOLATION'}]\n", holds)
+
+
+def test_height_check_counts_as_classify_exact_does_on_every_matrix(capsys):
+    # The check classifies one matrix per distinct trace; a fold over every
+    # matrix must give the same lines and verdict at every level and height.
+    kinds = set()
+    for pi, n in HEIGHT_CHECK_LEVELS:
+        [row] = [r for r in systole_growth_table(pi, n, PSL2_O2_COVOLUME) if r.n == n]
+        for height in range(5):
+            ok = cli._census_height_check(pi, [row], height)
+            assert (capsys.readouterr().err, ok) == _reference_height_check(pi, row, height, kinds)
+    assert {ElementClass.ELLIPTIC, ElementClass.PARABOLIC, ElementClass.IDENTITY} <= kinds
 
 
 def test_enumeration_shares_one_entry_per_coordinate_pair():

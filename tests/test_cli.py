@@ -997,6 +997,20 @@ def test_importing_the_cli_loads_no_process_pool():
     assert out == "[]\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["cubic", "--vc-points", str(certify.MAX_LANES)],
+    ["cubic", "--vc-points", str(certify.MAX_LANES - 1)],
+    ["techlem2", "--vc-points", "2", "--ell-points", str(certify.MAX_LANES)],
+    ["crossing", "--points", "2", "--monotonic-samples", str(certify.MAX_LANES)],
+    ["length-lemma", "--samples", "1", "--sharpness-points", str(certify.MAX_LANES)],
+])
+def test_verify_counts_at_the_lane_limit_need_more_memory(argv, capsys):
+    # numpy refuses these arrays with a ValueError of its own rather than failing
+    # to allocate them; the verdict must be the one of any count past memory.
+    assert run(capsys, ["verify", *argv]) == (
+        2, "", f"usage error: {argv[0]} needs more memory than is available at these parameters\n")
+
+
 def test_verify_calls_the_sweeps_through_the_module(monkeypatch, capsys):
     # Wrappers installed on the module attributes (as perfbench's tracer does)
     # must see every verify run.

@@ -150,6 +150,8 @@ CASES = [
     ["verify", "cubic", "--vc-min", "0", "--vc-max", "10"],
     # a count past the float64 lanes of one array
     ["verify", "cubic", "--vc-points", "9223372036854775807"],
+    # a count at that limit, which numpy refuses with its own ValueError
+    ["verify", "cubic", "--vc-points", "1152921504606846975"],
     # bianchi
     *_in_formats(
         ["bianchi", "split", "--d", "2", "--p", "11"],
