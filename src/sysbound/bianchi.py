@@ -292,44 +292,39 @@ def _matrix(m11: QuadInt, m12: QuadInt, m21: QuadInt, m22: QuadInt, _new=object.
     return m
 
 
-def enumerate_congruence_elements(level: CongruenceLevel, height: int) -> list[QuadMatrix]:
-    """All matrices (a*pi^n + 1, b*pi^n; c*pi^n, d*pi^n + 1) of determinant 1
-    whose parameter coordinates lie in [-height, height]^8.  No two of them
-    are negatives of each other: -(a*pi^n + 1) = a'*pi^n + 1 would make pi^n
-    divide 2, so N(pi)^n divide 4, which an odd prime norm rules out.
+def _congruence_search(level: CongruenceLevel, height: int):
+    """The box search behind ``enumerate_congruence_elements`` and
+    ``congruence_trace_counts``: the matrices (a*pi^n + 1, b*pi^n; c*pi^n,
+    d*pi^n + 1) of determinant 1 whose parameter coordinates lie in
+    [-height, height]^8, each parameter x named by its position in the box's
+    parameters sorted by their entry x*pi^n.
 
-    The parameters x of the box are sorted once by their entry x*pi^n, and
-    the enumeration works on positions in that order: positions compare as
-    the entries' coordinates do, for the diagonal x*pi^n + 1 as well, so the
-    matrices of one position of a, each packed as the int
-    (b*size + c)*size + d of its other positions with size the number of
-    parameters, sort exactly as their coordinate tuples.  The box is
-    symmetric, so negation reverses the order: -x sits at position last - k
-    when x sits at k.
+    Returns the entries x*pi^n and the diagonal entries x*pi^n + 1, as
+    coordinate pairs in position order, and an iterator of the hits
+    (pa, pd, offsets): the positions of a and d, and for each distinct (b, c)
+    of the orbit found with them, (p*size + q)*size for its positions p, q,
+    where size is the number of parameters.  The matrix of one offset is
+    (pa, p, q, pd), and each is listed once.
 
-    The determinant condition forces b*c = a*d + (a+d)/pi^n exactly.  Both
-    parts of a product of parameters in the box lie within +/- reach =
-    (d+1)*height^2, so a product is keyed by the one int
-    bc1*span + bc2, span = 2*reach + 1.  Pass 1 indexes every (a, d) pair
-    whose trace part a+d is divisible by w = pi^n, as the int a*size + d,
-    under the key of the product b*c it forces; a forced product with a part
-    beyond reach is skipped, since no b*c in the box equals it (and its key
-    could alias one that does).  It groups the box's pairs x by the residue
-    of x*conj(w) mod N(w), taken componentwise: w divides a+d exactly when
-    the residues of a and d sum to (0, 0), so each a meets only the d it
-    admits, for any nonzero w.  Pass 2 looks b*c up in that index once per
-    orbit of (b, c) under swapping b and c and negating both, which leave
-    b*c unchanged.  For each (a, d) found it forms the diagonal product
-    (a*pi^n + 1)(d*pi^n + 1) once and compares it exactly with b*c + 1 of
-    each distinct (b, c) of the orbit, so the determinant of every matrix is
-    checked.  Representatives are kept in the congruence form
-    (diagonal = 1 mod pi^n) so the exact trace s*pi^(2n) + 2 stays
-    recoverable.  Pass 2 files each matrix's int in a bucket of 8-byte ints
-    for its position of a.  The buckets are then taken in that order, each sorted,
-    turned into its matrices with its one entry a*pi^n + 1 and emptied, so
-    the enumeration's peak memory is about that of its result.  The
-    matrices share their entries: one ``QuadInt`` per distinct coordinate
-    pair, built once.
+    Positions compare as the entries' coordinates do, for the diagonal
+    x*pi^n + 1 as well.  The box is symmetric, so negation reverses the
+    order: -x sits at position last - k when x sits at k.  The determinant
+    condition forces b*c = a*d + (a+d)/pi^n exactly.  Both parts of a product
+    of parameters in the box lie within +/- reach = (d+1)*height^2, so a
+    product is keyed by the one int bc1*span + bc2, span = 2*reach + 1.
+    Pass 1 indexes every (a, d) pair whose trace part a+d is divisible by
+    w = pi^n, as the int a*size + d, under the key of the product b*c it
+    forces; a forced product with a part beyond reach is skipped, since no
+    b*c in the box equals it (and its key could alias one that does).  It
+    groups the box's pairs x by the residue of x*conj(w) mod N(w), taken
+    componentwise: w divides a+d exactly when the residues of a and d sum to
+    (0, 0), so each a meets only the d it admits, for any nonzero w.  Pass 2
+    looks b*c up in that index once per orbit of (b, c) under swapping b and
+    c and negating both, which leave b*c unchanged.  It forms b*c + 1 of each
+    distinct (b, c) of the orbit and checks that they are equal, and for
+    each (a, d) found it forms the diagonal product (a*pi^n + 1)(d*pi^n + 1)
+    and compares it exactly with them, so the determinant of every matrix
+    is checked before its hit is handed on.
     """
     if not isinstance(height, int) or height < 0:
         raise ValueError(f"height must be a nonnegative int, got {height!r}")
@@ -342,60 +337,93 @@ def enumerate_congruence_elements(level: CongruenceLevel, height: int) -> list[Q
                      xa * w1 + d * xb * w2, xb * w1 - xa * w2) for xa in box for xb in box)
     entries = [x[:2] for x in params]
     diagonal = [(e1 + 1, e2) for e1, e2 in entries]
-    size = len(params)
-    last = size - 1
-    # both parts of a product of box parameters lie within +/- reach
-    reach = (d + 1) * height * height
-    span = 2 * reach + 1
 
-    groups: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for k, (_, _, xa, xb, u1, u2) in enumerate(params):
-        groups.setdefault((u1 % nw, u2 % nw), []).append((k, xa, xb, u1, u2))
-    # the key of a forced b*c -> the diagonals pa * size + pd that force it
-    index: dict[int, list[int]] = {}
-    for (k1, k2), admitted in groups.items():
-        # the box is symmetric and -x has residue (-k1, -k2): the partner group exists
-        partners = groups[-k1 % nw, -k2 % nw]
-        for pa, aa, ab, ua1, ua2 in admitted:
-            a_part = pa * size
-            for pd, da, db, ud1, ud2 in partners:
-                bc1 = aa * da - d * ab * db + (ua1 + ud1) // nw
-                bc2 = aa * db + ab * da + (ua2 + ud2) // nw
-                if -reach <= bc1 <= reach and -reach <= bc2 <= reach:  # else no b*c equals it
-                    index.setdefault(bc1 * span + bc2, []).append(a_part + pd)
-    del groups
+    def hits():
+        size = len(params)
+        last = size - 1
+        # both parts of a product of box parameters lie within +/- reach
+        reach = (d + 1) * height * height
+        span = 2 * reach + 1
 
-    # b*c has the key b1 * (c1*span + c2) + b2 * (c1 - d*span*c2)
-    pairs = [x[2:4] for x in params]
-    keyed = [(ca * span + cb, ca - d * span * cb) for ca, cb in pairs]
+        groups: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        for k, (_, _, xa, xb, u1, u2) in enumerate(params):
+            groups.setdefault((u1 % nw, u2 % nw), []).append((k, xa, xb, u1, u2))
+        # the key of a forced b*c -> the diagonals pa * size + pd that force it
+        index: dict[int, list[int]] = {}
+        for (k1, k2), admitted in groups.items():
+            # the box is symmetric and -x has residue (-k1, -k2): the partner group exists
+            partners = groups[-k1 % nw, -k2 % nw]
+            for pa, aa, ab, ua1, ua2 in admitted:
+                a_part = pa * size
+                for pd, da, db, ud1, ud2 in partners:
+                    bc1 = aa * da - d * ab * db + (ua1 + ud1) // nw
+                    bc2 = aa * db + ab * da + (ua2 + ud2) // nw
+                    if -reach <= bc1 <= reach and -reach <= bc2 <= reach:  # else no b*c equals it
+                        index.setdefault(bc1 * span + bc2, []).append(a_part + pd)
+        del groups
+
+        # b*c has the key b1 * (c1*span + c2) + b2 * (c1 - d*span*c2)
+        pairs = [x[2:4] for x in params]
+        keyed = [(ca * span + cb, ca - d * span * cb) for ca, cb in pairs]
+        # each orbit has one pair of positions with i <= j, i + j <= last
+        for i in range(last // 2 + 1):
+            ba, bb = pairs[i]
+            products = [ba * u + bb * v for u, v in keyed[i:last - i + 1]]
+            for j in itertools.compress(itertools.count(i), map(index.__contains__, products)):
+                diagonals = index[products[j - i]]
+                # each distinct (b, c) of the orbit: its positions' part of the key, and its
+                # b*c + 1 checked equal to that of (i, j), so one comparison per (a, d)
+                # checks every determinant
+                (b1, b2), (c1, c2) = entries[i], entries[j]
+                bc_plus_one = (b1 * c1 - d * b2 * c2 + 1, b1 * c2 + b2 * c1)
+                offsets = []
+                for p, q in {(i, j), (j, i), (last - i, last - j), (last - j, last - i)}:
+                    (b1, b2), (c1, c2) = entries[p], entries[q]
+                    if (b1 * c1 - d * b2 * c2 + 1, b1 * c2 + b2 * c1) != bc_plus_one:
+                        raise RuntimeError("enumerated matrix failed the exact determinant check")
+                    offsets.append((p * size + q) * size)
+                for key in diagonals:
+                    pa, pd = divmod(key, size)
+                    (x1, x2), (y1, y2) = diagonal[pa], diagonal[pd]
+                    if (x1 * y1 - d * x2 * y2, x1 * y2 + x2 * y1) != bc_plus_one:
+                        raise RuntimeError("enumerated matrix failed the exact determinant check")
+                    yield pa, pd, offsets
+
+    return entries, diagonal, hits()
+
+
+def enumerate_congruence_elements(level: CongruenceLevel, height: int) -> list[QuadMatrix]:
+    """All matrices (a*pi^n + 1, b*pi^n; c*pi^n, d*pi^n + 1) of determinant 1
+    whose parameter coordinates lie in [-height, height]^8, sorted by their
+    coordinates.  No two of them are negatives of each other:
+    -(a*pi^n + 1) = a'*pi^n + 1 would make pi^n divide 2, so N(pi)^n divide
+    4, which an odd prime norm rules out.
+
+    The matrices are the hits of ``_congruence_search``, which checks each
+    determinant exactly.  Representatives are kept in the congruence form
+    (diagonal = 1 mod pi^n) so the exact trace s*pi^(2n) + 2 stays
+    recoverable.  Each hit files its matrices, each packed as the int
+    (p*size + q)*size + pd of its positions, in a bucket of 8-byte ints for
+    its position of a.  Positions compare as the entries' coordinates do, so
+    the buckets, taken in order and each sorted, give the matrices in the
+    order of their coordinate tuples; each is turned into its matrices with
+    its one entry a*pi^n + 1 and emptied, so the enumeration's peak memory is
+    about that of its result.  The matrices share their entries: one
+    ``QuadInt`` per distinct coordinate pair, built once.
+    """
+    entries, diagonal, hits = _congruence_search(level, height)
+    size = len(entries)
     # per position pa of a, the rest (p*size + q)*size + pd of each matrix found,
     # in 8 bytes rather than an int object and a pointer: it is below size^3,
     # which is below 2^63 at every height under 724, far past any whose lookups end
     from array import array  # here, not at the top: no other command needs it
     found = [array("q") for _ in range(size)]
-    # each orbit has one pair of positions with i <= j, i + j <= last
-    for i in range(last // 2 + 1):
-        ba, bb = pairs[i]
-        products = [ba * u + bb * v for u, v in keyed[i:last - i + 1]]
-        for j, diagonals in enumerate(map(index.get, products), i):
-            if diagonals is None:
-                continue
-            # each distinct (b, c) of the orbit: its b*c + 1, and its positions' part of the key
-            orbit = []
-            for p, q in {(i, j), (j, i), (last - i, last - j), (last - j, last - i)}:
-                (b1, b2), (c1, c2) = entries[p], entries[q]
-                orbit.append(((b1 * c1 - d * b2 * c2 + 1, b1 * c2 + b2 * c1),
-                              (p * size + q) * size))
-            for key in diagonals:
-                pa, pd = divmod(key, size)
-                (x1, x2), (y1, y2) = diagonal[pa], diagonal[pd]
-                xy = (x1 * y1 - d * x2 * y2, x1 * y2 + x2 * y1)
-                for bc_plus_one, offset in orbit:
-                    if xy != bc_plus_one:
-                        raise RuntimeError("enumerated matrix failed the exact determinant check")
-                    found[pa].append(offset + pd)
-    del index
+    for pa, pd, offsets in hits:
+        bucket = found[pa]
+        for offset in offsets:
+            bucket.append(offset + pd)
 
+    d = level.pi.d
     quads = {e: _quad(*e, d) for e in entries + diagonal}
     off = [quads[e] for e in entries]
     diag = [quads[e] for e in diagonal]
@@ -408,6 +436,35 @@ def enumerate_congruence_elements(level: CongruenceLevel, height: int) -> list[Q
             matrices.append(_matrix(m11, off[p], off[q], diag[pd]))
         del bucket[:]
     return matrices
+
+
+def congruence_trace_counts(level: CongruenceLevel,
+                            height: int) -> dict[QuadInt, tuple[int, QuadMatrix]]:
+    """The exact traces of the matrices that ``enumerate_congruence_elements``
+    lists, each with how many of them have it and one of them:
+    {trace: (count, matrix)}.
+
+    A matrix's trace (a*pi^n + 1) + (d*pi^n + 1) depends only on its
+    diagonal, so the hits of ``_congruence_search``, which checks every
+    determinant exactly, are summed by the trace of their (a, d), each
+    adding the size of its orbit of (b, c).  No matrix is built but the
+    first found with each trace, so the peak memory is about that of the
+    search's index rather than of the matrices.
+    """
+    entries, diagonal, hits = _congruence_search(level, height)
+    size, d = len(entries), level.pi.d
+    # per trace: [its matrices, the first of them]
+    traces: dict[tuple[int, int], list] = {}
+    for pa, pd, offsets in hits:
+        (x1, x2), (y1, y2) = diagonal[pa], diagonal[pd]
+        trace = traces.get((x1 + y1, x2 + y2))
+        if trace is not None:
+            trace[0] += len(offsets)
+            continue
+        p, q = divmod(offsets[0] // size, size)
+        first = (diagonal[pa], entries[p], entries[q], diagonal[pd])
+        traces[x1 + y1, x2 + y2] = [len(offsets), _matrix(*(_quad(*e, d) for e in first))]
+    return {_quad(t1, t2, d): (count, m) for (t1, t2), (count, m) in traces.items()}
 
 
 @dataclass(frozen=True)

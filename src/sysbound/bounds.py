@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
 from .cusp import max_waist_for_cusp_volume
@@ -52,6 +51,7 @@ def _require(condition: bool, message: str, *args) -> None:
 def _zeta_ratios() -> tuple[float, ...]:
     # zeta(2n) / pi^(2n) = (-1)^(n+1) * B_(2n) * 2^(2n-1) / (2n)! for n = 1..30, each
     # rounded once; B_m by the defining recurrence, with B_1 = -1/2.
+    from fractions import Fraction  # here, not at the top: no command needs it
     b = [Fraction(1)]
     for k in range(1, 61):
         b.append(-sum(math.comb(k + 1, j) * b[j] for j in range(k)) / (k + 1))

@@ -52,6 +52,12 @@ _LANE_BLOCK = 8192
 _DRAW_BLOCK = 4096
 _SCALES = ("linear", "log")
 MAX_LANES = sys.maxsize // 8  # the most float64 lanes one array can hold
+# The most length-lemma samples one run takes.  The draws stream, so no array
+# refuses a larger count, and the time grows with it: `verify length-lemma
+# --samples 20000000 --margins-csv /dev/null` ran in 26.4 s and peaked at 499 MiB
+# resident (1.3 us per sample with its CSV row; 2-vCPU x86-64, Python 3.11), about
+# the time the census budget stands for.
+MAX_SAMPLES = 20_000_000
 # The part above which cmath.acosh changes formula.
 _CM_LARGE_DOUBLE = sys.float_info.max / 4
 
@@ -434,6 +440,8 @@ def certify_length_lemma(
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"need at most {MAX_SAMPLES} samples, got {samples}")
     if sharpness_points < 0:
         raise ValueError(f"need a nonnegative number of sharpness points, got {sharpness_points}")
     if sharpness_points > MAX_LANES:

@@ -397,15 +397,17 @@ _MAX_INDEX_DIGITS = 4300  # CPython's default limit on int-to-str conversion
 # x86-64), an index entry cost at most 309 bytes (N(pi) = 3, 11, 43 at h = 8-40)
 # and a pair at most 2877 (N(pi) = 1e18 at h = 20-77, where each pair yields
 # about 15 matrices), and the limits were set at those costs times 1.45 and
-# 1.42.  Since the enumeration holds the matrices it finds as 8-byte ints, an
-# entry costs 222 bytes at N(pi) = 3, h = 25 and 203 at N(pi) = 11, h = 35, and
-# a pair 2503 bytes at N(pi) = 1e18, h = 74.  Heights past the budget are refused.
+# 1.42.  Since the check counts the matrices per trace rather than building
+# them, an entry costs 81 bytes at N(pi) = 3, h = 25 and 104 at N(pi) = 11,
+# h = 35, and a pair 950 bytes at N(pi) = 1e18, h = 49 and 74: the estimate now
+# runs 4-5x above them.  Heights past the budget are refused.
 _CENSUS_BYTES = 1 << 30
 _CENSUS_PAIR_BYTES = 4096
 _CENSUS_ENTRY_BYTES = 448
 # It also looks up products b*c per level, whatever N(pi): an ordered pair (b, c)
 # cost at most 53 ns, all else included (N(pi) = 1e18 at h = 41-77), so the limit
-# stands for about 27 s.
+# was set for about 27 s; a pair now costs 29-33 ns there (h = 49 and 74), so the
+# largest census accepted takes about 16 s.
 _CENSUS_LOOKUPS = 500_000_000
 # bianchi ideals --format json peaked at 1.0-1.1 KiB resident per candidate walked (d = 1).
 _IDEALS_ITEM_BYTES = 1200
@@ -423,24 +425,18 @@ def _census_height_check(pi, table, height) -> bool:
     ok = True
     for row in table:
         n, lb = row.n, row.trace_lb
-        mats = bianchi.enumerate_congruence_elements(bianchi.CongruenceLevel(pi, n), height)
-        # the loxodromics and their least trace norm, in one pass; whether a
-        # matrix is loxodromic depends only on its exact trace (a trace of +/-2
-        # is the identity's or a parabolic's), so each distinct trace is
-        # classified once, by the first matrix that has it
-        lox, attained_norm, loxodromic = 0, None, {}
-        for m in mats:
-            trace = (m.m11.a + m.m22.a, m.m11.b + m.m22.b)
-            is_lox = loxodromic.get(trace)
-            if is_lox is None:
-                is_lox = loxodromic[trace] = m.classify_exact() is ElementClass.LOXODROMIC
-            if is_lox:
-                lox += 1
-                norm = trace[0] ** 2 + pi.d * trace[1] ** 2
-                if attained_norm is None or norm < attained_norm:
-                    attained_norm = norm
-        elements = len(mats)
-        del mats  # before the next level is enumerated
+        counts = bianchi.congruence_trace_counts(bianchi.CongruenceLevel(pi, n), height)
+        # the matrices in the box counted per exact trace, and one of each: whether
+        # a matrix is loxodromic depends only on its trace (a trace of +/-2 is the
+        # identity's or a parabolic's), so each trace is classified once
+        elements = lox = 0
+        attained_norm = None
+        for trace, (count, m) in counts.items():
+            elements += count
+            if m.classify_exact() is ElementClass.LOXODROMIC:
+                lox += count
+                if attained_norm is None or trace.norm < attained_norm:
+                    attained_norm = trace.norm
         if not lox:
             print(f"n={n}: {elements} elements in box, no loxodromic", file=sys.stderr)
             continue

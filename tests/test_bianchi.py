@@ -6,6 +6,7 @@ import gc
 import pickle
 import re
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -561,33 +562,42 @@ def test_benchmark_size_census(n, elements, loxodromic, min_trace_norm):
         elements, loxodromic, min_trace_norm)
 
 
-def test_census_memory_peaks_at_the_enumerated_matrices(monkeypatch, capsys):
+def test_enumeration_memory_peaks_at_its_matrices():
     # The enumeration's buckets of ints give way to their matrices one by one,
-    # and the height check folds the matrices in one pass without a list of its
-    # own, so neither peaks far above the result.  Measured: 1.04x for both,
-    # against 2.1x when the enumeration sorted tuples and the check listed trace norms.
-    enumerate_elements, traced = bianchi.enumerate_congruence_elements, []
+    # so it does not peak far above its result.  Measured: 1.03x, against 2.1x
+    # when it sorted tuples.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        mats = enumerate_congruence_elements(CongruenceLevel(PI, 1), 10)
+        result, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(mats) == 42457
+    assert peak <= 1.3 * result, (result, peak)
 
-    def enumerate_traced(level, height):
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        mats = enumerate_elements(level, height)
-        current, peak = tracemalloc.get_traced_memory()
-        traced.append((current - before, peak - before))
-        return mats
 
-    monkeypatch.setattr(bianchi, "enumerate_congruence_elements", enumerate_traced)
+def test_census_height_check_peaks_below_the_matrices_it_counts(capsys):
+    # The height check counts the matrices per trace and builds one per trace,
+    # so it peaks at the search's index, below the matrices the enumeration
+    # lists.  Measured: 0.64x of them at n = 1, h = 10, against 1.04x when the
+    # check folded over the enumerated matrices.
     table = systole_growth_table(PI, 1, PSL2_O2_COVOLUME)
     gc.collect()
     tracemalloc.start()
     try:
+        mats = enumerate_congruence_elements(CongruenceLevel(PI, 1), 10)
+        listed = tracemalloc.get_traced_memory()[0]
+        del mats
+        gc.collect()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
         assert cli._census_height_check(PI, table, 10)
-        check = tracemalloc.get_traced_memory()[1]
+        check = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert "n=1: 42457 elements in box, 38216 loxodromic" in capsys.readouterr().err
-    [(result, enumeration)] = traced
-    assert enumeration <= 1.3 * result and check <= 1.4 * result, (result, enumeration, check)
+    assert check <= 0.8 * listed, (listed, check)
 
 
 # The height check's levels beyond the goldens' d = 2, pi = 3 + sqrt(-2): the
@@ -621,6 +631,32 @@ def test_height_check_counts_as_classify_exact_does_on_every_matrix(capsys):
             ok = cli._census_height_check(pi, [row], height)
             assert (capsys.readouterr().err, ok) == _reference_height_check(pi, row, height, kinds)
     assert {ElementClass.ELLIPTIC, ElementClass.PARABOLIC, ElementClass.IDENTITY} <= kinds
+
+
+def _check_trace_counts(level, height):
+    """``congruence_trace_counts``, after checking that it counts the traces of
+    the enumerated matrices and that each trace's matrix is one of them."""
+    mats = enumerate_congruence_elements(level, height)
+    counts = bianchi.congruence_trace_counts(level, height)
+    want = Counter(map(_trace, mats))
+    assert Counter({trace: count for trace, (count, _) in counts.items()}) == want
+    listed = set(mats)
+    for trace, (_, m) in counts.items():
+        assert m in listed and _trace(m) == trace
+    return counts
+
+
+@pytest.mark.parametrize("pi, n", HEIGHT_CHECK_LEVELS,
+                         ids=[f"{pi.a},{pi.b},d={pi.d}^{n}" for pi, n in HEIGHT_CHECK_LEVELS])
+def test_trace_counts_count_the_enumerated_traces(pi, n):
+    for height in range(5):
+        _check_trace_counts(CongruenceLevel(pi, n), height)
+
+
+@pytest.mark.parametrize("n, elements, traces", [(1, 42457, 127), (2, 6089, 10)])
+def test_trace_counts_at_the_benchmark_size(n, elements, traces):
+    counts = _check_trace_counts(CongruenceLevel(PI, n), 10)
+    assert (sum(count for count, _ in counts.values()), len(counts)) == (elements, traces)
 
 
 def test_enumeration_shares_one_entry_per_coordinate_pair():

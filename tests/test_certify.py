@@ -210,6 +210,24 @@ def test_counts_past_the_float64_lanes_of_one_array_are_refused():
             sweep(past)
 
 
+def test_sample_counts_past_the_time_budget_are_refused_before_any_draw(monkeypatch):
+    limit = certify.MAX_SAMPLES
+    assert limit == 20_000_000
+
+    class Drawn(Exception):
+        pass
+
+    def no_draws(seed):
+        raise Drawn
+
+    monkeypatch.setattr(certify.np.random, "default_rng", no_draws)
+    with pytest.raises(Drawn):
+        certify_length_lemma(limit)
+    for past in (limit + 1, sys.maxsize):
+        with pytest.raises(ValueError, match=f"^need at most {limit} samples, got {past}$"):
+            certify_length_lemma(past)
+
+
 # ---------------------------------------------------------------------------
 # bisection
 # ---------------------------------------------------------------------------

@@ -670,11 +670,11 @@ def test_bianchi_census_height_check(capsys):
 
 @pytest.mark.parametrize("pi, largest", [("3,1", 35), ("1,1", 25)])
 def test_census_height_is_refused_just_past_the_memory_budget(pi, largest, monkeypatch, capsys):
-    # The largest height within the budget reaches the enumeration (stubbed
-    # here: the real one takes about 25 s there); the next one is refused.
+    # The largest height within the budget reaches the box search (stubbed
+    # here: the real one takes 6-8 s there); the next one is refused.
     heights = []
-    monkeypatch.setattr(bianchi, "enumerate_congruence_elements",
-                        lambda level, height: heights.append(height) or [])
+    monkeypatch.setattr(bianchi, "congruence_trace_counts",
+                        lambda level, height: heights.append(height) or {})
     argv = ["bianchi", "census", "--d", "2", "--pi", pi, "--n-max", "1", "--height"]
     assert run(capsys, argv + [str(largest)])[0] == 0
     code, out, err = run(capsys, argv + [str(largest + 1)])
@@ -689,8 +689,8 @@ def test_census_height_is_refused_just_past_the_lookup_budget(n_max, largest, mo
     # At N(pi) = 1000000190000009027 the memory budget would take heights up
     # to 255; the lookups, n_max * (2h + 1)^4, refuse them long before.
     heights = []
-    monkeypatch.setattr(bianchi, "enumerate_congruence_elements",
-                        lambda level, height: heights.append(height) or [])
+    monkeypatch.setattr(bianchi, "congruence_trace_counts",
+                        lambda level, height: heights.append(height) or {})
     argv = ["bianchi", "census", "--d", "2", "--pi", "1000000095,1", "--n-max", n_max, "--height"]
     assert run(capsys, argv + [str(largest)])[0] == 0
     assert run(capsys, argv + [str(largest + 1)]) == (
@@ -992,6 +992,17 @@ def test_importing_the_cli_loads_no_process_pool():
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import sysbound.cli; "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[]\n"
+
+
+def test_importing_the_cli_loads_no_exact_fractions():
+    # Only bounds._zeta_ratios uses fractions, and no command reaches it, so
+    # neither fractions nor the decimal module it imports is loaded at start-up.
+    src = str(Path(sysbound.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import sysbound.cli; "
+            "print(sorted(m for m in sys.modules if m in ('fractions', 'decimal', '_decimal')))")
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
                          check=True).stdout
     assert out == "[]\n"

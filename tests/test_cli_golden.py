@@ -123,6 +123,7 @@ CASES = [
     ["verify", "length-lemma", "--samples", "10", "--r-max", "0", "--margins-csv", CSV,
      "--format", "json"],
     ["verify", "length-lemma", "--samples", "0"],
+    ["verify", "length-lemma", "--samples", "9223372036854775807", "--margins-csv", CSV],
     ["verify", "length-lemma", "--seed", "-1"],
     ["verify", "length-lemma", "--samples", "200", "--r-max", "5", "--sharpness-points", "20",
      "--format", "csv"],
