@@ -10,9 +10,11 @@ For each workload that BENCHMARK.json declares, this runs
 ``--trace 1`` (the per-layer ones), and writes one JSON object to ``--out``:
 the commit (``git rev-parse HEAD``), whether the working tree had
 uncommitted changes, the arguments, the line count of each
-``src/sysbound/*.py`` and their total (``src_lines``), and per run its exit
-code, the ``facts:`` line (machine, Python, numpy, load) and the final JSON
-line (``correct``, ``attempted``, ``failed``, ``metrics``).
+``src/sysbound/*.py`` and their total (``src_lines``), the sorted names of
+``ALLOWED_UNCALLED`` in tests/test_reachability.py, the library functions
+that no command reaches (``allowed_uncalled``), and per run its exit code,
+the ``facts:`` line (machine, Python, numpy, load) and the final JSON line
+(``correct``, ``attempted``, ``failed``, ``metrics``).
 
 It measures the checkout it is started in, so a ledger for another commit
 comes from running this script in a clean clone of that commit.  The exit
@@ -23,6 +25,7 @@ the file is written either way.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import subprocess
 import sys
@@ -41,6 +44,14 @@ def src_lines() -> dict:
     """Newlines per ``src/sysbound/*.py``, and their total, as ``wc -l`` counts them."""
     files = {path.name: path.read_bytes().count(b"\n") for path in sorted(Path("src/sysbound").glob("*.py"))}
     return {"files": files, "total": sum(files.values())}
+
+
+def allowed_uncalled() -> list[str]:
+    """The sorted names in ``ALLOWED_UNCALLED`` of tests/test_reachability.py, read with ``ast``."""
+    tree = ast.parse(Path("tests/test_reachability.py").read_text())
+    return sorted(next(ast.literal_eval(node.value) for node in tree.body
+                       if isinstance(node, ast.Assign)
+                       and any(getattr(t, "id", None) == "ALLOWED_UNCALLED" for t in node.targets)))
 
 
 def run_workload(workload: str, trace: int, args) -> dict:
@@ -76,6 +87,7 @@ def main(argv=None) -> int:
         "seconds": args.seconds,
         "tiny": args.tiny,
         "src_lines": src_lines(),
+        "allowed_uncalled": allowed_uncalled(),
         "runs": [],
     }
     for workload in workloads:

@@ -279,19 +279,6 @@ class QuadMatrix:
         return ElementClass.LOXODROMIC
 
 
-def _matrix(m11: QuadInt, m12: QuadInt, m21: QuadInt, m22: QuadInt, _new=object.__new__,
-            _cls=QuadMatrix, _set11=QuadMatrix.m11.__set__, _set12=QuadMatrix.m12.__set__,
-            _set21=QuadMatrix.m21.__set__, _set22=QuadMatrix.m22.__set__) -> QuadMatrix:
-    """``QuadMatrix`` without the constructor's checks, for entries known to
-    share one ring: it sets the slots directly."""
-    m = _new(_cls)
-    _set11(m, m11)
-    _set12(m, m12)
-    _set21(m, m21)
-    _set22(m, m22)
-    return m
-
-
 def _congruence_search(level: CongruenceLevel, height: int):
     """The box search behind ``enumerate_congruence_elements`` and
     ``congruence_trace_counts``: the matrices (a*pi^n + 1, b*pi^n; c*pi^n,
@@ -402,40 +389,29 @@ def enumerate_congruence_elements(level: CongruenceLevel, height: int) -> list[Q
     The matrices are the hits of ``_congruence_search``, which checks each
     determinant exactly.  Representatives are kept in the congruence form
     (diagonal = 1 mod pi^n) so the exact trace s*pi^(2n) + 2 stays
-    recoverable.  Each hit files its matrices, each packed as the int
-    (p*size + q)*size + pd of its positions, in a bucket of 8-byte ints for
-    its position of a.  Positions compare as the entries' coordinates do, so
-    the buckets, taken in order and each sorted, give the matrices in the
-    order of their coordinate tuples; each is turned into its matrices with
-    its one entry a*pi^n + 1 and emptied, so the enumeration's peak memory is
-    about that of its result.  The matrices share their entries: one
-    ``QuadInt`` per distinct coordinate pair, built once.
+    recoverable.  Each matrix is first the int ((pa*size + p)*size + q)*size
+    + pd of its entries' positions.  Positions compare as the entries'
+    coordinates do, so the sorted ints give the matrices in the order of
+    their coordinate tuples, and each int is replaced in place by its matrix.
+    The matrices share their entries: one ``QuadInt`` per distinct
+    coordinate pair, built once.
     """
     entries, diagonal, hits = _congruence_search(level, height)
     size = len(entries)
-    # per position pa of a, the rest (p*size + q)*size + pd of each matrix found,
-    # in 8 bytes rather than an int object and a pointer: it is below size^3,
-    # which is below 2^63 at every height under 724, far past any whose lookups end
-    from array import array  # here, not at the top: no other command needs it
-    found = [array("q") for _ in range(size)]
-    for pa, pd, offsets in hits:
-        bucket = found[pa]
-        for offset in offsets:
-            bucket.append(offset + pd)
+    cube = size**3
+    found = [pa * cube + offset + pd for pa, pd, offsets in hits for offset in offsets]
+    found.sort()
 
     d = level.pi.d
     quads = {e: _quad(*e, d) for e in entries + diagonal}
     off = [quads[e] for e in entries]
     diag = [quads[e] for e in diagonal]
-    matrices = []
-    # each bucket gives way to its matrices as they are made: the result is the peak
-    for m11, bucket in zip(diag, found):
-        for v in sorted(bucket):
-            pq, pd = divmod(v, size)
-            p, q = divmod(pq, size)
-            matrices.append(_matrix(m11, off[p], off[q], diag[pd]))
-        del bucket[:]
-    return matrices
+    for k, v in enumerate(found):
+        v, pd = divmod(v, size)
+        v, q = divmod(v, size)
+        pa, p = divmod(v, size)
+        found[k] = QuadMatrix(diag[pa], off[p], off[q], diag[pd])
+    return found
 
 
 def congruence_trace_counts(level: CongruenceLevel,
@@ -463,7 +439,7 @@ def congruence_trace_counts(level: CongruenceLevel,
             continue
         p, q = divmod(offsets[0] // size, size)
         first = (diagonal[pa], entries[p], entries[q], diagonal[pd])
-        traces[x1 + y1, x2 + y2] = [len(offsets), _matrix(*(_quad(*e, d) for e in first))]
+        traces[x1 + y1, x2 + y2] = [len(offsets), QuadMatrix(*(_quad(*e, d) for e in first))]
     return {_quad(t1, t2, d): (count, m) for (t1, t2), (count, m) in traces.items()}
 
 

@@ -392,22 +392,20 @@ def _cmd_verify(args) -> _Output:
 
 _MAX_INDEX_DIGITS = 4300  # CPython's default limit on int-to-str conversion
 # A census --height h holds (2h+1)^2 parameter pairs and, at n = 1, about
-# (2h+1)^4 / N(pi) index entries with the matrices they yield.  Measured as peak
-# resident minus that of the census without --height (Python 3.11, 2-vCPU
-# x86-64), an index entry cost at most 309 bytes (N(pi) = 3, 11, 43 at h = 8-40)
-# and a pair at most 2877 (N(pi) = 1e18 at h = 20-77, where each pair yields
-# about 15 matrices), and the limits were set at those costs times 1.45 and
-# 1.42.  Since the check counts the matrices per trace rather than building
-# them, an entry costs 81 bytes at N(pi) = 3, h = 25 and 104 at N(pi) = 11,
-# h = 35, and a pair 950 bytes at N(pi) = 1e18, h = 49 and 74: the estimate now
-# runs 4-5x above them.  Heights past the budget are refused.
+# (2h+1)^4 / N(pi) index entries.  _CENSUS_PAIR_BYTES and _CENSUS_ENTRY_BYTES
+# bound what a pair and an entry cost in resident memory; a height whose
+# estimate passes _CENSUS_BYTES is refused.  Measured as peak resident minus
+# that of the census without --height (Python 3.11, 2-vCPU x86-64), an entry
+# costs 81 bytes at N(pi) = 3, h = 25 and 104 at N(pi) = 11, h = 35, and a
+# pair 950 bytes at N(pi) = 1e18, h = 49 and 74.  The constants are kept so
+# that no refusal golden moves.
 _CENSUS_BYTES = 1 << 30
 _CENSUS_PAIR_BYTES = 4096
 _CENSUS_ENTRY_BYTES = 448
-# It also looks up products b*c per level, whatever N(pi): an ordered pair (b, c)
-# cost at most 53 ns, all else included (N(pi) = 1e18 at h = 41-77), so the limit
-# was set for about 27 s; a pair now costs 29-33 ns there (h = 49 and 74), so the
-# largest census accepted takes about 16 s.
+# _CENSUS_LOOKUPS bounds the products b*c a census looks up: an ordered pair
+# (b, c) per level, whatever N(pi).  A pair costs 29-33 ns, all else included
+# (N(pi) = 1e18 at h = 49 and 74), so the largest census accepted takes about
+# 16 s.  The constant is kept for the same reason.
 _CENSUS_LOOKUPS = 500_000_000
 # bianchi ideals --format json peaked at 1.0-1.1 KiB resident per candidate walked (d = 1).
 _IDEALS_ITEM_BYTES = 1200

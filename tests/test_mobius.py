@@ -147,6 +147,19 @@ def test_element_invariant_under_sign_flip(a, b, c, d):
         assert _sphere_or_refusal(h) == pytest.approx(sphere, rel=1e-12)
 
 
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="MoebiusElement normalization is not idempotent (the open FOUND on it in "
+    "CHANGES.md): g's normalized determinant is off from 1 by 3.6e-12, more than TAU_DET, "
+    "so -g rebuilt from g's entries is renormalized")
+def test_sign_flip_of_an_ill_conditioned_element_is_exact():
+    # An input that the two sign-flip tests above admit (|det| = 0.0103) and on
+    # which their exactness fails, pinned here so that it is checked every run.
+    g = MoebiusElement(22, 22, 22, 22 + 0.000468j)
+    h = MoebiusElement(-g.a, -g.b, -g.c, -g.d)
+    assert (h.a, h.b, h.c, h.d) == (-g.a, -g.b, -g.c, -g.d)
+
+
 def test_translation_length_invariant_under_conjugation():
     rng = np.random.default_rng(29)
     h = MoebiusElement(complex(1, 1), 2, complex(0, -1), complex(0.5, -0.5))

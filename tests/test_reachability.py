@@ -37,11 +37,9 @@ ALLOWED_UNCALLED = {
     # or more takes, and no golden line draws; perfbench's tracer and microbenchmark name them
     "mobius.MoebiusElement.from_trace",
     "mobius._eigenvalue",
-    # the input check of a public constructor; the census builds its matrices through _matrix
-    "bianchi.QuadMatrix.__post_init__",
-    # the census counts per trace with congruence_trace_counts; test_acceptance's criterion 9
-    # and scope test, perfbench's h8 call and classify_exact microbenchmark, and test_bianchi's
-    # cross-check of the counts call the enumeration of the matrices themselves
+    # the reference that test_bianchi checks the census's counts per trace against, and
+    # test_acceptance's criterion 9 the trace bound on; perfbench's h8 and classify_exact
+    # probes call it
     "bianchi.enumerate_congruence_elements",
 }
 
