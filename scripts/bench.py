@@ -14,7 +14,11 @@ uncommitted changes, the arguments, the line count of each
 ``ALLOWED_UNCALLED`` in tests/test_reachability.py, the library functions
 that no command reaches (``allowed_uncalled``), and per run its exit code,
 the ``facts:`` line (machine, Python, numpy, load) and the final JSON line
-(``correct``, ``attempted``, ``failed``, ``metrics``).
+(``correct``, ``attempted``, ``failed``, ``metrics``).  ``tier1`` holds the
+wall seconds, exit code and pytest summary line (``881 passed, 4 xfailed``)
+of the tier-1 suite, ``python -m pytest -q --continue-on-collection-errors``
+with ``src`` first on ``PYTHONPATH``; under ``--tiny`` it is ``null``, so a
+self-test ledger does not run the suite.
 
 It measures the checkout it is started in, so a ledger for another commit
 comes from running this script in a clean clone of that commit.  The exit
@@ -27,8 +31,11 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 
@@ -52,6 +59,19 @@ def allowed_uncalled() -> list[str]:
     return sorted(next(ast.literal_eval(node.value) for node in tree.body
                        if isinstance(node, ast.Assign)
                        and any(getattr(t, "id", None) == "ALLOWED_UNCALLED" for t in node.targets)))
+
+
+def tier1() -> dict:
+    """The tier-1 suite's wall seconds, exit code and summary line, its time dropped."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": f"src{os.pathsep}{path}" if path else "src"}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+                          stdout=subprocess.PIPE, text=True, env=env)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    summary = re.sub(r"\s+in [\d.]+s( \(.*\))?$", "", lines[-1].strip("= ")) if lines else None
+    return {"wall_s": round(wall, 2), "exit_code": proc.returncode, "summary": summary}
 
 
 def run_workload(workload: str, trace: int, args) -> dict:
@@ -88,8 +108,11 @@ def main(argv=None) -> int:
         "tiny": args.tiny,
         "src_lines": src_lines(),
         "allowed_uncalled": allowed_uncalled(),
+        "tier1": None if args.tiny else tier1(),
         "runs": [],
     }
+    if ledger["tier1"]:
+        print(f"tier-1: {ledger['tier1']}", file=sys.stderr)
     for workload in workloads:
         for trace in (0, 1):
             run = run_workload(workload, trace, args)

@@ -288,10 +288,10 @@ def _congruence_search(level: CongruenceLevel, height: int):
 
     Returns the entries x*pi^n and the diagonal entries x*pi^n + 1, as
     coordinate pairs in position order, and an iterator of the hits
-    (pa, pd, offsets): the positions of a and d, and for each distinct (b, c)
-    of the orbit found with them, (p*size + q)*size for its positions p, q,
-    where size is the number of parameters.  The matrix of one offset is
-    (pa, p, q, pd), and each is listed once.
+    (pa, pd, orbit): the positions of a and d, and the set of the positions
+    (p, q) of each distinct (b, c) of the orbit found with them.  The matrix
+    of one pair is (pa, p, q, pd), and each is listed once.  Positions run
+    over range(size), size the number of parameters.
 
     Positions compare as the entries' coordinates do, for the diagonal
     x*pi^n + 1 as well.  The box is symmetric, so negation reverses the
@@ -358,23 +358,21 @@ def _congruence_search(level: CongruenceLevel, height: int):
             products = [ba * u + bb * v for u, v in keyed[i:last - i + 1]]
             for j in itertools.compress(itertools.count(i), map(index.__contains__, products)):
                 diagonals = index[products[j - i]]
-                # each distinct (b, c) of the orbit: its positions' part of the key, and its
-                # b*c + 1 checked equal to that of (i, j), so one comparison per (a, d)
-                # checks every determinant
+                # each distinct (b, c) of the orbit has its b*c + 1 checked equal to that
+                # of (i, j), so one comparison per (a, d) checks every determinant
                 (b1, b2), (c1, c2) = entries[i], entries[j]
                 bc_plus_one = (b1 * c1 - d * b2 * c2 + 1, b1 * c2 + b2 * c1)
-                offsets = []
-                for p, q in {(i, j), (j, i), (last - i, last - j), (last - j, last - i)}:
+                orbit = {(i, j), (j, i), (last - i, last - j), (last - j, last - i)}
+                for p, q in orbit:
                     (b1, b2), (c1, c2) = entries[p], entries[q]
                     if (b1 * c1 - d * b2 * c2 + 1, b1 * c2 + b2 * c1) != bc_plus_one:
                         raise RuntimeError("enumerated matrix failed the exact determinant check")
-                    offsets.append((p * size + q) * size)
                 for key in diagonals:
                     pa, pd = divmod(key, size)
                     (x1, x2), (y1, y2) = diagonal[pa], diagonal[pd]
                     if (x1 * y1 - d * x2 * y2, x1 * y2 + x2 * y1) != bc_plus_one:
                         raise RuntimeError("enumerated matrix failed the exact determinant check")
-                    yield pa, pd, offsets
+                    yield pa, pd, orbit
 
     return entries, diagonal, hits()
 
@@ -398,8 +396,7 @@ def enumerate_congruence_elements(level: CongruenceLevel, height: int) -> list[Q
     """
     entries, diagonal, hits = _congruence_search(level, height)
     size = len(entries)
-    cube = size**3
-    found = [pa * cube + offset + pd for pa, pd, offsets in hits for offset in offsets]
+    found = [((pa * size + p) * size + q) * size + pd for pa, pd, orbit in hits for p, q in orbit]
     found.sort()
 
     d = level.pi.d
@@ -428,18 +425,18 @@ def congruence_trace_counts(level: CongruenceLevel,
     search's index rather than of the matrices.
     """
     entries, diagonal, hits = _congruence_search(level, height)
-    size, d = len(entries), level.pi.d
+    d = level.pi.d
     # per trace: [its matrices, the first of them]
     traces: dict[tuple[int, int], list] = {}
-    for pa, pd, offsets in hits:
+    for pa, pd, orbit in hits:
         (x1, x2), (y1, y2) = diagonal[pa], diagonal[pd]
         trace = traces.get((x1 + y1, x2 + y2))
         if trace is not None:
-            trace[0] += len(offsets)
+            trace[0] += len(orbit)
             continue
-        p, q = divmod(offsets[0] // size, size)
+        p, q = next(iter(orbit))
         first = (diagonal[pa], entries[p], entries[q], diagonal[pd])
-        traces[x1 + y1, x2 + y2] = [len(offsets), QuadMatrix(*(_quad(*e, d) for e in first))]
+        traces[x1 + y1, x2 + y2] = [len(orbit), QuadMatrix(*(_quad(*e, d) for e in first))]
     return {_quad(t1, t2, d): (count, m) for (t1, t2), (count, m) in traces.items()}
 
 

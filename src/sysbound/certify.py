@@ -385,7 +385,7 @@ def trace_translation_lengths(x, y):
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # mobius._eigenvalue: the root of t*t - (4 + 0j), then (t + root)/2 or (t - root)/2.
+        # MoebiusElement.from_trace: the root of t*t - (4 + 0j), then (t + root)/2 or (t - root)/2.
         root_re, root_im = _c_sqrt(x * x - y * y - 4.0, x * y + y * x - 0.0)
         a_re, a_im = _halved(x + root_re, y + root_im)
         b_re, b_im = _halved(x - root_re, y - root_im)

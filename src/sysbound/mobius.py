@@ -50,16 +50,6 @@ def _unit_scaled(entries) -> tuple[list[complex], int]:
     return [complex(math.ldexp(z.real, -k), math.ldexp(z.imag, -k)) for z in entries], k
 
 
-def _eigenvalue(t: complex) -> complex:
-    """A nonzero root lam of lam^2 - t*lam + 1: (t + root)/2, or (t - root)/2
-    where the first is zero or cancels so far that its inverse is not finite."""
-    root = cmath.sqrt(t * t - 4)
-    lam = (t + root) / 2
-    if lam == 0 or cmath.isfinite(lam) and not cmath.isfinite(1 / lam):
-        return (t - root) / 2
-    return lam
-
-
 def _length(t: complex) -> float:
     """|Re(2*arccosh(t/2))|, the translation length of a loxodromic of trace t."""
     return abs((2 * cmath.acosh(t / 2)).real)
@@ -111,10 +101,15 @@ class MoebiusElement:
     def from_trace(cls, trace) -> "MoebiusElement":
         """Diagonal representative diag(lam, 1/lam) with lam + 1/lam = trace.
 
-        The eigenvalue is one root of the characteristic quadratic; traces
-        +/-2 therefore yield +/-identity, not a parabolic.
+        The eigenvalue is the root (t + root)/2 of the characteristic quadratic,
+        or (t - root)/2 where that is zero or cancels so far that its inverse
+        is not finite; traces +/-2 therefore yield +/-identity, not a parabolic.
         """
-        lam = _eigenvalue(_as_finite_complex(trace, "trace"))
+        t = _as_finite_complex(trace, "trace")
+        root = cmath.sqrt(t * t - 4)
+        lam = (t + root) / 2
+        if lam == 0 or cmath.isfinite(lam) and not cmath.isfinite(1 / lam):
+            lam = (t - root) / 2
         return cls(lam, 0, 0, 1 / lam)
 
     @property

@@ -1,5 +1,5 @@
-"""Accuracy of the closed-form bounds and the torus diameter against mpmath
-at 60 digits.
+"""Accuracy of the closed-form bounds, the torus diameter and the census
+floats against mpmath at 60 digits.
 
 Each test draws seeded, log-spread inputs, evaluates the mathematical
 function of those exact float inputs with exact constants in mpmath, and
@@ -21,6 +21,7 @@ import mpmath as mp
 import pytest
 
 from sysbound import bounds, mobius
+from sysbound.bianchi import PSL2_O2_COVOLUME, QuadInt, systole_growth_table
 from sysbound.certify import CROSSING_REL_TOL
 from sysbound.cli import main
 from sysbound.cusp import CuspLattice
@@ -247,7 +248,7 @@ def test_length_of_a_trace_whose_eigenvalue_cancels_is_within_two_ulps():
     Of 200 000 traces whose parts are drawn independently, of either sign
     and of magnitude log-uniform in (1e-320, 1e150), and -1e-292 + 1e24i, the
     ones where (t + root)/2 cancels so far that its inverse is not finite.
-    There ``mobius._eigenvalue`` takes (t - root)/2, and the element's
+    There ``MoebiusElement.from_trace`` takes (t - root)/2, and the element's
     translation length is checked against mpmath at 400 digits.
     """
     rng = random.Random(7)
@@ -287,9 +288,9 @@ def _margin_rows(tmp_path, *argv):
 
 
 _EIGENVALUE_CANCELLATION = (
-    "the length kernel replays mobius._eigenvalue, which takes (t + root)/2 with the principal "
-    "root and cancels when Re t < 0; lengths from the trace (ROADMAP item 7) mend it, but move "
-    "the length-lemma margins")
+    "the length kernel replays MoebiusElement.from_trace, which takes (t + root)/2 with the "
+    "principal root and cancels when Re t < 0; lengths from the trace (ROADMAP item 7) mend it, "
+    "but move the length-lemma margins")
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=_EIGENVALUE_CANCELLATION)
@@ -541,3 +542,41 @@ def test_torus_diameter_past_the_range_of_its_product(t1, t2):
     2.25e-308, about the least that the constructor accepts."""
     with mp.workdps(DIGITS):
         assert _ulps(CuspLattice(t1, t2).torus_diameter(), _exact_torus_diameter(t1, t2)[0]) <= 4
+
+
+def test_census_floats_are_within_one_and_a_half_ulps():
+    """Budget: volume 1 ulp, systole_lb 1 ulp (exactly 0 where
+    N(pi)^n - 2 <= 2), ratio 1.5 ulps.  Measured: 0.998, 0.50 and 1.29 ulps.
+
+    ``systole_growth_table`` at every level n >= 1 whose volume is a finite
+    double, for pi = 3+sqrt(-2), 1+sqrt(-2), 3+2sqrt(-2) over the covolume of
+    PSL2(Z[sqrt(-2)]) and pi = 2+i, 3+2i over 0.3053218647257397, each base
+    taken as its exact double.  The exact rows use Newman's index
+    N^(3n-2) (N^2 - 1) / 2 and the trace bound N^n - 2, N = N(pi).
+    """
+    towers = [(QuadInt(3, 1, 2), PSL2_O2_COVOLUME), (QuadInt(1, 1, 2), PSL2_O2_COVOLUME),
+              (QuadInt(3, 2, 2), PSL2_O2_COVOLUME), (QuadInt(2, 1, 1), 0.3053218647257397),
+              (QuadInt(3, 2, 1), 0.3053218647257397)]
+    worst = {"volume": 0.0, "systole_lb": 0.0, "ratio": 0.0}
+    zeros = 0
+    with mp.workdps(DIGITS):
+        for pi, base in towers:
+            q = pi.norm
+            n_top = 1
+            while mp.mpf(base) * (q ** (3 * n_top + 1) * (q * q - 1) // 2) < mp.mpf(2) ** 1024:
+                n_top += 1
+            with pytest.raises(OverflowError):
+                systole_growth_table(pi, n_top + 1, base)
+            for row in systole_growth_table(pi, n_top, base):
+                volume = mp.mpf(base) * (q ** (3 * row.n - 2) * (q * q - 1) // 2)
+                systole_lb = mp.log(mp.mpf(max(2, q**row.n - 2)) ** 2 / 4)
+                if systole_lb == 0:
+                    assert row.systole_lb == 0 and row.ratio == 0, row
+                    zeros += 1
+                got = {"volume": (row.volume, volume), "systole_lb": (row.systole_lb, systole_lb),
+                       "ratio": (row.ratio, systole_lb / mp.log(volume))}
+                for name, (value, exact) in got.items():
+                    if exact:
+                        worst[name] = max(worst[name], _ulps(value, exact))
+    assert zeros == 1  # N(pi)^n = 3 only at 1+sqrt(-2), n = 1
+    assert worst["volume"] <= 1 and worst["systole_lb"] <= 1 and worst["ratio"] <= 1.5, worst

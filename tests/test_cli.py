@@ -349,7 +349,7 @@ def test_verify_length_lemma_seed_in_claim(capsys):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="mobius._eigenvalue takes (t + root)/2 with the principal root, which "
+    reason="MoebiusElement.from_trace takes (t + root)/2 with the principal root, which "
     "cancels when Re t < 0, so the element's length drifts from the trace's: "
     "worst margin -1.72e-5 at -970418.33 + 241306.36i, where mpmath gives +5.95e-5",
 )
@@ -507,6 +507,43 @@ def test_margins_go_to_a_pipe_or_device_as_to_a_file(tmp_path):
     assert piped.stdout == file.read_text() + report.stdout and piped.stderr == ""
     nulled = subprocess.run(argv + ["/dev/null"], capture_output=True, text=True, env=env, check=True)
     assert nulled.stdout == report.stdout and nulled.stderr == ""
+
+
+# A process started by exec reports at least its parent's resident size at the
+# fork as its peak, so the sweep runs in a fork of the small child instead.
+_PEAK_RESIDENT = """
+import os, sys
+if pid := os.fork():
+    sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+import contextlib, resource
+from sysbound.cli import main
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    code = main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="verify length-lemma --margins-csv holds every margin row in memory until the sweep "
+    "ends (certify_length_lemma's margin_rows), about 23 bytes a sample: 61 MiB peak resident "
+    "against 36 MiB without it at 1 000 000 samples; streaming the rows would keep it flat "
+    "(a FOUND in CHANGES.md)")
+def test_margins_csv_keeps_the_peak_resident_of_the_sweep():
+    """Budget: 8 MiB above the peak resident of the same sweep without
+    --margins-csv, at 1 000 000 samples, each run in its own process."""
+    src = str(Path(sysbound.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-c", _PEAK_RESIDENT, "verify", "length-lemma", "--samples",
+            "1000000", "--format", "json"]
+    peaks = []
+    for extra in ([], ["--margins-csv", os.devnull]):
+        out = subprocess.run(argv + extra, capture_output=True, text=True, env=env).stdout.split()
+        if len(out) != 2 or out[0] != "0":
+            pytest.fail(f"verify length-lemma {' '.join(extra)} did not exit 0: {out}")
+        peaks.append(int(out[1]))  # KiB on Linux
+    plain, with_csv = peaks
+    assert with_csv <= plain + 8 * 1024, (plain, with_csv)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "human"])

@@ -34,9 +34,8 @@ ALLOWED_UNCALLED = {
     "bounds.lobachevsky",
     "bounds._zeta_ratios",
     # the length kernel's element path, which only a lane with an entry part of DBL_MAX/4
-    # or more takes, and no golden line draws; perfbench's tracer and microbenchmark name them
+    # or more takes, and no golden line draws; perfbench's tracer and microbenchmark name it
     "mobius.MoebiusElement.from_trace",
-    "mobius._eigenvalue",
     # the reference that test_bianchi checks the census's counts per trace against, and
     # test_acceptance's criterion 9 the trace bound on; perfbench's h8 and classify_exact
     # probes call it
